@@ -2,7 +2,10 @@
 
 A cycle applies at most one gate per qubit; all its gates act simultaneously.
 Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
-applied to every qubit, idle qubits included.
+applied to every qubit, idle qubits included. `simulate` runs on the paired
+layout of `noise.to_paired`: each CNOT (or Toffoli) is a permutation of the
+entries, then every qubit gets one 4x4 map, its channel times its gate's
+superoperator u (x) conj(u).
 
 Text format (one circuit per file):
 
@@ -22,14 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateIndex, InvalidParams, WidthMismatch
-from .gates import Gate, apply_local_unitary, gate_matrix
-from .noise import NoNoise, NoiseModel, apply_channel_all
+from .gates import CLIFFORD_T_NAMES, Gate, apply_local_unitary, gate_matrix
+# apply_channel_all is not called here, but perfbench/tracer.py times the
+# noise layer under this module's name, so the name stays importable from it.
+from .noise import (NoNoise, NoiseModel, apply_channel_all,  # noqa: F401
+                    apply_superoperators, from_paired, pair_superoperator,
+                    superoperator, to_paired)
 from .states import DensityMatrix
 
 PARAM_ROTATIONS = "param_rotations"
 CLIFFORD_T = "clifford_t"
-
-_CLIFFORD_T_OK = frozenset(["i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "cnot"])
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class Circuit:
                         f"gate {g.name} on {g.qubits} exceeds width {self.n_qubits}"
                     )
         if self.gate_set == CLIFFORD_T:
-            bad = {g.name for c in cycles for g in c.gates} - _CLIFFORD_T_OK
+            bad = {g.name for c in cycles for g in c.gates} - CLIFFORD_T_NAMES
             if bad:
                 raise InvalidParams(f"gates {sorted(bad)} not in the Clifford+T set")
 
@@ -141,19 +146,49 @@ def simulate(circ: Circuit, state: DensityMatrix,
         circ, frame = randomized_compile(circ, seed)
     noise.validate()
     n = circ.n_qubits
-    rho = state.matrix
-    noisy = not isinstance(noise, NoNoise)
+    chan = None if isinstance(noise, NoNoise) else superoperator(noise)
+    fused: dict = {}  # (name, angle) -> the gate's 4x4 map with the channel
+    # Single-qubit maps on different qubits commute, so each qubit's maps
+    # compose into `pending` and the state is only touched when a CNOT (or
+    # Toffoli) has to act on it, and once at the end.
+    pending = [None] * n
+    v = to_paired(state.matrix, n)
     for cycle in circ.cycles:
+        maps = [chan] * n
         for g in cycle.gates:
-            rho = apply_local_unitary(rho, g.matrix(), g.qubits, n)
-        if noisy:
-            rho = apply_channel_all(rho, noise, n)
+            if len(g.qubits) > 1:
+                v = apply_superoperators(v, pending)
+                pending = [None] * n
+                _controlled_x(v, g.qubits, n)
+            elif g.name != "i":
+                key = (g.name, g.angle)
+                if key not in fused:
+                    m = pair_superoperator(g.matrix())
+                    fused[key] = m if chan is None else chan @ m
+                maps[g.qubits[0]] = fused[key]
+        for q, m in enumerate(maps):
+            if m is not None:
+                pending[q] = m if pending[q] is None else m @ pending[q]
+    v = apply_superoperators(v, pending)
+    rho = from_paired(v, n)
     out = DensityMatrix(rho)
     if frame is not None:
         from .compiling import apply_pauli_frame
 
         out = apply_pauli_frame(out, frame)
     return out
+
+
+def _controlled_x(v: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
+    """In place on a paired state: flip the last qubit where all the others
+    are 1 (CNOT, Toffoli), on the row bits and on the column bits."""
+    t = v.reshape((2,) * (2 * n))
+    for side in (0, 1):
+        idx = [slice(None)] * (2 * n)
+        for c in qubits[:-1]:
+            idx[2 * c + side] = slice(1, 2)
+        w = t[tuple(idx)]
+        w[...] = np.flip(w, axis=2 * qubits[-1] + side)
 
 
 def toffoli_decomposition(c1: int, c2: int, target: int,

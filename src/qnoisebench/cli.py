@@ -64,7 +64,7 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(unknown)}")
     for name in _TUPLE_FIELDS:
-        if fields.get(name) is not None:
+        if isinstance(fields.get(name), list):
             fields[name] = tuple(fields[name])
     if "benchmark" not in fields:
         raise ConfigError("benchmark: required (flag or config file)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .benchmarks import (
 )
 from .circuits import CLIFFORD_T, simulate
 from .compiling import interleave_idle
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, SimulationError
 from .metrics import process_fidelity
 from .noise import NOISE_KINDS, NoNoise, noise_level_table, noise_model_for
 from .states import DensityMatrix, ket_to_density, random_product_state
@@ -74,6 +75,15 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
+        for name in ("benchmark", "noise", "fmt"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name}: {getattr(self, name)!r} is not a string")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: {self.out!r} is not a path")
+        if not isinstance(self.rc, bool):
+            raise ConfigError(f"rc: {self.rc!r} is not true or false")
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0)
         if self.benchmark not in BENCHMARKS:
             raise ConfigError(
                 f"benchmark: unknown id {self.benchmark!r}; "
@@ -87,19 +97,25 @@ class ExperimentConfig:
         if self.levels is not None and self.sweep is not None:
             raise ConfigError("levels/sweep: give one, not both")
         if self.levels is not None:
+            if not isinstance(self.levels, (tuple, list)):
+                raise ConfigError(f"levels: {self.levels!r} is not a list")
             if not self.levels:
                 raise ConfigError("levels: empty")
             for lv in self.levels:
-                if not 0 <= int(lv) <= 3:
+                _check_int("levels", lv, 0)
+                if lv > 3:
                     raise ConfigError(f"levels: {lv} outside 0..3")
         if self.sweep is not None:
-            start, stop, step = self.sweep
+            start, stop, step = _triple("sweep", self.sweep, numbers.Real)
             if step <= 0:
                 raise ConfigError(f"sweep: step {step} must be > 0")
             if stop < start:
                 raise ConfigError(f"sweep: stop {stop} below start {start}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: {self.trials} must be >= 1")
+            for param in (start, stop):
+                try:
+                    _noise_for(self, param).validate()
+                except SimulationError as exc:
+                    raise ConfigError(f"sweep: {exc}") from exc
         spec = BENCHMARKS[self.benchmark]
         if spec.depth_range is None:
             if self.depth_range is not None:
@@ -109,7 +125,8 @@ class ExperimentConfig:
             if self.depth_range is None:
                 raise ConfigError(
                     f"depth_range: required for {self.benchmark}")
-            start, stop, step = self.depth_range
+            start, stop, step = _triple("depth_range", self.depth_range,
+                                        numbers.Integral)
             lo, hi = spec.depth_range
             if step <= 0:
                 raise ConfigError(f"depth_range: step {step} must be > 0")
@@ -124,6 +141,21 @@ class ExperimentConfig:
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"fmt: {self.fmt!r} is not csv or json")
         return self
+
+
+def _check_int(name: str, value, lo: int) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo):
+        raise ConfigError(f"{name}: {value!r} must be an integer >= {lo}")
+
+
+def _triple(name: str, value, kind) -> tuple:
+    """(start, stop, step) of finite numbers of the given kind, not bools."""
+    if (not isinstance(value, (tuple, list)) or len(value) != 3
+            or any(isinstance(x, bool) or not isinstance(x, kind)
+                   or not np.isfinite(x) for x in value)):
+        raise ConfigError(f"{name}: {value!r} is not (start, stop, step)")
+    return tuple(value)
 
 
 def _sweep_params(cfg: ExperimentConfig) -> list[float]:

@@ -2,26 +2,20 @@
 
 Everything operates on plain ``numpy.ndarray`` values with complex128 dtype.
 The functions here are thin, but they pin down the numerical tolerances the
-rest of the package relies on (hermiticity and positivity checks at 1e-9).
+rest of the package relies on (hermiticity and unitarity checks at 1e-9).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian, NotPSD
+from .errors import DimMismatch, NotHermitian
 
 HERMITICITY_TOL = 1e-9
-PSD_TOL = -1e-9
 
 
 def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product; the first factor owns the more-significant bits."""
-    return np.kron(as_complex(a), as_complex(b))
 
 
 def kron_all(mats) -> np.ndarray:
@@ -31,30 +25,8 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_complex(a), as_complex(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     return as_complex(a).conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    return complex(np.trace(as_complex(a)))
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_complex(a), as_complex(b)
-    if a.shape != b.shape:
-        raise DimMismatch(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(c: complex, a: np.ndarray) -> np.ndarray:
-    return c * as_complex(a)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -73,22 +45,6 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     if not is_hermitian(a, tol):
         raise NotHermitian(f"matrix deviates from Hermitian by more than {tol}")
     return np.linalg.eigvalsh(a)
-
-
-def hermitian_sqrt(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
-
-    Eigenvalues in [-1e-9, 0) are treated as numerical zero; anything below
-    that raises ``NotPSD``.
-    """
-    a = as_complex(a)
-    if not is_hermitian(a, tol):
-        raise NotHermitian(f"matrix deviates from Hermitian by more than {tol}")
-    vals, vecs = np.linalg.eigh(a)
-    if vals.size and vals[0] < PSD_TOL:
-        raise NotPSD(f"eigenvalue {vals[0]:.3e} below {PSD_TOL}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:

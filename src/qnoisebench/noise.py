@@ -8,9 +8,11 @@ All channels are exact maps on the density matrix, never Monte Carlo:
   AmplitudeDamping  Kraus K0 = [[1,0],[0,sqrt(1-g)]], K1 = [[0,sqrt(g)],[0,0]]
   PhaseDamping   Z flip with probability lambda
 
-Pauli conjugations and the damping Kraus terms are realized as index/sign
-manipulations on the reshaped state, which keeps the per-cycle cost linear in
-the size of rho.
+Each channel is one 4x4 superoperator, sum_k K (x) conj(K) over its Kraus
+operators (Wood, Biamonte & Cory, arXiv:1111.6950), acting on one qubit's
+digit of the paired layout (see `to_paired`). The simulator fuses it with the
+qubit's gate u of the cycle as N (u (x) conj(u)), so one cycle is one 4x4 map
+per qubit.
 """
 
 from __future__ import annotations
@@ -102,125 +104,22 @@ class PhaseDamping(NoiseModel):
         return self
 
 
-# ---------------------------------------------------------------------------
-# Fast single-qubit conjugations on the full register.
-
-
-def _axis_views(rho: np.ndarray, q: int, n: int):
-    """Reshape so the row and column factors of qubit q are separate axes."""
-    left = 2 ** q
-    mid = 2
-    right = 2 ** (n - q - 1)
-    return rho.reshape(left, mid, right, left, mid, right)
-
-
-def conj_x(rho: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = _axis_views(rho, q, n)
-    return t[:, ::-1, :, :, ::-1, :].reshape(rho.shape).copy()
-
-
-def _z_signs(q: int, n: int) -> np.ndarray:
-    idx = np.arange(2 ** n)
-    bits = (idx >> (n - 1 - q)) & 1
-    return 1.0 - 2.0 * bits
-
-
-def conj_z(rho: np.ndarray, q: int, n: int) -> np.ndarray:
-    s = _z_signs(q, n)
-    return rho * np.outer(s, s)
-
-
-def conj_y(rho: np.ndarray, q: int, n: int) -> np.ndarray:
-    # Y = i X Z; the phases cancel in the conjugation.
-    return conj_x(conj_z(rho, q, n), q, n)
-
-
-def _phase_column(q: int, n: int, phase: complex) -> np.ndarray:
-    """Per-index phases of diag applied at qubit q: 1 where bit is 0, phase where 1."""
-    idx = np.arange(2 ** n)
-    bits = (idx >> (n - 1 - q)) & 1
-    return np.where(bits == 1, phase, 1.0 + 0j)
-
-
-def _apply_2x2(rho: np.ndarray, k: np.ndarray, q: int, n: int) -> np.ndarray:
-    """K rho K^dagger for an arbitrary single-qubit operator K."""
-    t = _axis_views(rho, q, n)
-    t = np.einsum("ab,xbyucv->xayucv", k, t)
-    t = np.einsum("db,xayubv->xayudv", k.conj(), t)
-    return t.reshape(rho.shape)
-
-
-def apply_channel(rho: np.ndarray, model: NoiseModel, q: int, n: int) -> np.ndarray:
-    """Apply one noise channel to qubit q of an n-qubit density matrix."""
-    if isinstance(model, NoNoise):
-        return rho
-
-    if isinstance(model, PauliNoise):
-        keep = 1.0 - (model.ex + model.ey + model.ez)
-        out = keep * rho
-        if model.ex:
-            out = out + model.ex * conj_x(rho, q, n)
-        if model.ey:
-            out = out + model.ey * conj_y(rho, q, n)
-        if model.ez:
-            out = out + model.ez * conj_z(rho, q, n)
-        return out
-
-    if isinstance(model, CoherentNoise):
-        if model.axis == "z":
-            # e^{i theta Z} = diag(e^{i theta}, e^{-i theta})
-            col = _phase_column(q, n, np.exp(-2j * model.theta)) * np.exp(1j * model.theta)
-            return rho * np.outer(col, col.conj())
-        c, s = np.cos(model.theta), 1j * np.sin(model.theta)
-        u = np.array([[c, s], [s, c]], dtype=np.complex128)  # e^{i theta X}
-        return _apply_2x2(rho, u, q, n)
-
-    if isinstance(model, PauliPlusCoherent):
-        rotated = apply_channel(rho, CoherentNoise("x", model.theta), q, n)
-        if model.ex == 0.0:
-            return rotated
-        return (1.0 - model.ex) * rotated + model.ex * conj_x(rotated, q, n)
-
-    if isinstance(model, AmplitudeDamping):
-        g = model.gamma
-        col = _phase_column(q, n, np.sqrt(1.0 - g))
-        out = rho * np.outer(col, col.conj())
-        if g:
-            t = _axis_views(rho, q, n)
-            out_t = _axis_views(out, q, n)
-            out_t[:, 0, :, :, 0, :] += g * t[:, 1, :, :, 1, :]
-        return out
-
-    if isinstance(model, PhaseDamping):
-        lam = model.lam
-        if lam == 0.0:
-            return rho.copy()
-        return (1.0 - lam) * rho + lam * conj_z(rho, q, n)
-
-    raise InvalidParams(f"unknown noise model {model!r}")
-
-
-def apply_channel_all(rho: np.ndarray, model: NoiseModel, n: int) -> np.ndarray:
-    """Apply the channel to every qubit, idle or not."""
-    if isinstance(model, NoNoise):
-        return rho
-    for q in range(n):
-        rho = apply_channel(rho, model, q, n)
-    return rho
-
-
 def kraus_operators(model: NoiseModel) -> list[np.ndarray]:
-    """Kraus representation of the single-qubit channel (for verification)."""
+    """Kraus representation of the single-qubit channel. Probabilities that
+    `validate` lets past by rounding (down to -1e-12) count as 0."""
     from .gates import I2, X, Y, Z, rx_matrix
+
+    def root(p):
+        return np.sqrt(max(p, 0.0))
 
     if isinstance(model, NoNoise):
         return [I2.copy()]
     if isinstance(model, PauliNoise):
         keep = 1.0 - (model.ex + model.ey + model.ez)
-        ops = [np.sqrt(keep) * I2]
+        ops = [root(keep) * I2]
         for p, mat in ((model.ex, X), (model.ey, Y), (model.ez, Z)):
             if p:
-                ops.append(np.sqrt(p) * mat)
+                ops.append(root(p) * mat)
         return ops
     if isinstance(model, CoherentNoise):
         if model.axis == "z":
@@ -230,15 +129,81 @@ def kraus_operators(model: NoiseModel) -> list[np.ndarray]:
         return [u.astype(np.complex128)]
     if isinstance(model, PauliPlusCoherent):
         rot = kraus_operators(CoherentNoise("x", model.theta))[0]
-        return [np.sqrt(1.0 - model.ex) * rot, np.sqrt(model.ex) * (X @ rot)]
+        return [root(1.0 - model.ex) * rot, root(model.ex) * (X @ rot)]
     if isinstance(model, AmplitudeDamping):
         g = model.gamma
-        k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=np.complex128)
-        k1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=np.complex128)
+        k0 = np.array([[1, 0], [0, root(1 - g)]], dtype=np.complex128)
+        k1 = np.array([[0, root(g)], [0, 0]], dtype=np.complex128)
         return [k0, k1]
     if isinstance(model, PhaseDamping):
-        return [np.sqrt(1.0 - model.lam) * I2, np.sqrt(model.lam) * Z]
+        return [root(1.0 - model.lam) * I2, root(model.lam) * Z]
     raise InvalidParams(f"unknown noise model {model!r}")
+
+
+# ---------------------------------------------------------------------------
+# Superoperators and the paired layout.
+
+
+def superoperator(model: NoiseModel) -> np.ndarray:
+    """The channel as one 4x4 map, sum_k K (x) conj(K), on the row-major
+    vectorization (index 2*r + c) of a qubit's 2x2 block."""
+    return sum(pair_superoperator(k) for k in kraus_operators(model))
+
+
+def pair_superoperator(k: np.ndarray) -> np.ndarray:
+    """K (x) conj(K) for one 2x2 operator: rho -> K rho K^dagger."""
+    return np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
+def to_paired(rho: np.ndarray, n: int) -> np.ndarray:
+    """rho as a flat vector with axes (r0, c0, r1, c1, ...): one base-4 digit
+    2*r_q + c_q per qubit, qubit 0 most significant. Always a fresh copy."""
+    order = [a for q in range(n) for a in (q, n + q)]
+    return np.array(rho.reshape((2,) * (2 * n)).transpose(order)).reshape(-1)
+
+
+def from_paired(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `to_paired`: the 2^n x 2^n matrix."""
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return v.reshape((2,) * (2 * n)).transpose(order).reshape(2 ** n, 2 ** n)
+
+
+def apply_superoperators(v: np.ndarray, maps) -> np.ndarray:
+    """Apply maps[q] (4x4, or None for the identity) to qubit q of a paired
+    state, for every qubit.
+
+    Each step is one GEMM, (m @ x).T computed as x.T @ m.T so that it writes
+    the leading digit straight to the back; after one pass the digits are in
+    their original order again. A run of identity maps is one rotation by the
+    run's length.
+    """
+    skip = 0
+    for m in maps:
+        if m is None:
+            skip += 1
+            continue
+        if skip:
+            v = v.reshape(4 ** skip, -1).T.reshape(-1)
+            skip = 0
+        v = (v.reshape(4, -1).T @ m.T).reshape(-1)
+    if skip and skip < len(maps):
+        v = v.reshape(4 ** skip, -1).T.reshape(-1)
+    return v
+
+
+def apply_channel(rho: np.ndarray, model: NoiseModel, q: int, n: int) -> np.ndarray:
+    """Apply one noise channel to qubit q of an n-qubit density matrix."""
+    maps = [None] * n
+    maps[q] = superoperator(model)
+    return from_paired(apply_superoperators(to_paired(rho, n), maps), n)
+
+
+def apply_channel_all(rho: np.ndarray, model: NoiseModel, n: int) -> np.ndarray:
+    """Apply the channel to every qubit, idle or not."""
+    if isinstance(model, NoNoise):
+        return rho
+    v = apply_superoperators(to_paired(rho, n), [superoperator(model)] * n)
+    return from_paired(v, n)
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,21 @@ def test_flags_alone_suffice(capsys, tmp_path):
     dict(benchmark="idle", noise="pauli", extra=1),    # unknown field
     dict(benchmark="nope", noise="pauli"),             # bad benchmark
     dict(benchmark="idle", noise="pauli"),             # depth_range missing
+    dict(benchmark="qft_ct", noise="pauli", rc="off"),  # rc not a bool
+    dict(benchmark="qft", noise="pauli", trials=2.5),  # fractional trials
+    dict(benchmark="qft", noise="pauli", seed=-1),     # negative seed
+    dict(benchmark="qft", noise="pauli", levels=[1.7]),  # fractional level
+    dict(benchmark="qft", noise="pauli", sweep=[0.5, 2, 0.5]),  # p > 1
+    dict(benchmark="idle", noise="pauli", depth_range=[2, 10]),  # 2 of 3
+    dict(benchmark="qft", noise="pauli", levels=3),    # level not a list
+    dict(benchmark="qft", noise="pauli", sweep=[0, 1e999, 0.1]),  # infinite
 ])
 def test_bad_configs_exit_2(capsys, tmp_path, fields):
     cfg = write_config(tmp_path, **fields)
-    code, _, err = run_cli(capsys, "run", "--config", cfg)
+    code, out, err = run_cli(capsys, "run", "--config", cfg)
     assert code == 2
     assert err.startswith("config error:")
+    assert out == ""
 
 
 def test_unreadable_and_invalid_config_files(capsys, tmp_path):

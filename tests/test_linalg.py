@@ -5,7 +5,6 @@ from qnoisebench.linalg import (
     adjoint,
     equal_up_to_phase,
     hermitian_eigenvalues,
-    hermitian_sqrt,
     is_hermitian,
     is_unitary,
     kron_all,
@@ -55,14 +54,6 @@ def test_hermitian_eigenvalues_sorted_real():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_sqrt_squares_back():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(3, 3))
-    psd = a @ a.T
-    root = hermitian_sqrt(psd)
-    assert np.allclose(root @ root, psd)
 
 
 def test_is_unitary():
