@@ -5,7 +5,8 @@ Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
 applied to every qubit, idle qubits included. `simulate` runs on the paired
 layout of `noise.to_paired`: each CNOT (or Toffoli) is a permutation of the
 entries, then every qubit gets one 4x4 map, its channel times its gate's
-superoperator u (x) conj(u).
+superoperator u (x) conj(u). `apply_local_unitary` and `apply_cycle` run on
+the same two kernels.
 
 Text format (one circuit per file):
 
@@ -25,12 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateIndex, InvalidParams, WidthMismatch
-from .gates import CLIFFORD_T_NAMES, Gate, apply_local_unitary, gate_matrix
+from .gates import CLIFFORD_T_NAMES, CNOT, PAULIS, TOFFOLI, Gate, gate_matrix
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
 from .noise import (NoNoise, NoiseModel, apply_channel_all,  # noqa: F401
-                    apply_superoperators, from_paired, pair_superoperator,
-                    superoperator, to_paired)
+                    apply_qubit_map, apply_superoperators, from_paired,
+                    pair_superoperator, superoperator, to_paired)
 from .states import DensityMatrix
 
 PARAM_ROTATIONS = "param_rotations"
@@ -99,14 +100,33 @@ def identity_cycle() -> Cycle:
     return Cycle(())
 
 
+def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
+                        targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Conjugate rho by a gate's unitary on `targets`: U rho U^dagger.
+
+    A 2x2 u is the 4x4 map u (x) conj(u) on its qubit; a multi-qubit u must
+    be the CNOT or Toffoli matrix, the permutations `simulate` runs.
+    """
+    targets = tuple(targets)
+    if any(q >= n for q in targets):
+        raise WidthMismatch(f"targets {targets} exceed width {n}")
+    if u.shape == (2 ** len(targets),) * 2:
+        if len(targets) == 1:
+            return apply_qubit_map(rho, pair_superoperator(u), targets[0], n)
+        if np.array_equal(u, CNOT) or np.array_equal(u, TOFFOLI):
+            v = to_paired(rho, n)
+            _controlled_x(v, targets, n)
+            return from_paired(v, n)
+    raise InvalidParams(
+        f"operator of shape {u.shape} on {targets} is not a one-qubit gate, "
+        "CNOT or Toffoli")
+
+
 def apply_cycle(dm: DensityMatrix, cycle: Cycle) -> DensityMatrix:
     """Noiseless application of one cycle."""
-    n = dm.n_qubits
     rho = dm.matrix
     for g in cycle.gates:
-        if any(q >= n for q in g.qubits):
-            raise WidthMismatch(f"gate {g.name} on {g.qubits} exceeds width {n}")
-        rho = apply_local_unitary(rho, g.matrix(), g.qubits, n)
+        rho = apply_local_unitary(rho, g.matrix(), g.qubits, dm.n_qubits)
     return DensityMatrix(rho)
 
 
@@ -132,14 +152,14 @@ def simulate(circ: Circuit, state: DensityMatrix,
 
     With rc=True the circuit is first rewritten by randomized compiling (the
     circuit must already be idle-interleaved; see `compiling.interleave_idle`)
-    and the closing Pauli frame is applied to the output noise-free, the same
-    correction a hardware run folds into measurement relabeling.
+    and the closing Pauli frame is composed into the last maps noise-free, the
+    same correction a hardware run folds into measurement relabeling.
     """
     if circ.n_qubits != state.n_qubits:
         raise WidthMismatch(
             f"circuit width {circ.n_qubits} != state width {state.n_qubits}"
         )
-    frame = None
+    frame = ()
     if rc:
         from .compiling import randomized_compile
 
@@ -166,17 +186,18 @@ def simulate(circ: Circuit, state: DensityMatrix,
                     m = pair_superoperator(g.matrix())
                     fused[key] = m if chan is None else chan @ m
                 maps[g.qubits[0]] = fused[key]
-        for q, m in enumerate(maps):
-            if m is not None:
-                pending[q] = m if pending[q] is None else m @ pending[q]
+        _compose(pending, maps)
+    _compose(pending, [None if p == "i" else pair_superoperator(PAULIS[p])
+                       for p in frame])
     v = apply_superoperators(v, pending)
-    rho = from_paired(v, n)
-    out = DensityMatrix(rho)
-    if frame is not None:
-        from .compiling import apply_pauli_frame
+    return DensityMatrix(from_paired(v, n))
 
-        out = apply_pauli_frame(out, frame)
-    return out
+
+def _compose(pending: list, maps: list) -> None:
+    """pending[q] <- maps[q] @ pending[q], where None is the identity."""
+    for q, m in enumerate(maps):
+        if m is not None:
+            pending[q] = m if pending[q] is None else m @ pending[q]
 
 
 def _controlled_x(v: np.ndarray, qubits: tuple[int, ...], n: int) -> None:

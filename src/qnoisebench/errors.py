@@ -9,10 +9,6 @@ class NotHermitian(SimulationError):
     pass
 
 
-class NotPSD(SimulationError):
-    """Matrix has an eigenvalue below the allowed negative tolerance."""
-
-
 class NotNormalized(SimulationError):
     pass
 

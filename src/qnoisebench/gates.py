@@ -170,38 +170,3 @@ def gate_matrix(gate: Gate, n: int) -> np.ndarray:
         raise IndexError(f"gate {gate.name} on {gate.qubits} exceeds width {n}")
     return embed_unitary(gate.matrix(), gate.qubits, n)
 
-
-_AX = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
-                        targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Conjugate rho by a k-qubit unitary on `targets`: U rho U^dagger.
-
-    Works on the tensor-reshaped state, so the cost is O(4^n * 2^k) instead of
-    the O(8^n) of a dense conjugation.
-    """
-    k = len(targets)
-    u = as_complex(u).reshape((2,) * (2 * k))
-    t = rho.reshape((2,) * (2 * n))
-
-    row_axes = list(targets)
-    in_sub = list(_AX[: 2 * n])
-    u_sub = list(_AX[2 * n: 2 * n + 2 * k])
-    out_sub = in_sub.copy()
-    for pos, ax in enumerate(row_axes):
-        u_sub[k + pos] = in_sub[ax]
-        out_sub[ax] = u_sub[pos]
-    t = np.einsum("".join(u_sub) + "," + "".join(in_sub) + "->" + "".join(out_sub), u, t)
-
-    col_axes = [n + q for q in targets]
-    uc = u.conj()
-    in_sub = list(_AX[: 2 * n])
-    u_sub = list(_AX[2 * n: 2 * n + 2 * k])
-    out_sub = in_sub.copy()
-    for pos, ax in enumerate(col_axes):
-        u_sub[k + pos] = in_sub[ax]
-        out_sub[ax] = u_sub[pos]
-    t = np.einsum("".join(u_sub) + "," + "".join(in_sub) + "->" + "".join(out_sub), uc, t)
-
-    return t.reshape(2 ** n, 2 ** n)

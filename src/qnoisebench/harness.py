@@ -26,7 +26,7 @@ from .circuits import CLIFFORD_T, simulate
 from .compiling import interleave_idle
 from .errors import ConfigError, IoError, SimulationError
 from .metrics import process_fidelity
-from .noise import NOISE_KINDS, NoNoise, noise_level_table, noise_model_for
+from .noise import LEVEL_PARAMS, NOISE_KINDS, noise_model_for
 from .states import DensityMatrix, ket_to_density, random_product_state
 
 CSV_HEADER = "benchmark,noise,param,depth,rc,metric,mean,stderr,trials,seed"
@@ -113,7 +113,7 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep: stop {stop} below start {start}")
             for param in (start, stop):
                 try:
-                    _noise_for(self, param).validate()
+                    noise_model_for(self.noise, param)
                 except SimulationError as exc:
                     raise ConfigError(f"sweep: {exc}") from exc
         spec = BENCHMARKS[self.benchmark]
@@ -166,24 +166,7 @@ def _sweep_params(cfg: ExperimentConfig) -> list[float]:
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         return [start + k * step for k in range(count)]
     levels = cfg.levels if cfg.levels is not None else DEFAULT_LEVELS
-    return [_level_param(cfg.noise, int(lv)) for lv in levels]
-
-
-def _level_param(kind: str, level: int) -> float:
-    model = noise_level_table(kind, level)
-    if kind == "pauli":
-        return model.ex + model.ey + model.ez
-    if kind == "coherent":
-        return model.theta
-    if kind == "pauli_coherent":
-        return model.ex
-    return model.gamma
-
-
-def _noise_for(cfg: ExperimentConfig, param: float):
-    if cfg.noise == "none":
-        return NoNoise()
-    return noise_model_for(cfg.noise, param)
+    return [LEVEL_PARAMS[cfg.noise][lv] for lv in levels]
 
 
 def _depths(cfg: ExperimentConfig) -> list[int | None]:
@@ -199,14 +182,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Per trial: fresh random product input (the QAOA circuits keep their
     fixed all-zeros input), fresh randomized-compiling seed, and for the
     random benchmark a fresh circuit. The noiseless reference reuses the
-    same input, circuit, and RC seed."""
+    same input and circuit."""
     cfg.validate()
     spec = BENCHMARKS[cfg.benchmark]
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
     rows = []
     sweep_idx = 0
     for param in _sweep_params(cfg):
-        noise = _noise_for(cfg, param)
+        noise = noise_model_for(cfg.noise, param)
         for depth in _depths(cfg):
             fixed_circ = None
             if cfg.benchmark != "random":
@@ -232,7 +215,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     probs = np.real(np.diag(noisy.matrix))
                     values[t] = maxcut_expectation(probs, graph)
                 else:
-                    ref = simulate(circ, state, rc=cfg.rc, seed=rc_seed)
+                    # Noiseless RC equals the plain circuit (test_kernels::
+                    # test_noiseless_rc_equals_plain_circuit), so no rewrite.
+                    ref = simulate(circ, state)
                     values[t] = process_fidelity(ref, noisy)
             mean = float(np.mean(values))
             stderr = 0.0

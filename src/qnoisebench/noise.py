@@ -191,11 +191,16 @@ def apply_superoperators(v: np.ndarray, maps) -> np.ndarray:
     return v
 
 
+def apply_qubit_map(rho: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Apply one 4x4 map to qubit q of an n-qubit density matrix."""
+    maps = [None] * n
+    maps[q] = m
+    return from_paired(apply_superoperators(to_paired(rho, n), maps), n)
+
+
 def apply_channel(rho: np.ndarray, model: NoiseModel, q: int, n: int) -> np.ndarray:
     """Apply one noise channel to qubit q of an n-qubit density matrix."""
-    maps = [None] * n
-    maps[q] = superoperator(model)
-    return from_paired(apply_superoperators(to_paired(rho, n), maps), n)
+    return apply_qubit_map(rho, superoperator(model), q, n)
 
 
 def apply_channel_all(rho: np.ndarray, model: NoiseModel, n: int) -> np.ndarray:
@@ -209,31 +214,24 @@ def apply_channel_all(rho: np.ndarray, model: NoiseModel, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Calibrated strength ladder shared by the benchmarks.
 
-NOISE_KINDS = ("pauli", "coherent", "pauli_coherent", "amplitude_damping")
-
-_PAULI_TOTALS = (0.0, 0.01, 0.02, 0.03)
-_COHERENT_ANGLES = (0.0, np.pi / 30, np.pi / 15, np.pi / 10)
-_PC_PAIRS = ((0.0, 0.0), (0.01, np.pi / 30), (0.02, np.pi / 15), (0.03, np.pi / 10))
-_AD_GAMMAS = (0.0, 0.01, 0.02, 0.03)
+# Channel parameter at each strength level 0..3, as `noise_model_for` takes
+# it. Level 0 is always noise-free in effect: zero probabilities / zero angle.
+LEVEL_PARAMS = {
+    "pauli": (0.0, 0.01, 0.02, 0.03),
+    "coherent": (0.0, np.pi / 30, np.pi / 15, np.pi / 10),
+    "pauli_coherent": (0.0, 0.01, 0.02, 0.03),
+    "amplitude_damping": (0.0, 0.01, 0.02, 0.03),
+}
+NOISE_KINDS = tuple(LEVEL_PARAMS)
 
 
 def noise_level_table(kind: str, level: int) -> NoiseModel:
-    """Model for one of the four standard kinds at strength level 0..3.
-
-    Level 0 is always noise-free in effect: zero probabilities / zero angle.
-    """
+    """Model for one of the four standard kinds at strength level 0..3."""
     if kind not in NOISE_KINDS:
         raise UnknownLevel(f"unknown noise kind {kind!r}")
     if not 0 <= level <= 3:
         raise UnknownLevel(f"level {level} outside 0..3")
-    if kind == "pauli":
-        return PauliNoise.symmetric(_PAULI_TOTALS[level])
-    if kind == "coherent":
-        return CoherentNoise("z", _COHERENT_ANGLES[level])
-    if kind == "pauli_coherent":
-        ex, theta = _PC_PAIRS[level]
-        return PauliPlusCoherent(ex, theta).validate()
-    return AmplitudeDamping(_AD_GAMMAS[level]).validate()
+    return noise_model_for(kind, LEVEL_PARAMS[kind][level])
 
 
 def noise_model_for(kind: str, param: float) -> NoiseModel:

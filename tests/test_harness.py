@@ -165,6 +165,25 @@ def test_random_benchmark_with_rc():
     assert ",on," in rows_to_csv(rows)
 
 
+def test_rc_rewrites_each_trial_once(monkeypatch):
+    """Only the noisy run is randomly compiled; the noiseless reference runs
+    the plain circuit."""
+    from qnoisebench import compiling
+
+    calls = []
+    real = compiling.randomized_compile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compiling, "randomized_compile", counting)
+    cfg = ExperimentConfig(benchmark="qft_ct", noise="pauli", levels=(1,),
+                           rc=True, trials=3)
+    run_experiment(cfg)
+    assert len(calls) == cfg.trials
+
+
 def test_qaoa_expectation_metric():
     cfg = ExperimentConfig(benchmark="qaoa", noise="none", trials=1)
     rows = run_experiment(cfg)

@@ -10,9 +10,11 @@ import itertools
 import numpy as np
 import pytest
 
-from qnoisebench.circuits import CLIFFORD_T, Circuit, Cycle, simulate
+from qnoisebench.circuits import (CLIFFORD_T, Circuit, Cycle, apply_cycle,
+                                  apply_local_unitary, simulate)
 from qnoisebench.compiling import interleave_idle
-from qnoisebench.gates import (CLIFFORD_T_NAMES, GATE_ARITY, Gate, embed_unitary,
+from qnoisebench.errors import InvalidParams, WidthMismatch
+from qnoisebench.gates import (CLIFFORD_T_NAMES, GATE_ARITY, H, Gate, embed_unitary,
                               gate_matrix)
 from qnoisebench.noise import (
     AmplitudeDamping,
@@ -89,11 +91,28 @@ def test_every_gate_at_every_placement(model, n):
     rng = np.random.default_rng(n)
     for name, k in GATE_ARITY.items():
         for qubits in itertools.permutations(range(n), k):
-            circ = Circuit(n, (Cycle((make_gate(name, qubits, rng),)),))
+            gate = make_gate(name, qubits, rng)
+            circ = Circuit(n, (Cycle((gate,)),))
             rho = random_density(n, rng)
             got = simulate(circ, DensityMatrix(rho), noise=model).matrix
             np.testing.assert_allclose(got, dense_oracle(circ, rho, model),
                                        atol=ATOL, err_msg=f"{name}@{qubits}")
+            u = gate_matrix(gate, n)
+            np.testing.assert_allclose(
+                apply_cycle(DensityMatrix(rho), circ.cycles[0]).matrix,
+                u @ rho @ u.conj().T, atol=ATOL, err_msg=f"{name}@{qubits}")
+
+
+def test_apply_local_unitary_rejects_other_operators():
+    """Only one-qubit gates, CNOT and Toffoli have a kernel; an operator
+    that is neither, or one wider than the register, is refused."""
+    rho = random_density(2, np.random.default_rng(0))
+    with pytest.raises(InvalidParams):
+        apply_local_unitary(rho, np.kron(H, H), (0, 1), 2)
+    with pytest.raises(InvalidParams):
+        apply_local_unitary(rho, H, (0, 1), 2)
+    with pytest.raises(WidthMismatch):
+        apply_local_unitary(rho, H, (2,), 2)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)
