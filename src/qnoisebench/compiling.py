@@ -7,6 +7,8 @@ A cycle counts as hard if any of its gates is hard.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .circuits import CLIFFORD_T, PARAM_ROTATIONS, Circuit, Cycle, identity_cycle
@@ -133,11 +135,19 @@ def _table() -> _RzTable:
 
 
 def _distances_to(mats: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Phase-aligned max-abs distance of each matrix to the target."""
+    """Phase-aligned max-abs distance of each matrix to the diagonal target.
+
+    The target's off-diagonal entries are zero, so those two terms are the
+    magnitudes |m01| and |m10|; only the diagonal needs the aligned phase.
+    """
     ip = np.einsum("kij,ij->k", mats, target.conj())
     mag = np.abs(ip)
     phase = np.where(mag > 1e-300, ip / np.where(mag > 0, mag, 1.0), 1.0)
-    return np.max(np.abs(mats - phase[:, None, None] * target[None]), axis=(1, 2))
+    dist = np.abs(mats[:, 0, 0] - phase * target[0, 0])
+    np.maximum(dist, np.abs(mats[:, 1, 1] - phase * target[1, 1]), out=dist)
+    np.maximum(dist, np.abs(mats[:, 0, 1]), out=dist)
+    np.maximum(dist, np.abs(mats[:, 1, 0]), out=dist)
+    return dist
 
 
 def approx_rz(theta: float, eps: float = DEFAULT_SYNTH_EPS,
@@ -218,24 +228,28 @@ def lower_controlled_rz(theta: float, control: int, target: int,
 # Clifford+T lowering of whole circuits.
 
 
-def _word_with_fallback(theta: float, eps: float) -> list[str]:
+@functools.lru_cache(maxsize=1024)
+def _word_with_fallback(theta: float, eps: float) -> tuple[str, ...]:
     # Some angles floor just above a given eps at the depth budget (the gate
     # set converges non-uniformly). Accept the table's best word when it is
     # within 2x of the request; beyond that the miss is real.
+    # Memoized per (theta, eps) for the process, like the Rz table; a
+    # SearchExhausted is not cached and is raised again on every repeat.
     try:
-        return approx_rz(theta, eps)
+        return tuple(approx_rz(theta, eps))
     except SearchExhausted:
         floor = best_rz_error(theta, DEFAULT_DEPTH_BUDGET)
         if floor > 2.0 * eps:
             raise
-        return approx_rz(theta, floor + 1e-9)
+        return tuple(approx_rz(theta, floor + 1e-9))
 
 
 def _rotation_word(gate: Gate, eps: float) -> list[str]:
+    word = _word_with_fallback(gate.angle, eps)
     if gate.name == "rz":
-        return _word_with_fallback(gate.angle, eps)
+        return list(word)
     # rx = h rz h
-    return ["h"] + _word_with_fallback(gate.angle, eps) + ["h"]
+    return ["h", *word, "h"]
 
 
 def to_clifford_t(circ: Circuit, eps: float = DEFAULT_SYNTH_EPS) -> Circuit:
@@ -245,6 +259,9 @@ def to_clifford_t(circ: Circuit, eps: float = DEFAULT_SYNTH_EPS) -> Circuit:
     pad with idles); non-rotation gates fire in the first sub-cycle. An angle
     whose best word at the depth budget misses eps by at most 2x is accepted
     at its achieved error; a larger miss raises SearchExhausted.
+
+    Words are memoized per (theta, eps) for the life of the process, so each
+    distinct rotation is synthesized once however often it recurs.
     """
     out: list[Cycle] = []
     for cycle in circ.cycles:

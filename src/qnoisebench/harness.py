@@ -182,18 +182,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Per trial: fresh random product input (the QAOA circuits keep their
     fixed all-zeros input), fresh randomized-compiling seed, and for the
     random benchmark a fresh circuit. The noiseless reference reuses the
-    same input and circuit."""
+    same input and circuit.
+
+    A fixed (non-random) benchmark is built once per depth, before the noise
+    sweep, and every noise level runs that same circuit."""
     cfg.validate()
     spec = BENCHMARKS[cfg.benchmark]
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
+    fixed_circs = {}
+    if cfg.benchmark != "random":
+        fixed_circs = {depth: build_benchmark(cfg.benchmark, depth=depth)
+                       for depth in _depths(cfg)}
     rows = []
     sweep_idx = 0
     for param in _sweep_params(cfg):
         noise = noise_model_for(cfg.noise, param)
         for depth in _depths(cfg):
-            fixed_circ = None
-            if cfg.benchmark != "random":
-                fixed_circ = build_benchmark(cfg.benchmark, depth=depth)
+            fixed_circ = fixed_circs.get(depth)
             values = np.empty(cfg.trials)
             for t in range(cfg.trials):
                 ss = np.random.SeedSequence((cfg.seed, sweep_idx, t))

@@ -161,6 +161,77 @@ def test_to_clifford_t_rejects_embedded_toffoli():
         to_clifford_t(circ)
 
 
+def counting_approx_rz(monkeypatch):
+    """Route the lowering's approx_rz through a call log, cache cleared."""
+    from qnoisebench import compiling
+
+    compiling._word_with_fallback.cache_clear()
+    calls = []
+    real = compiling.approx_rz
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compiling, "approx_rz", counting)
+    return calls
+
+
+def test_to_clifford_t_synthesizes_each_angle_once(monkeypatch):
+    """The QAOA circuit's 20 rotations use 2 distinct angles: 2 searches,
+    and none on a second lowering of the same circuit."""
+    from qnoisebench.benchmarks import (QAOA_BETA_STAR, QAOA_GAMMA_STAR,
+                                        MaxCutGraph, build_qaoa)
+
+    calls = counting_approx_rz(monkeypatch)
+    circ = build_qaoa(MaxCutGraph.hypercube(), QAOA_BETA_STAR, QAOA_GAMMA_STAR)
+    first = to_clifford_t(circ)
+    assert len(calls) == 2
+    assert to_clifford_t(circ) == first
+    assert len(calls) == 2
+
+
+def test_rotation_word_is_a_fresh_list():
+    from qnoisebench.compiling import _rotation_word
+
+    for gate in (G.rz(0, 0.3), G.rx(0, 0.3)):
+        word = _rotation_word(gate, 0.05)
+        want = list(word)
+        word[0] = "x"
+        word.append("t")
+        assert _rotation_word(gate, 0.05) == want
+
+
+def test_unreachable_eps_raises_on_every_repeat(monkeypatch):
+    # pi/8 floors near 0.056, more than 2x above 0.02: the miss is real, and
+    # it is not cached.
+    calls = counting_approx_rz(monkeypatch)
+    circ = Circuit(1, (Cycle((G.rz(0, np.pi / 8),)),), PARAM_ROTATIONS)
+    for repeat in (1, 2):
+        with pytest.raises(SearchExhausted):
+            to_clifford_t(circ, eps=0.02)
+        assert len(calls) == repeat
+
+
+def test_distances_to_matches_full_matrix_formula():
+    """Bit for bit against max |m - phase * Rz(theta)| over all four entries,
+    so the search picks the same words."""
+    from qnoisebench.compiling import _distances_to, _table
+    from qnoisebench.gates import rz_matrix
+
+    table = _table()
+    table.extend_to(12)
+    mats = table.mats[:table.level_bounds[13]]
+    for theta in np.linspace(-2 * np.pi, 2 * np.pi, 41):
+        target = rz_matrix(theta)
+        ip = np.einsum("kij,ij->k", mats, target.conj())
+        mag = np.abs(ip)
+        phase = np.where(mag > 1e-300, ip / np.where(mag > 0, mag, 1.0), 1.0)
+        want = np.max(np.abs(mats - phase[:, None, None] * target[None]),
+                      axis=(1, 2))
+        assert np.array_equal(_distances_to(mats, target), want)
+
+
 # ---------------------------------------------------------------------------
 # Idle interleaving.
 

@@ -184,6 +184,26 @@ def test_rc_rewrites_each_trial_once(monkeypatch):
     assert len(calls) == cfg.trials
 
 
+def test_fixed_benchmark_built_once_per_config(monkeypatch):
+    """Every noise level of a fixed benchmark runs the one circuit built
+    before the sweep."""
+    from qnoisebench import harness
+
+    calls = []
+    real = harness.build_benchmark
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_benchmark", counting)
+    cfg = ExperimentConfig(benchmark="qft_ct", noise="pauli",
+                           levels=(0, 1, 2), trials=1)
+    rows = run_experiment(cfg)
+    assert len(rows) == 3
+    assert len(calls) == 1
+
+
 def test_qaoa_expectation_metric():
     cfg = ExperimentConfig(benchmark="qaoa", noise="none", trials=1)
     rows = run_experiment(cfg)
