@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qnoisebench.benchmarks import build_random
+from qnoisebench.benchmarks import QAOA_BETA_STAR, QAOA_GAMMA_STAR, build_random
 from qnoisebench.circuits import (
     CLIFFORD_T,
     PARAM_ROTATIONS,
@@ -200,6 +200,34 @@ def test_rotation_word_is_a_fresh_list():
         word[0] = "x"
         word.append("t")
         assert _rotation_word(gate, 0.05) == want
+
+
+@pytest.mark.parametrize("gate, want", [
+    # qft_ct: the halves of its controlled-Rz angles pi/2, pi/4, pi/8.
+    (G.rz(0, np.pi / 4), ["t"]),
+    (G.rz(0, -np.pi / 4), ["tdg"]),
+    # pi/8 misses eps 0.05 at the depth budget and takes the fallback.
+    (G.rz(0, np.pi / 8), ["h", "t", "h", "t", "h", "tdg", "h", "tdg", "h",
+                          "tdg", "h", "t", "h", "t", "h"]),
+    (G.rz(0, -np.pi / 8), ["h", "t", "h", "tdg", "h", "tdg", "h", "t", "h",
+                           "tdg", "h", "tdg", "h", "t", "h"]),
+    (G.rz(0, np.pi / 16), ["h", "s", "h", "tdg", "h", "tdg", "h", "t", "h",
+                           "tdg", "h", "t", "h", "t", "h", "t", "h", "t", "h",
+                           "t", "h"]),
+    (G.rz(0, -np.pi / 16), ["h", "s", "t", "h", "t", "h", "tdg", "h", "t",
+                            "h", "tdg", "h", "tdg", "h", "tdg", "h", "tdg",
+                            "h", "tdg", "h", "s"]),
+    # qaoa_ct: the phase separator rz and the mixer rx.
+    (G.rz(0, QAOA_GAMMA_STAR), ["h", "s", "t", "h", "tdg", "h", "tdg", "h",
+                                "tdg", "h", "tdg", "h", "t", "h", "tdg", "h",
+                                "t", "h", "tdg", "h", "t"]),
+    (G.rx(0, QAOA_BETA_STAR), ["h", "s", "t", "h"]),
+], ids=["rz+pi/4", "rz-pi/4", "rz+pi/8", "rz-pi/8", "rz+pi/16", "rz-pi/16",
+        "rz_gamma_star", "rx_beta_star"])
+def test_benchmark_rotation_words_are_pinned(gate, want):
+    from qnoisebench.compiling import _rotation_word
+
+    assert _rotation_word(gate, 0.05) == want
 
 
 def test_unreachable_eps_raises_on_every_repeat(monkeypatch):

@@ -13,7 +13,7 @@ from qnoisebench.errors import (
 from qnoisebench.gates import FIXED_MATRICES, I2
 from qnoisebench.linalg import equal_up_to_phase, phase_canonical_keys
 from qnoisebench.metrics import trace_distance
-from qnoisebench.noise import NoNoise, PauliNoise
+from qnoisebench.noise import AmplitudeDamping, NoNoise, PauliNoise
 from qnoisebench.protocols import (
     EULER_GAMMA,
     clifford_group,
@@ -111,6 +111,26 @@ def test_rb_sequences_compose_to_identity():
         assert equal_up_to_phase(net, I2, tol=1e-9)
 
 
+def test_clifford_words_are_pinned():
+    """Breadth-first over {h, s}, parent first then letter: the words and
+    their order are part of every seeded RB draw."""
+    _, words = clifford_group()
+    assert words == (
+        "", "h", "s", "hs", "sh", "ss", "hsh", "hss", "shs", "ssh", "sss",
+        "hshs", "hssh", "hsss", "shss", "sshs", "hshss", "hsshs", "shssh",
+        "shsss", "sshss", "hshssh", "hshsss", "hsshss",
+    )
+
+
+def test_rb_sequence_indices_are_pinned():
+    local = np.random.default_rng(2024)
+    assert [rb_sequence_indices(m, local) for m in (1, 3, 8)] == [
+        [5, 5],
+        [16, 2, 5, 3],
+        [7, 7, 21, 19, 21, 23, 1, 3, 21],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Randomized benchmarking.
 
@@ -122,6 +142,18 @@ def test_rb_noiseless_is_flat_and_degenerate():
     assert fit.degenerate
     assert fit.r == 0.0
     assert fit.b == pytest.approx(1.0)
+
+
+def test_rb_survivals_are_pinned():
+    got = rb_experiment((1, 4, 16), 10, noise=PauliNoise.symmetric(0.02),
+                        seed=3)
+    np.testing.assert_allclose(
+        got, [0.9736888888888888, 0.9367953315292172, 0.8158036525658219],
+        rtol=0, atol=1e-12)
+    got = rb_experiment((1, 4, 16), 10, noise=AmplitudeDamping(0.05), seed=4)
+    np.testing.assert_allclose(
+        got, [0.9749863656892123, 0.9539753833413945, 0.808073855174316],
+        rtol=0, atol=1e-12)
 
 
 def test_rb_fit_recovers_synthetic_decay():
