@@ -292,7 +292,12 @@ def circuit_from_text(text: str, gate_set: str | None = None) -> Circuit:
             if name == "i":
                 continue
             if angle is not None:
-                gates.append(Gate(name, qubits, float(angle)))
+                try:
+                    theta = float(angle)
+                except ValueError as exc:
+                    raise InvalidParams(
+                        f"line {lineno}: bad angle in {token!r}") from exc
+                gates.append(Gate(name, qubits, theta))
             else:
                 gates.append(Gate(name, qubits))
         cycles.append(Cycle(tuple(gates)))

@@ -1,6 +1,8 @@
 """Command line front end: `qnoise-bench run` executes one experiment
 config, `qnoise-bench list` shows what can be run. Config comes from a JSON
-file; flags override individual fields. Exit code 2 flags a bad config."""
+file; flags override individual fields. Exit code 2 flags a bad config;
+any other domain error (say, an unwritable --out) prints `error: ...` and
+exits 1."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import json
 import sys
 
 from .benchmarks import BENCHMARKS
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .harness import ExperimentConfig, emit, rows_to_csv, rows_to_json, run_experiment
 from .noise import NOISE_KINDS
 
@@ -26,7 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment config")
     run.add_argument("--config", help="JSON config file")
     run.add_argument("--benchmark", help="benchmark id")
-    run.add_argument("--noise", help="noise kind, or 'none'")
+    run.add_argument("--noise", help="noise kind, or 'none' (which also "
+                     "drops the config file's levels and sweep)")
     run.add_argument("--rc", choices=("on", "off"),
                      help="randomized compiling")
     run.add_argument("--trials", type=int, help="runs per sweep point")
@@ -58,6 +61,10 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
             fields[flag] = value
     if args.rc is not None:
         fields["rc"] = args.rc == "on"
+    if args.noise == "none":
+        # The file's strengths belong to the noise kind the flag replaced.
+        fields.pop("levels", None)
+        fields.pop("sweep", None)
 
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(fields) - known
@@ -107,6 +114,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

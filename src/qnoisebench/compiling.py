@@ -19,11 +19,10 @@ from .errors import (
     NotUnitary,
     SearchExhausted,
 )
-from .gates import Gate, rz_matrix
-from .linalg import as_complex, is_unitary, max_abs, phase_canonical_keys
+from .gates import Gate, WordTable, rz_matrix, word_table
+from .linalg import as_complex, is_unitary
 
 EASY_NAMES = frozenset(["i", "x", "y", "z", "s", "sdg"])
-HARD_NAMES = frozenset(["h", "t", "tdg", "cnot", "toffoli", "rz", "rx"])
 
 DEFAULT_SYNTH_EPS = 0.05
 DEFAULT_DEPTH_BUDGET = 25
@@ -74,64 +73,8 @@ def euler_compose(beta: float, gamma: float, delta: float) -> np.ndarray:
 _LETTERS = ("h", "s", "sdg", "t", "tdg")
 
 
-def _letter_matrices() -> np.ndarray:
-    from .gates import FIXED_MATRICES
-
-    return np.stack([FIXED_MATRICES[name] for name in _LETTERS])
-
-
-_canonical_keys = phase_canonical_keys
-
-
-class _RzTable:
-    """Breadth-first table of distinct words; grown lazily, cached per process."""
-
-    def __init__(self):
-        self.mats = np.eye(2, dtype=np.complex128)[None]
-        self.words: list[tuple[str, ...]] = [()]
-        self.level_bounds = [0, 1]  # level L occupies [bounds[L], bounds[L+1])
-        self.seen = {_canonical_keys(self.mats)[0]: 0}
-        self.letters = _letter_matrices()
-
-    @property
-    def depth(self) -> int:
-        return len(self.level_bounds) - 2
-
-    def extend_to(self, depth: int) -> None:
-        while self.depth < depth:
-            lo, hi = self.level_bounds[-2], self.level_bounds[-1]
-            if lo == hi:  # previous level empty; nothing more to reach
-                self.level_bounds.append(hi)
-                continue
-            parents = self.mats[lo:hi]
-            children = np.einsum("gij,pjk->pgik", self.letters, parents)
-            children = children.reshape(-1, 2, 2)
-            keys = _canonical_keys(children)
-            fresh_idx = []
-            for idx, key in enumerate(keys):
-                if key not in self.seen:
-                    self.seen[key] = len(self.words) + len(fresh_idx)
-                    fresh_idx.append(idx)
-            if fresh_idx:
-                self.mats = np.concatenate([self.mats, children[fresh_idx]])
-                for idx in fresh_idx:
-                    parent = lo + idx // len(_LETTERS)
-                    letter = _LETTERS[idx % len(_LETTERS)]
-                    self.words.append(self.words[parent] + (letter,))
-            self.level_bounds.append(len(self.words))
-
-    def level_slice(self, level: int) -> slice:
-        return slice(self.level_bounds[level], self.level_bounds[level + 1])
-
-
-_TABLE: _RzTable | None = None
-
-
-def _table() -> _RzTable:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _RzTable()
-    return _TABLE
+def _table() -> WordTable:
+    return word_table(_LETTERS)
 
 
 def _distances_to(mats: np.ndarray, target: np.ndarray) -> np.ndarray:

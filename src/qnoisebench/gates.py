@@ -1,4 +1,5 @@
-"""Gate alphabet, matrices, and operator embedding.
+"""Gate alphabet, matrices, operator embedding, and the table of words over
+one-qubit letters.
 
 Qubit 0 is the most-significant bit of the computational basis index, so for
 an n-qubit register the basis state |q0 q1 ... q_{n-1}> has index
@@ -7,12 +8,13 @@ sum(q_k * 2^(n-1-k)). All embeddings below follow that convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicateIndex, InvalidParams
-from .linalg import as_complex
+from .linalg import as_complex, phase_canonical_keys
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -170,3 +172,62 @@ def gate_matrix(gate: Gate, n: int) -> np.ndarray:
         raise IndexError(f"gate {gate.name} on {gate.qubits} exceeds width {n}")
     return embed_unitary(gate.matrix(), gate.qubits, n)
 
+
+class WordTable:
+    """Breadth-first table of distinct words over a one-qubit alphabet.
+
+    Level L holds the words of length L whose matrices no shorter word reaches
+    up to global phase. Children run parent first, then letter in alphabet
+    order, and the first word to reach a key keeps it. `index` maps each
+    `phase_canonical_keys` key to its word index. Grown lazily.
+    """
+
+    def __init__(self, letters: tuple[str, ...]):
+        self.letters = letters
+        self._letter_mats = np.stack([FIXED_MATRICES[name] for name in letters])
+        self.mats = np.eye(2, dtype=np.complex128)[None]
+        self.words: list[tuple[str, ...]] = [()]
+        self.level_bounds = [0, 1]  # level L occupies [bounds[L], bounds[L+1])
+        self.index = {phase_canonical_keys(self.mats)[0]: 0}
+
+    @property
+    def depth(self) -> int:
+        return len(self.level_bounds) - 2
+
+    def extend_to(self, depth: int) -> None:
+        while self.depth < depth:
+            lo, hi = self.level_bounds[-2], self.level_bounds[-1]
+            if lo == hi:  # previous level empty; nothing more to reach
+                self.level_bounds.append(hi)
+                continue
+            children = np.einsum("gij,pjk->pgik", self._letter_mats,
+                                 self.mats[lo:hi])
+            children = children.reshape(-1, 2, 2)
+            fresh_idx = []
+            for idx, key in enumerate(phase_canonical_keys(children)):
+                if key not in self.index:
+                    self.index[key] = len(self.words) + len(fresh_idx)
+                    fresh_idx.append(idx)
+            if fresh_idx:
+                self.mats = np.concatenate([self.mats, children[fresh_idx]])
+                for idx in fresh_idx:
+                    parent, letter = divmod(idx, len(self.letters))
+                    self.words.append(self.words[lo + parent]
+                                      + (self.letters[letter],))
+            self.level_bounds.append(len(self.words))
+
+    def closure(self) -> "WordTable":
+        """Grow until a level adds nothing; the alphabet must generate a
+        finite group up to phase."""
+        while self.level_bounds[-2] < self.level_bounds[-1]:
+            self.extend_to(self.depth + 1)
+        return self
+
+    def level_slice(self, level: int) -> slice:
+        return slice(self.level_bounds[level], self.level_bounds[level + 1])
+
+
+@functools.cache
+def word_table(letters: tuple[str, ...]) -> WordTable:
+    """The process-wide table over `letters`."""
+    return WordTable(letters)

@@ -60,8 +60,8 @@ class ResultRow:
 class ExperimentConfig:
     """One benchmark x noise sweep. `levels` indexes the standard strength
     table; `sweep` = (start, stop, step) takes raw channel parameters
-    instead. `depth_range` = (start, stop, step) applies to the sweepable
-    benchmarks only."""
+    instead; noise "none" takes neither. `depth_range` = (start, stop, step)
+    applies to the sweepable benchmarks only."""
 
     benchmark: str
     noise: str
@@ -96,6 +96,9 @@ class ExperimentConfig:
             )
         if self.levels is not None and self.sweep is not None:
             raise ConfigError("levels/sweep: give one, not both")
+        if self.noise == "none" and (self.levels is not None
+                                     or self.sweep is not None):
+            raise ConfigError("levels/sweep: noise 'none' has no strength")
         if self.levels is not None:
             if not isinstance(self.levels, (tuple, list)):
                 raise ConfigError(f"levels: {self.levels!r} is not a list")

@@ -11,7 +11,7 @@ from scipy.optimize import curve_fit
 
 from .circuits import PARAM_ROTATIONS, Circuit, Cycle, simulate
 from .errors import FitDiverged, InvalidParams, ZeroIdealProbability
-from .gates import FIXED_MATRICES, Gate, H, SDG
+from .gates import FIXED_MATRICES, Gate, H, SDG, WordTable, word_table
 from .linalg import adjoint, equal_up_to_phase, phase_canonical_keys
 from .noise import NoNoise, NoiseModel, pair_superoperator, superoperator
 from .states import DensityMatrix, measurement_distribution
@@ -79,68 +79,32 @@ def state_tomography_1q(prepare: Callable[[], DensityMatrix],
 # ---------------------------------------------------------------------------
 # The 24-element single-qubit Clifford group as words in {h, s}.
 
-_CLIFFORDS: tuple[np.ndarray, ...] | None = None
-_CLIFFORD_WORDS: tuple[str, ...] | None = None
-_CLIFFORD_INVERSE: tuple[int, ...] | None = None
 
-
-def _build_cliffords() -> None:
-    global _CLIFFORDS, _CLIFFORD_WORDS, _CLIFFORD_INVERSE
-    h, s = FIXED_MATRICES["h"], FIXED_MATRICES["s"]
-
-    def key(u: np.ndarray) -> bytes:
-        return phase_canonical_keys(u[None])[0]
-
-    mats: list[np.ndarray] = [np.eye(2, dtype=np.complex128)]
-    words: list[str] = [""]
-    seen = {key(mats[0]): 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for letter, g in (("h", h), ("s", s)):
-                u = g @ mats[idx]
-                k = key(u)
-                if k not in seen:
-                    seen[k] = len(mats)
-                    mats.append(u)
-                    words.append(words[idx] + letter)
-                    nxt.append(seen[k])
-        frontier = nxt
-    if len(mats) != 24:
-        raise InvalidParams(f"clifford closure has {len(mats)} elements")
-    inverse = []
-    for u in mats:
-        inv = seen.get(key(adjoint(u)))
-        if inv is None or not equal_up_to_phase(mats[inv], adjoint(u)):
-            raise InvalidParams("clifford inverse lookup failed")
-        inverse.append(inv)
-    _CLIFFORDS = tuple(mats)
-    _CLIFFORD_WORDS = tuple(words)
-    _CLIFFORD_INVERSE = tuple(inverse)
+def _clifford_table() -> WordTable:
+    table = word_table(("h", "s")).closure()
+    if len(table.words) != 24:
+        raise InvalidParams(f"clifford closure has {len(table.words)} elements")
+    return table
 
 
 def clifford_group() -> tuple[tuple[np.ndarray, ...], tuple[str, ...]]:
     """The 24 single-qubit Cliffords and their {h, s} words."""
-    if _CLIFFORDS is None:
-        _build_cliffords()
-    return _CLIFFORDS, _CLIFFORD_WORDS
+    table = _clifford_table()
+    return tuple(table.mats), tuple("".join(w) for w in table.words)
 
 
 def rb_sequence_indices(m: int, rng: np.random.Generator) -> list[int]:
     """m uniform Clifford indices plus the index inverting their product."""
-    if _CLIFFORDS is None:
-        _build_cliffords()
+    table = _clifford_table()
     picks = [int(i) for i in rng.integers(0, 24, size=m)]
     net = np.eye(2, dtype=np.complex128)
     for i in picks:
-        net = _CLIFFORDS[i] @ net
+        net = table.mats[i] @ net
     target = adjoint(net)
-    for j in range(24):
-        if equal_up_to_phase(_CLIFFORDS[j], target):
-            picks.append(j)
-            return picks
-    raise InvalidParams("no inverting clifford found")
+    inv = table.index.get(phase_canonical_keys(target[None])[0])
+    if inv is None or not equal_up_to_phase(table.mats[inv], target):
+        raise InvalidParams("no inverting clifford found")
+    return picks + [inv]
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +134,8 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
     if any(m < 1 for m in lengths):
         raise InvalidParams("sequence lengths must be >= 1")
     noise = noise if noise is not None else NoNoise()
-    if _CLIFFORDS is None:
-        _build_cliffords()
     chan = superoperator(noise)
-    steps = [chan @ pair_superoperator(c) for c in _CLIFFORDS]
+    steps = [chan @ pair_superoperator(c) for c in _clifford_table().mats]
     rng = np.random.default_rng(seed)
     means = []
     for m in lengths:

@@ -94,12 +94,25 @@ def test_flags_alone_suffice(capsys, tmp_path):
     dict(benchmark="idle", noise="pauli", depth_range=[2, 10]),  # 2 of 3
     dict(benchmark="qft", noise="pauli", levels=3),    # level not a list
     dict(benchmark="qft", noise="pauli", sweep=[0, 1e999, 0.1]),  # infinite
+    dict(benchmark="qft", noise="none", levels=[1]),   # no strength to pick
+    dict(benchmark="qft", noise="none", sweep=[0, 0.1, 0.05]),  # nor to sweep
 ])
 def test_bad_configs_exit_2(capsys, tmp_path, fields):
     cfg = write_config(tmp_path, **fields)
     code, out, err = run_cli(capsys, "run", "--config", cfg)
     assert code == 2
     assert err.startswith("config error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("where", ["missing/rows.csv", "."])
+def test_unwritable_out_exits_1_with_a_message(capsys, tmp_path, where):
+    # A path under a missing directory, and a path naming a directory.
+    code, out, err = run_cli(capsys, "run", "--benchmark", "qft", "--noise",
+                             "none", "--trials", "1",
+                             "--out", str(tmp_path / where))
+    assert code == 1
+    assert err.startswith("error: cannot write")
     assert out == ""
 
 

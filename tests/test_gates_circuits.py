@@ -174,3 +174,5 @@ def test_from_text_rejects_garbage():
         circuit_from_text("no header\n")
     with pytest.raises(InvalidParams):
         circuit_from_text("qubits 2\nwat?!@0\n")
+    with pytest.raises(InvalidParams, match="line 2"):
+        circuit_from_text("qubits 1\nrz(abc)@0\n")
