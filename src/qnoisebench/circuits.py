@@ -2,8 +2,8 @@
 
 A cycle applies at most one gate per qubit; all its gates act simultaneously.
 Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
-applied to every qubit, idle qubits included. `simulate` runs on the paired
-layout of `noise.to_paired`: each CNOT (or Toffoli) is a permutation of the
+applied to every qubit, idle qubits included. `simulate` runs a `CircuitPlan`
+on the paired layout of `noise.to_paired`: each CNOT (or Toffoli) permutes the
 entries, then every qubit gets one 4x4 map, its channel times its gate's
 superoperator u (x) conj(u). `apply_local_unitary` and `apply_cycle` run on
 the same two kernels.
@@ -20,13 +20,15 @@ One cycle per line after the header; tokens are `name@qubits` or
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicateIndex, InvalidParams, WidthMismatch
-from .gates import CLIFFORD_T_NAMES, CNOT, PAULIS, TOFFOLI, Gate, gate_matrix
+from .gates import (CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, TOFFOLI, Gate,
+                    gate_matrix)
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
 from .noise import (NoNoise, NoiseModel, apply_channel_all,  # noqa: F401
@@ -145,13 +147,97 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
     return u
 
 
+# Every plan's first letters: the easy gates, the Paulis in the order of their
+# codes x-bit + 2 * z-bit, so twirl letters and closing frames index them.
+PLAN_LETTERS = ("i", "x", "z", "y", "s", "sdg")
+_FIXED_MAPS = {name: pair_superoperator(m)
+               for name, m in FIXED_MATRICES.items() if m.shape == (2, 2)}
+
+
+@dataclass(frozen=True, eq=False)
+class CircuitPlan:
+    """A circuit read once for simulation. `letters[k, q]` indexes `pair_maps`,
+    u (x) conj(u) per distinct one-qubit gate (0: idle, CNOT qubits too).
+    Segment (start, stop, flips) runs the controlled-X flips of cycle `start`,
+    then per qubit one map composed over cycles start..stop-1. `twirl` is a
+    `compiling.Twirl` if compiled for randomized compiling."""
+
+    n_qubits: int
+    letters: np.ndarray
+    pair_maps: np.ndarray
+    segments: tuple
+    twirl: object = None
+
+    def compose(self, noise: NoiseModel = NoNoise(), seeds=None) -> list:
+        """Per trial (maps, idle): each segment's 4x4 map per qubit and which
+        are exactly the identity; one trial as written, or a twirled trial per
+        seed with its closing frame composed in. One batched product per cycle."""
+        table = (self.pair_maps if isinstance(noise.validate(), NoNoise)
+                 else superoperator(noise) @ self.pair_maps)
+        letters, frames = self.letters[None], None
+        if seeds is not None:
+            merged, frames = self.twirl.sample([self.twirl.draw(s) for s in seeds])
+            letters = np.repeat(letters, len(merged), axis=0)
+            letters[:, self.twirl.easy] = merged
+        cycle_maps = table[letters]  # (trial, cycle, qubit, 4, 4)
+        segs = []
+        for start, stop, _ in self.segments:
+            m = cycle_maps[:, start]
+            for k in range(start + 1, stop):
+                m = cycle_maps[:, k] @ m
+            segs.append(m)
+        if frames is not None and segs:
+            segs[-1] = self.pair_maps[frames] @ segs[-1]
+        maps = np.array(segs).reshape(  # (trial, segment, qubit, 4, 4)
+            len(segs), len(letters), self.n_qubits, 4, 4).swapaxes(0, 1)
+        return list(zip(maps, (maps == np.eye(4)).all(axis=(-2, -1)).tolist()))
+
+    def run(self, rho: np.ndarray, maps: tuple) -> DensityMatrix:
+        """One trial's maps (an entry of `compose`) applied to rho."""
+        n = self.n_qubits
+        v = to_paired(rho, n)
+        for (_, _, flips), seg, idle in zip(self.segments, *maps):
+            if flips:
+                v = v[_flip_order(flips, n)]
+            v = apply_superoperators(v, [None if i else m
+                                         for m, i in zip(seg, idle)])
+        return DensityMatrix(from_paired(v, n))
+
+
+def compile_plan(circ: Circuit, rc: bool = False) -> CircuitPlan:
+    """Read the circuit into a `CircuitPlan`, with its randomized-compiling
+    tables if rc (then it must be idle-interleaved; see `interleave_idle`)."""
+    from .compiling import twirl_plan  # compiling imports this module
+
+    n = circ.n_qubits
+    index = {(name, None): k for k, name in enumerate(PLAN_LETTERS)}
+    letters = [[0] * n for _ in circ.cycles]
+    flips: dict[int, list] = {}
+    for k, cycle in enumerate(circ.cycles):
+        for g in cycle.gates:
+            if len(g.qubits) > 1:
+                flips.setdefault(k, []).append(g.qubits)
+            else:
+                key = (g.name, g.angle)
+                letters[k][g.qubits[0]] = index.setdefault(key, len(index))
+    starts = sorted({0, *flips}) if circ.depth else []
+    segments = tuple((a, b, tuple(flips.get(a, ())))
+                     for a, b in zip(starts, starts[1:] + [circ.depth]))
+    maps = [_FIXED_MAPS[name] if angle is None
+            else pair_superoperator(Gate(name, (0,), angle).matrix())
+            for name, angle in index]
+    letters = np.array(letters, dtype=np.intp).reshape(circ.depth, n)
+    return CircuitPlan(n, letters, np.stack(maps), segments,
+                       twirl_plan(circ) if rc else None)
+
+
 def simulate(circ: Circuit, state: DensityMatrix,
              noise: NoiseModel = NoNoise(), rc: bool = False,
              seed=None) -> DensityMatrix:
     """Run the circuit: per cycle, gates first, then noise on every qubit.
 
-    With rc=True the circuit is first rewritten by randomized compiling (the
-    circuit must already be idle-interleaved; see `compiling.interleave_idle`)
+    With rc=True the circuit is randomly compiled as `randomized_compile` does
+    (it must already be idle-interleaved; see `compiling.interleave_idle`)
     and the closing Pauli frame is composed into the last maps noise-free, the
     same correction a hardware run folds into measurement relabeling.
     """
@@ -159,45 +245,19 @@ def simulate(circ: Circuit, state: DensityMatrix,
         raise WidthMismatch(
             f"circuit width {circ.n_qubits} != state width {state.n_qubits}"
         )
-    frame = ()
-    if rc:
-        from .compiling import randomized_compile
-
-        circ, frame = randomized_compile(circ, seed)
-    noise.validate()
-    n = circ.n_qubits
-    chan = None if isinstance(noise, NoNoise) else superoperator(noise)
-    fused: dict = {}  # (name, angle) -> the gate's 4x4 map with the channel
-    # Single-qubit maps on different qubits commute, so each qubit's maps
-    # compose into `pending` and the state is only touched when a CNOT (or
-    # Toffoli) has to act on it, and once at the end.
-    pending = [None] * n
-    v = to_paired(state.matrix, n)
-    for cycle in circ.cycles:
-        maps = [chan] * n
-        for g in cycle.gates:
-            if len(g.qubits) > 1:
-                v = apply_superoperators(v, pending)
-                pending = [None] * n
-                _controlled_x(v, g.qubits, n)
-            elif g.name != "i":
-                key = (g.name, g.angle)
-                if key not in fused:
-                    m = pair_superoperator(g.matrix())
-                    fused[key] = m if chan is None else chan @ m
-                maps[g.qubits[0]] = fused[key]
-        _compose(pending, maps)
-    _compose(pending, [None if p == "i" else pair_superoperator(PAULIS[p])
-                       for p in frame])
-    v = apply_superoperators(v, pending)
-    return DensityMatrix(from_paired(v, n))
+    plan = compile_plan(circ, rc)
+    maps = plan.compose(noise, [seed] if rc else None)
+    return plan.run(state.matrix, maps[0])
 
 
-def _compose(pending: list, maps: list) -> None:
-    """pending[q] <- maps[q] @ pending[q], where None is the identity."""
-    for q, m in enumerate(maps):
-        if m is not None:
-            pending[q] = m if pending[q] is None else m @ pending[q]
+@functools.lru_cache(maxsize=32)
+def _flip_order(flips: tuple, n: int) -> np.ndarray:
+    """v[order] is the paired state v after the controlled-X gates `flips`."""
+    order = np.arange(4 ** n)
+    for qubits in flips:
+        _controlled_x(order, qubits, n)
+    order.flags.writeable = False
+    return order
 
 
 def _controlled_x(v: np.ndarray, qubits: tuple[int, ...], n: int) -> None:

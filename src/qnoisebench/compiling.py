@@ -8,10 +8,12 @@ A cycle counts as hard if any of its gates is hard.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CLIFFORD_T, PARAM_ROTATIONS, Circuit, Cycle, identity_cycle
+from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
+                       Cycle, identity_cycle)
 from .errors import (
     DuplicateIndex,
     InvalidParams,
@@ -246,117 +248,137 @@ def interleave_idle(circ: Circuit) -> Circuit:
     return circ.with_cycles(out)
 
 
-# Pauli labels as (x-bit, z-bit): i=(0,0), x=(1,0), z=(0,1), y=(1,1).
-_PAULI_TO_BITS = {"i": (0, 0), "x": (1, 0), "z": (0, 1), "y": (1, 1)}
-_BITS_TO_PAULI = {v: k for k, v in _PAULI_TO_BITS.items()}
-_IZ = ("i", "z")
-_ALL_PAULIS = ("i", "x", "y", "z")
-
-# Single-qubit Clifford conjugation of Pauli labels (signs dropped; equality
-# holds up to global phase).
-_CONJ_1Q = {
-    "h": {"i": "i", "x": "z", "y": "y", "z": "x"},
-    "s": {"i": "i", "x": "y", "y": "x", "z": "z"},
-    "sdg": {"i": "i", "x": "y", "y": "x", "z": "z"},
-    "t": {"i": "i", "z": "z"},
-    "tdg": {"i": "i", "z": "z"},
-    "x": {"i": "i", "x": "x", "y": "y", "z": "z"},
-    "y": {"i": "i", "x": "x", "y": "y", "z": "z"},
-    "z": {"i": "i", "x": "x", "y": "y", "z": "z"},
-    "i": {"i": "i", "x": "x", "y": "y", "z": "z"},
-}
-
-# Pauli products, signs dropped.
-_PAULI_MUL = {}
-for _a, (_ax, _az) in _PAULI_TO_BITS.items():
-    for _b, (_bx, _bz) in _PAULI_TO_BITS.items():
-        _PAULI_MUL[(_a, _b)] = _BITS_TO_PAULI[(_ax ^ _bx, _az ^ _bz)]
+# Twirl Paulis are codes x-bit + 2 * z-bit (PLAN_LETTERS[:4]); a product up to
+# phase is an XOR. Options run i, x, y, z, or i, z for _X_FREE or ahead of t.
+_X_FREE = {"s": (0, 2), "sdg": (0, 2)}
+_A, _B = np.divmod(np.arange(16), 4)
+# _CROSS[kind, 4 * a + b]: a qubit's frame after its gate in a hard cycle, from
+# frame a on it (or a CNOT's control) and b on a CNOT's target. Kinds: 0 keeps
+# it (i, Paulis, t, tdg), 1 h, 2 s or sdg, 3 and 4 a CNOT's control and target.
+_CROSS = np.array([_A, (_A & 1) << 1 | _A >> 1, _A ^ (_A & 1) << 1,
+                   _A & 1 | (_A ^ _B) & 2, (_A ^ _B) & 1 | _B & 2])
+_KIND = {"h": 1, "s": 2, "sdg": 2}
 
 
-def _conj_through_cnot(pc: str, pt: str) -> tuple[str, str]:
-    """CNOT (P_c x P_t) CNOT up to sign: X spreads forward, Z spreads back."""
-    xc, zc = _PAULI_TO_BITS[pc]
-    xt, zt = _PAULI_TO_BITS[pt]
-    return _BITS_TO_PAULI[(xc, zc ^ zt)], _BITS_TO_PAULI[(xt ^ xc, zt)]
+@functools.cache
+def _lone_options(gate: str, mid: str, landing: str) -> tuple:
+    """(p, p) per fresh Pauli p of a qubit with easy gate `gate` that crosses
+    `mid` (next hard gate, i if none) into a Pauli `landing` absorbs."""
+    return tuple((p, p) for p in _X_FREE.get(gate, (0, 1, 3, 2))
+                 if not (mid in ("t", "tdg") and p & 1)
+                 and not (landing in _X_FREE
+                          and _CROSS[_KIND.get(mid, 0), 5 * p] & 1))
 
 
-def _conj_through_cycle(frame: list[str], cycle: Cycle) -> list[str]:
-    out = list(frame)
-    for g in cycle.gates:
-        if g.name == "cnot":
-            c, t = g.qubits
-            out[c], out[t] = _conj_through_cnot(frame[c], frame[t])
-        else:
-            q = g.qubits[0]
-            out[q] = _CONJ_1Q[g.name][frame[q]]
-    return out
+@functools.cache
+def _pair_options(gate_c: str, gate_t: str, land_c: str, land_t: str) -> tuple:
+    """Fresh (control, target) Paulis ahead of a CNOT, as for one qubit."""
+    return tuple((pc, pt) for pc in _X_FREE.get(gate_c, (0, 1, 3, 2))
+                 for pt in _X_FREE.get(gate_t, (0, 1, 3, 2))
+                 if not (land_c in _X_FREE and _CROSS[3, 4 * pc + pt] & 1)
+                 and not (land_t in _X_FREE and _CROSS[4, 4 * pc + pt] & 1))
 
 
-def _merge_easy(fresh: str, gate_name: str, incoming: str) -> str:
-    """Name of the single easy gate equal (up to phase) to fresh*gate*incoming."""
-    if gate_name in ("s", "sdg"):
-        # Both Paulis are restricted to {i, z} here; z s = sdg, z sdg = s.
-        flips = (fresh == "z") ^ (incoming == "z")
-        name = {"s": "sdg", "sdg": "s"}[gate_name] if flips else gate_name
-        return name
-    combined = _PAULI_MUL[(_PAULI_MUL[(fresh, gate_name)], incoming)]
-    return combined
+@dataclass(frozen=True, eq=False)
+class Twirl:
+    """Randomized compiling of one circuit as tables. A trial picks one
+    option per slot: per easy cycle, the next hard cycle's CNOT pairs in gate
+    order, then the other qubits ascending. Row e of `cross` carries easy
+    cycle e - 1's fresh Paulis through the hard cycle between to the frame
+    easy cycle e merges; its last row gives the closing frame."""
+
+    easy: np.ndarray     # cycle index of each easy cycle
+    base: np.ndarray     # (easy, n) their letters as written
+    counts: np.ndarray   # options per slot
+    first: np.ndarray    # start of each slot's options in `opts`
+    cells: np.ndarray    # (slot, 2) flat easy cycle * n + qubit it sets
+    opts: np.ndarray     # (option, 2) Pauli codes for those cells
+    cross: np.ndarray    # (easy + 1, n, 3) _CROSS kind, qubits of a and b
+
+    def draw(self, seed) -> np.ndarray:
+        """One trial's picks: one `integers` call, one scalar draw per slot."""
+        return np.random.default_rng(seed).integers(self.counts)
+
+    def sample(self, picks) -> tuple[np.ndarray, np.ndarray]:
+        """For T trials' picks: the merged easy-cycle letters (T, easy, n),
+        indexing PLAN_LETTERS, and the closing frames (T, n) as Pauli codes."""
+        e, n = self.base.shape
+        flat = self.first + np.asarray(picks, dtype=np.intp)
+        fresh = np.zeros((len(flat), e * n), dtype=np.intp)
+        fresh[:, self.cells[:, 1]] = self.opts[flat, 1]
+        fresh[:, self.cells[:, 0]] = self.opts[flat, 0]
+        fresh = fresh.reshape(len(flat), e, n)
+        prev = np.pad(fresh, ((0, 0), (1, 0), (0, 0)))
+        rows = np.arange(e + 1)[:, None]
+        kind, a, b = np.moveaxis(self.cross, -1, 0)
+        frame = _CROSS[kind, 4 * prev[:, rows, a] + prev[:, rows, b]]
+        into = frame[:, :e]
+        # A Pauli letter takes the product; s and sdg swap on one z.
+        return (np.where(self.base < 4, fresh ^ self.base ^ into,
+                         self.base ^ (fresh ^ into) >> 1), frame[:, e])
 
 
-def _base_choices(gate_name: str) -> tuple[str, ...]:
-    return _IZ if gate_name in ("s", "sdg") else _ALL_PAULIS
+def twirl_plan(circ: Circuit) -> Twirl:
+    """Randomized-compiling tables of an idle-interleaved Clifford+T circuit:
+    per easy cycle, the fresh Paulis whose conjugation through the next hard
+    cycle the landing easy cycle can absorb."""
+    n, cycles = circ.n_qubits, circ.cycles
+    for c in cycles:
+        for g in c.gates:
+            if g.name in ("rz", "rx", "toffoli"):
+                raise InvalidParams(
+                    "randomized compiling needs a Clifford+T circuit; "
+                    f"found {g.name}"
+                )
+    hard = [not is_easy_cycle(c) for c in cycles]
+    for a, b in zip(hard, hard[1:]):
+        if a and b:
+            raise NotInterleaved("adjacent hard cycles; interleave idles first")
+    on = [["i"] * n for _ in range(len(cycles) + 2)]  # gate name per qubit
+    for k, c in enumerate(cycles):
+        for g in c.gates:
+            for q in g.qubits:
+                on[k][q] = g.name
+    easy = [k for k, h in enumerate(hard) if not h]
 
+    cells, options = [], []
+    for e, k in enumerate(easy):
+        mid = k + 1 < len(cycles) and hard[k + 1]
+        land = on[k + 2] if mid else on[k + 1]
+        for g in cycles[k + 1].gates if mid else ():
+            if g.name == "cnot":
+                c, t = g.qubits
+                cells.append((e * n + c, e * n + t))
+                options.append(_pair_options(on[k][c], on[k][t],
+                                             land[c], land[t]))
+        for q in range(n):
+            if not (mid and on[k + 1][q] == "cnot"):
+                cells.append((e * n + q,) * 2)
+                options.append(_lone_options(
+                    on[k][q], on[k + 1][q] if mid else "i", land[q]))
 
-def _landing_set(cycle: Cycle | None, q: int) -> tuple[str, ...]:
-    if cycle is None:
-        return _ALL_PAULIS
-    g = cycle.gate_on(q)
-    if g is not None and g.name in ("s", "sdg"):
-        return _IZ
-    return _ALL_PAULIS
-
-
-def _sample_twirl(n: int, easy_cycle: Cycle, hard_cycle: Cycle | None,
-                  landing_cycle: Cycle | None, rng) -> list[str]:
-    """Fresh Pauli layer whose conjugation through the next hard cycle stays
-    representable when folded into the landing easy cycle."""
-    fresh = ["i"] * n
-    claimed: set[int] = set()
-
-    if hard_cycle is not None:
-        for g in hard_cycle.gates:
-            if g.name != "cnot":
-                continue
-            c, t = g.qubits
-            claimed.update((c, t))
-            base_c = _base_choices(getattr(easy_cycle.gate_on(c), "name", "i"))
-            base_t = _base_choices(getattr(easy_cycle.gate_on(t), "name", "i"))
-            land_c = _landing_set(landing_cycle, c)
-            land_t = _landing_set(landing_cycle, t)
-            options = []
-            for pc in base_c:
-                for pt in base_t:
-                    oc, ot = _conj_through_cnot(pc, pt)
-                    if oc in land_c and ot in land_t:
-                        options.append((pc, pt))
-            pick = options[rng.integers(len(options))]
-            fresh[c], fresh[t] = pick
-
-    for q in range(n):
-        if q in claimed:
-            continue
-        base = _base_choices(getattr(easy_cycle.gate_on(q), "name", "i"))
-        mid = hard_cycle.gate_on(q) if hard_cycle is not None else None
-        mid_name = mid.name if mid is not None else "i"
-        land = _landing_set(landing_cycle, q)
-        options = []
-        for p in base:
-            if mid_name in ("t", "tdg") and p not in _IZ:
-                continue
-            if _CONJ_1Q[mid_name][p] in land:
-                options.append(p)
-        fresh[q] = options[rng.integers(len(options))]
-    return fresh
+    # Row e crosses the hard cycle before easy cycle e; the last, the one after.
+    before = [k - 1 for k in easy] + [easy[-1] + 1 if easy else -1]
+    cross = [[(0, q, q) for q in range(n)] for _ in before]
+    for row, j in enumerate(before):
+        for g in cycles[j].gates if 0 <= j < len(cycles) and hard[j] else ():
+            if g.name == "cnot":
+                c, t = g.qubits
+                cross[row][c], cross[row][t] = (3, c, t), (4, c, t)
+            else:
+                cross[row][g.qubits[0]] = (_KIND.get(g.name, 0), *g.qubits * 2)
+    counts = np.array([len(o) for o in options], dtype=np.int64)
+    return Twirl(
+        easy=np.array(easy, dtype=np.intp),
+        base=np.array([[PLAN_LETTERS.index(name) for name in on[k]]
+                       for k in easy], dtype=np.intp).reshape(len(easy), n),
+        counts=counts,
+        first=np.cumsum(counts) - counts,
+        cells=np.array(cells, dtype=np.intp).reshape(-1, 2),
+        opts=np.array([pair for o in options for pair in o],
+                      dtype=np.intp).reshape(-1, 2),
+        cross=np.array(cross, dtype=np.intp),
+    )
 
 
 def randomized_compile(circ: Circuit, seed=None) -> tuple[Circuit, tuple[str, ...]]:
@@ -370,51 +392,16 @@ def randomized_compile(circ: Circuit, seed=None) -> tuple[Circuit, tuple[str, ..
     the run, the final one included, sits inside a random Pauli frame.
 
     Requires no two adjacent hard cycles (run `interleave_idle` first). Depth
-    is preserved: twirls merge into existing easy gates.
+    is preserved: twirls merge into existing easy gates. Built from the same
+    `Twirl` draws that `simulate(..., rc=True, seed=seed)` runs.
     """
-    rng = np.random.default_rng(seed)
-    n = circ.n_qubits
+    twirl = twirl_plan(circ)
+    merged, frame = twirl.sample([twirl.draw(seed)])
     cycles = list(circ.cycles)
-    for c in cycles:
-        for g in c.gates:
-            if g.name in ("rz", "rx", "toffoli"):
-                raise InvalidParams(
-                    "randomized compiling needs a Clifford+T circuit; "
-                    f"found {g.name}"
-                )
-    hardness = [not is_easy_cycle(c) for c in cycles]
-    for a, b in zip(hardness, hardness[1:]):
-        if a and b:
-            raise NotInterleaved("adjacent hard cycles; interleave idles first")
-
-    if not any(not h for h in hardness):
-        return circ, ("i",) * n
-
-    out: list[Cycle] = []
-    frame = ["i"] * n
-    for k, cycle in enumerate(cycles):
-        if hardness[k]:
-            frame = _conj_through_cycle(frame, cycle)
-            out.append(cycle)
-            continue
-
-        nxt = cycles[k + 1] if k + 1 < len(cycles) else None
-        if nxt is not None and hardness[k + 1]:
-            landing = cycles[k + 2] if k + 2 < len(cycles) else None
-            fresh = _sample_twirl(n, cycle, nxt, landing, rng)
-        else:
-            fresh = _sample_twirl(n, cycle, None, nxt, rng)
-
-        gates = []
-        for q in range(n):
-            g = cycle.gate_on(q)
-            name = g.name if g is not None else "i"
-            merged = _merge_easy(fresh[q], name, frame[q])
-            if merged != "i":
-                gates.append(Gate(merged, (q,)))
-        out.append(Cycle(tuple(gates)))
-        frame = fresh
-    return circ.with_cycles(out), tuple(frame)
+    for k, row in zip(twirl.easy, merged[0].tolist()):
+        cycles[k] = Cycle(tuple(Gate(PLAN_LETTERS[m], (q,))
+                                for q, m in enumerate(row) if m))
+    return circ.with_cycles(cycles), tuple(PLAN_LETTERS[p] for p in frame[0])
 
 
 def apply_pauli_frame(dm, frame: tuple[str, ...]):

@@ -22,7 +22,7 @@ from .benchmarks import (
     build_benchmark,
     maxcut_expectation,
 )
-from .circuits import CLIFFORD_T, simulate
+from .circuits import CLIFFORD_T, compile_plan, simulate
 from .compiling import interleave_idle
 from .errors import ConfigError, IoError, SimulationError
 from .metrics import process_fidelity
@@ -34,6 +34,9 @@ _FIELDS = tuple(CSV_HEADER.split(","))
 
 DEFAULT_TRIALS = 100
 DEFAULT_LEVELS = (0, 1, 2, 3)
+MAX_SWEEP_POINTS = 1000  # more is a mistyped step, not an experiment
+# Trials whose maps compose as one batch (cycles x TRIAL_CHUNK x qubits x 4x4).
+TRIAL_CHUNK = 32
 
 
 def _round10(x: float) -> float:
@@ -114,6 +117,8 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep: step {step} must be > 0")
             if stop < start:
                 raise ConfigError(f"sweep: stop {stop} below start {start}")
+            if (stop - start) / step + 1e-9 >= MAX_SWEEP_POINTS:
+                raise ConfigError(f"sweep: over {MAX_SWEEP_POINTS} points")
             for param in (start, stop):
                 try:
                     noise_model_for(self.noise, param)
@@ -187,53 +192,61 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     random benchmark a fresh circuit. The noiseless reference reuses the
     same input and circuit.
 
-    A fixed (non-random) benchmark is built once per depth, before the noise
-    sweep, and every noise level runs that same circuit."""
+    A fixed (non-random) benchmark is compiled once per depth, before the
+    noise sweep, and the noisy maps of TRIAL_CHUNK trials compose at once."""
     cfg.validate()
     spec = BENCHMARKS[cfg.benchmark]
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
-    fixed_circs = {}
+    plans = {}  # depth -> (plan, noiseless maps) of a fixed benchmark
     if cfg.benchmark != "random":
-        fixed_circs = {depth: build_benchmark(cfg.benchmark, depth=depth)
-                       for depth in _depths(cfg)}
+        for depth in _depths(cfg):
+            plan = compile_plan(build_benchmark(cfg.benchmark, depth=depth),
+                                cfg.rc)
+            plans[depth] = (plan, None if graph else plan.compose()[0])
     rows = []
     sweep_idx = 0
     for param in _sweep_params(cfg):
         noise = noise_model_for(cfg.noise, param)
         for depth in _depths(cfg):
-            fixed_circ = fixed_circs.get(depth)
+            plan, ideal = plans.get(depth, (None, None))
             values = np.empty(cfg.trials)
-            for t in range(cfg.trials):
-                ss = np.random.SeedSequence((cfg.seed, sweep_idx, t))
-                input_seed, circ_seed, rc_seed = ss.spawn(3)
-                circ = fixed_circ
-                if circ is None:
-                    circ = build_benchmark(cfg.benchmark, depth=depth,
-                                           seed=circ_seed)
-                    if cfg.rc:
-                        circ = interleave_idle(circ)
-                if spec.metric == "expectation_value":
-                    state = DensityMatrix.basis(spec.n_qubits, 0)
-                else:
-                    state = ket_to_density(
-                        random_product_state(spec.n_qubits, seed=input_seed))
-                noisy = simulate(circ, state, noise=noise, rc=cfg.rc,
-                                 seed=rc_seed)
-                if spec.metric == "expectation_value":
-                    probs = np.real(np.diag(noisy.matrix))
-                    values[t] = maxcut_expectation(probs, graph)
-                else:
-                    # Noiseless RC equals the plain circuit (test_kernels::
-                    # test_noiseless_rc_equals_plain_circuit), so no rewrite.
-                    ref = simulate(circ, state)
-                    values[t] = process_fidelity(ref, noisy)
+            for lo in range(0, cfg.trials, TRIAL_CHUNK):
+                seeds = [np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(3)
+                         for t in range(lo, min(lo + TRIAL_CHUNK, cfg.trials))]
+                if plan is not None:
+                    batch = plan.compose(
+                        noise, [s[2] for s in seeds] if cfg.rc else None)
+                for k, (input_seed, circ_seed, rc_seed) in enumerate(seeds):
+                    if spec.metric == "expectation_value":
+                        state = DensityMatrix.basis(spec.n_qubits, 0)
+                    else:
+                        state = ket_to_density(
+                            random_product_state(spec.n_qubits, seed=input_seed))
+                    if plan is None:
+                        circ = build_benchmark(cfg.benchmark, depth=depth,
+                                               seed=circ_seed)
+                        if cfg.rc:
+                            circ = interleave_idle(circ)
+                        noisy = simulate(circ, state, noise=noise, rc=cfg.rc,
+                                         seed=rc_seed)
+                    else:
+                        noisy = plan.run(state.matrix, batch[k if cfg.rc else 0])
+                    if spec.metric == "expectation_value":
+                        probs = np.real(np.diag(noisy.matrix))
+                        values[lo + k] = maxcut_expectation(probs, graph)
+                    else:
+                        # Noiseless RC equals the plain circuit (test_kernels::
+                        # test_noiseless_rc_equals_plain_circuit), so no rewrite.
+                        ref = (simulate(circ, state) if plan is None
+                               else plan.run(state.matrix, ideal))
+                        values[lo + k] = process_fidelity(ref, noisy)
             mean = float(np.mean(values))
             stderr = 0.0
             if cfg.trials > 1:
                 stderr = float(np.std(values, ddof=1) / np.sqrt(cfg.trials))
             # Swept benchmarks report the requested depth (the sweep point);
             # fixed ones report the built circuit's cycle count.
-            row_depth = depth if depth is not None else fixed_circ.depth
+            row_depth = depth if depth is not None else len(plan.letters)
             rows.append(ResultRow(
                 benchmark=cfg.benchmark,
                 noise=cfg.noise,

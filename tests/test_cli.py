@@ -94,6 +94,7 @@ def test_flags_alone_suffice(capsys, tmp_path):
     dict(benchmark="idle", noise="pauli", depth_range=[2, 10]),  # 2 of 3
     dict(benchmark="qft", noise="pauli", levels=3),    # level not a list
     dict(benchmark="qft", noise="pauli", sweep=[0, 1e999, 0.1]),  # infinite
+    dict(benchmark="qft", noise="pauli", sweep=[0.0, 0.03, 1e-15]),  # 3e13 points
     dict(benchmark="qft", noise="none", levels=[1]),   # no strength to pick
     dict(benchmark="qft", noise="none", sweep=[0, 0.1, 0.05]),  # nor to sweep
 ])

@@ -335,6 +335,28 @@ def test_rc_frame_labels_are_paulis():
     assert set(frame) <= {"i", "x", "y", "z"}
 
 
+def test_one_vector_draw_is_the_scalar_draw_stream():
+    """A trial draws all its twirl picks with one integers call over the
+    option counts. That call returns what one scalar call per slot returns
+    and leaves the generator in the same state."""
+    meta = np.random.default_rng(1512)
+    for stream in range(400):
+        counts = meta.integers(1, 17, size=int(meta.integers(1, 601)))
+        vector = np.random.default_rng(stream)
+        scalar = np.random.default_rng(stream)
+        np.testing.assert_array_equal(vector.integers(counts),
+                                      [scalar.integers(c) for c in counts])
+        assert vector.integers(1 << 62) == scalar.integers(1 << 62)
+
+
+def test_one_option_slots_draw_nothing():
+    fresh = np.random.default_rng(9).integers(1 << 62)
+    rng = np.random.default_rng(9)
+    assert rng.integers(1) == 0
+    assert rng.integers(np.ones(40, dtype=np.int64)).tolist() == [0] * 40
+    assert rng.integers(1 << 62) == fresh
+
+
 def test_rc_rejects_rotations_and_adjacent_hard_cycles():
     rot = Circuit(1, (Cycle((G.rz(0, 0.3),)),), PARAM_ROTATIONS)
     with pytest.raises(InvalidParams):

@@ -166,22 +166,63 @@ def test_random_benchmark_with_rc():
 
 
 def test_rc_rewrites_each_trial_once(monkeypatch):
-    """Only the noisy run is randomly compiled; the noiseless reference runs
-    the plain circuit."""
+    """Only the noisy run is randomly compiled, once per trial: the plan's
+    per-trial draw runs cfg.trials times per sweep point, and the noiseless
+    reference, which runs the plain circuit, draws nothing."""
     from qnoisebench import compiling
 
     calls = []
-    real = compiling.randomized_compile
+    real = compiling.Twirl.draw
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(self, seed):
+        calls.append(seed)
+        return real(self, seed)
 
-    monkeypatch.setattr(compiling, "randomized_compile", counting)
-    cfg = ExperimentConfig(benchmark="qft_ct", noise="pauli", levels=(1,),
+    monkeypatch.setattr(compiling.Twirl, "draw", counting)
+    cfg = ExperimentConfig(benchmark="qft_ct", noise="pauli", levels=(1, 2),
                            rc=True, trials=3)
+    rows = run_experiment(cfg)
+    assert len(calls) == len(rows) * cfg.trials
+
+
+@pytest.mark.parametrize("bench,trials,chunk", [
+    ("qft_ct", 35, None),  # a full chunk and a partial one
+    ("adder", 5, 2),
+])
+@pytest.mark.parametrize("rc", [True, False])
+def test_batched_point_equals_per_trial_simulate(monkeypatch, bench, trials,
+                                                 chunk, rc):
+    """Every trial's fidelity from the batched sweep point equals the one
+    two per-trial `simulate` calls give from the same seeds."""
+    from qnoisebench import harness
+    from qnoisebench.benchmarks import BENCHMARKS, build_benchmark
+    from qnoisebench.circuits import simulate
+    from qnoisebench.metrics import process_fidelity
+    from qnoisebench.noise import noise_level_table
+    from qnoisebench.states import ket_to_density, random_product_state
+
+    if chunk is not None:
+        monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
+    got = []
+
+    def recording(ideal, noisy):
+        got.append(process_fidelity(ideal, noisy))
+        return got[-1]
+
+    monkeypatch.setattr(harness, "process_fidelity", recording)
+    cfg = ExperimentConfig(benchmark=bench, noise="pauli_coherent",
+                           levels=(3,), rc=rc, trials=trials, seed=5)
     run_experiment(cfg)
-    assert len(calls) == cfg.trials
+    circ = build_benchmark(bench)
+    noise = noise_level_table("pauli_coherent", 3)
+    n = BENCHMARKS[bench].n_qubits
+    want = []
+    for t in range(trials):
+        input_seed, _, rc_seed = np.random.SeedSequence((5, 0, t)).spawn(3)
+        state = ket_to_density(random_product_state(n, seed=input_seed))
+        noisy = simulate(circ, state, noise=noise, rc=rc, seed=rc_seed)
+        want.append(process_fidelity(simulate(circ, state), noisy))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_fixed_benchmark_built_once_per_config(monkeypatch):

@@ -12,11 +12,13 @@ import pytest
 
 from qnoisebench.circuits import (CLIFFORD_T, Circuit, Cycle, apply_cycle,
                                   apply_local_unitary, simulate)
-from qnoisebench.compiling import interleave_idle
+from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
+                                   randomized_compile)
 from qnoisebench.errors import InvalidParams, WidthMismatch
 from qnoisebench.gates import (CLIFFORD_T_NAMES, GATE_ARITY, H, Gate, embed_unitary,
                               gate_matrix)
 from qnoisebench.noise import (
+    NOISE_KINDS,
     AmplitudeDamping,
     CoherentNoise,
     NoNoise,
@@ -26,6 +28,7 @@ from qnoisebench.noise import (
     apply_superoperators,
     from_paired,
     kraus_operators,
+    noise_level_table,
     superoperator,
     to_paired,
 )
@@ -173,6 +176,27 @@ def test_noiseless_rc_equals_plain_circuit():
         dressed = simulate(circ, state, rc=True, seed=trial).matrix
         np.testing.assert_allclose(dressed, plain, atol=ATOL,
                                    err_msg=f"trial {trial}")
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS + ("none",))
+def test_plan_rc_equals_compiled_circuit(kind):
+    """simulate(rc=True) draws and runs the twirl on the circuit plan; the
+    oracle simulates the circuit randomized_compile writes out from the same
+    seed, then undoes its closing frame densely: 200 random Clifford+T
+    circuits x 3 seeds at n = 1..5."""
+    model = NoNoise() if kind == "none" else noise_level_table(kind, 3)
+    rng = np.random.default_rng(4321)
+    for trial in range(200):
+        n = trial % 5 + 1
+        circ = random_clifford_t(n, int(rng.integers(1, 10)), rng)
+        state = DensityMatrix(random_density(n, rng))
+        for seed in range(3):
+            compiled, frame = randomized_compile(circ, seed)
+            want = apply_pauli_frame(simulate(compiled, state, noise=model),
+                                     frame).matrix
+            got = simulate(circ, state, noise=model, rc=True, seed=seed).matrix
+            np.testing.assert_allclose(got, want, atol=ATOL,
+                                       err_msg=f"trial {trial} seed {seed}")
 
 
 @pytest.mark.parametrize("model", [
