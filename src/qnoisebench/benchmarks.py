@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, Circuit, Cycle,
-                       identity_cycle, toffoli_decomposition)
+from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
+                       CircuitPlan, Cycle, identity_cycle,
+                       toffoli_decomposition)
 from .compiling import interleave_idle, lower_controlled_rz, to_clifford_t
 from .errors import InvalidParams
-from .gates import Gate
+from .gates import FIXED_MATRICES, Gate
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,33 @@ def build_idle(n: int, depth: int) -> Circuit:
 
 _RANDOM_SINGLES = ("i", "x", "y", "z", "h")
 CNOT_CYCLE_PROB = 0.25
+# The random set as plan letters: PLAN_LETTERS, then h, the order in which
+# `compile_plan` numbers them.
+_PLAN_NAMES = PLAN_LETTERS + ("h",)
+_PLAN_CODES = np.array([_PLAN_NAMES.index(name) for name in _RANDOM_SINGLES])
+_PLAN_UNITARIES = np.stack([FIXED_MATRICES[name] for name in _PLAN_NAMES])
+
+
+def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
+    """The draws of one random circuit: per cycle, each qubit's index into
+    _RANDOM_SINGLES (0 on the CNOT's qubits) and the CNOT as flips,
+    ((a, b),) or ()."""
+    if n < 2:
+        raise InvalidParams("random circuit needs n >= 2")
+    rng = np.random.default_rng(seed)
+    singles, flips = [], []
+    for _ in range(depth):
+        row = [0] * n
+        pair = ()
+        if rng.random() < CNOT_CYCLE_PROB:
+            a, b = rng.choice(n, size=2, replace=False)
+            pair = (int(a), int(b))
+        for q in range(n):
+            if q not in pair:
+                row[q] = int(rng.integers(len(_RANDOM_SINGLES)))
+        singles.append(row)
+        flips.append((pair,) if pair else ())
+    return singles, flips
 
 
 def build_random(n: int, depth: int, seed=None) -> Circuit:
@@ -104,23 +132,24 @@ def build_random(n: int, depth: int, seed=None) -> Circuit:
     Each cycle places one CNOT on a random disjoint pair with probability
     0.25; every remaining qubit draws uniformly from the single-qubit set.
     """
-    if n < 2:
-        raise InvalidParams("random circuit needs n >= 2")
-    rng = np.random.default_rng(seed)
     cycles = []
-    for _ in range(depth):
-        gates = []
-        rest = list(range(n))
-        if rng.random() < CNOT_CYCLE_PROB:
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append(Gate.cnot(int(a), int(b)))
-            rest = [q for q in rest if q not in (int(a), int(b))]
-        for q in rest:
-            name = _RANDOM_SINGLES[rng.integers(len(_RANDOM_SINGLES))]
-            if name != "i":
-                gates.append(Gate(name, (q,)))
+    for row, flips in zip(*_draw_random(n, depth, seed)):
+        gates = [Gate.cnot(*pair) for pair in flips]
+        gates += [Gate(_RANDOM_SINGLES[k], (q,)) for q, k in enumerate(row) if k]
         cycles.append(Cycle(tuple(gates)))
     return Circuit(n, tuple(cycles), CLIFFORD_T)
+
+
+def random_plan(n: int, depth: int, seeds) -> CircuitPlan:
+    """The circuits `build_random` draws from `seeds`, one trial each, as one
+    plan: letters (trial, cycle, qubit) and one segment per cycle, whose CNOT
+    flips are each trial's own."""
+    draws = [_draw_random(n, depth, s) for s in seeds]
+    letters = _PLAN_CODES[np.array([singles for singles, _ in draws],
+                                   dtype=np.intp).reshape(len(draws), depth, n)]
+    segments = tuple((k, k + 1, tuple(flips[k] for _, flips in draws))
+                     for k in range(depth))
+    return CircuitPlan(n, letters, _PLAN_UNITARIES, segments)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
 applied to every qubit, idle qubits included. `simulate` runs a `CircuitPlan`
 on the paired layout of `noise.to_paired`: each CNOT (or Toffoli) permutes the
 entries, then every qubit gets one 4x4 map, its channel times its gate's
-superoperator u (x) conj(u). `apply_local_unitary` and `apply_cycle` run on
-the same two kernels.
+superoperator u (x) conj(u). A plan runs a batch of trials at once, and runs
+kets under the 2x2 unitaries the same way. `apply_local_unitary` and
+`apply_cycle` run on the same two kernels.
 
 Text format (one circuit per file):
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,12 +59,6 @@ class Cycle:
 
     def qubits(self) -> set[int]:
         return {q for g in self.gates for q in g.qubits}
-
-    def gate_on(self, q: int) -> Gate | None:
-        for g in self.gates:
-            if q in g.qubits:
-                return g
-        return None
 
 
 @dataclass(frozen=True)
@@ -150,36 +145,47 @@ def circuit_unitary(circ: Circuit) -> np.ndarray:
 # Every plan's first letters: the easy gates, the Paulis in the order of their
 # codes x-bit + 2 * z-bit, so twirl letters and closing frames index them.
 PLAN_LETTERS = ("i", "x", "z", "y", "s", "sdg")
-_FIXED_MAPS = {name: pair_superoperator(m)
-               for name, m in FIXED_MATRICES.items() if m.shape == (2, 2)}
 
 
 @dataclass(frozen=True, eq=False)
 class CircuitPlan:
-    """A circuit read once for simulation. `letters[k, q]` indexes `pair_maps`,
-    u (x) conj(u) per distinct one-qubit gate (0: idle, CNOT qubits too).
-    Segment (start, stop, flips) runs the controlled-X flips of cycle `start`,
+    """Circuits read once for simulation. `letters[t, k, q]` indexes
+    `unitaries`, the 2x2 of each distinct one-qubit gate (0: idle, CNOT
+    qubits too), for cycle k of trial t; a compiled circuit is one trial that
+    a whole batch shares. Segment (start, stop, flips) runs the controlled-X
+    flips of cycle `start`, flips[t] for trial t or flips[0] for every trial,
     then per qubit one map composed over cycles start..stop-1. `twirl` is a
     `compiling.Twirl` if compiled for randomized compiling."""
 
     n_qubits: int
     letters: np.ndarray
-    pair_maps: np.ndarray
+    unitaries: np.ndarray
     segments: tuple
     twirl: object = None
+    pair_maps: np.ndarray = field(init=False)  # u (x) conj(u) per letter
 
-    def compose(self, noise: NoiseModel = NoNoise(), seeds=None) -> list:
-        """Per trial (maps, idle): each segment's 4x4 map per qubit and which
-        are exactly the identity; one trial as written, or a twirled trial per
-        seed with its closing frame composed in. One batched product per cycle."""
-        table = (self.pair_maps if isinstance(noise.validate(), NoNoise)
-                 else superoperator(noise) @ self.pair_maps)
-        letters, frames = self.letters[None], None
+    def __post_init__(self):
+        object.__setattr__(self, "pair_maps",
+                           pair_superoperator(self.unitaries))
+
+    def compose(self, noise: NoiseModel = NoNoise(), seeds=None,
+                ket: bool = False) -> np.ndarray:
+        """Each segment's map per qubit, (trial, segment, qubit, d, d): the
+        4x4 paired maps N (u (x) conj(u)), or with `ket` the 2x2 unitaries,
+        noise-free. One trial per row of `letters`, or a twirled trial per
+        seed with its closing frame composed in. One batched product per
+        cycle."""
+        frame_maps = self.unitaries if ket else self.pair_maps
+        if ket or isinstance(noise.validate(), NoNoise):
+            table = frame_maps
+        else:
+            table = superoperator(noise) @ self.pair_maps
+        letters, frames = self.letters, None
         if seeds is not None:
             merged, frames = self.twirl.sample([self.twirl.draw(s) for s in seeds])
             letters = np.repeat(letters, len(merged), axis=0)
             letters[:, self.twirl.easy] = merged
-        cycle_maps = table[letters]  # (trial, cycle, qubit, 4, 4)
+        cycle_maps = table[letters]  # (trial, cycle, qubit, d, d)
         segs = []
         for start, stop, _ in self.segments:
             m = cycle_maps[:, start]
@@ -187,26 +193,49 @@ class CircuitPlan:
                 m = cycle_maps[:, k] @ m
             segs.append(m)
         if frames is not None and segs:
-            segs[-1] = self.pair_maps[frames] @ segs[-1]
-        maps = np.array(segs).reshape(  # (trial, segment, qubit, 4, 4)
-            len(segs), len(letters), self.n_qubits, 4, 4).swapaxes(0, 1)
-        return list(zip(maps, (maps == np.eye(4)).all(axis=(-2, -1)).tolist()))
+            segs[-1] = frame_maps[frames] @ segs[-1]
+        d = table.shape[-1]
+        return np.array(segs).reshape(
+            len(segs), len(letters), self.n_qubits, d, d).swapaxes(0, 1)
 
-    def run(self, rho: np.ndarray, maps: tuple) -> DensityMatrix:
-        """One trial's maps (an entry of `compose`) applied to rho."""
-        n = self.n_qubits
-        v = to_paired(rho, n)
-        for (_, _, flips), seg, idle in zip(self.segments, *maps):
-            if flips:
-                v = v[_flip_order(flips, n)]
-            v = apply_superoperators(v, [None if i else m
-                                         for m, i in zip(seg, idle)])
-        return DensityMatrix(from_paired(v, n))
+    def run(self, v: np.ndarray, maps: np.ndarray) -> np.ndarray:
+        """A batch of states (T, d^n) through maps from `compose` (T trials,
+        or one for the whole batch): paired density matrices under 4x4 maps,
+        kets under 2x2. One gather and one kernel pass per segment for a
+        slice of the batch; a map that is exactly the identity for every
+        trial is skipped. A slice holds at most _SLICE_BYTES of states (one
+        state at least), so it stays in cache through all the passes."""
+        n, d = self.n_qubits, maps.shape[-1]
+        idle = (maps == np.eye(d)).all(axis=(0, -2, -1)).tolist()
+        step = max(1, _SLICE_BYTES // v[0].nbytes)
+        out = []
+        for lo in range(0, len(v), step):
+            w, trials = v[lo:lo + step], slice(lo, lo + step)
+            for (_, _, flips), seg, skip in zip(self.segments,
+                                                maps.swapaxes(0, 1), idle):
+                if len(flips) > 1:  # each trial's own order, as one flat take
+                    order = np.stack([_flip_order(f, n, d // 2)
+                                      for f in flips[trials]])
+                    order += np.arange(0, w.size, w.shape[1])[:, None]
+                    w = w.reshape(-1).take(order)
+                elif flips[0]:
+                    w = np.take(w, _flip_order(flips[0], n, d // 2), axis=1)
+                w = apply_superoperators(
+                    w, [None if s else m[trials] if len(m) > 1 else m
+                        for m, s in zip(seg.swapaxes(0, 1), skip)])
+            out.append(w)
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+# A 32-state batch of 8-qubit density matrices (32 MB) ran twice as slow as
+# slices of 2 MB, the L2 cache of one core of the 2-core Xeon it was timed on.
+_SLICE_BYTES = 2 ** 21
 
 
 def compile_plan(circ: Circuit, rc: bool = False) -> CircuitPlan:
-    """Read the circuit into a `CircuitPlan`, with its randomized-compiling
-    tables if rc (then it must be idle-interleaved; see `interleave_idle`)."""
+    """Read the circuit into a one-trial `CircuitPlan`, with its
+    randomized-compiling tables if rc (then it must be idle-interleaved; see
+    `interleave_idle`)."""
     from .compiling import twirl_plan  # compiling imports this module
 
     n = circ.n_qubits
@@ -221,13 +250,12 @@ def compile_plan(circ: Circuit, rc: bool = False) -> CircuitPlan:
                 key = (g.name, g.angle)
                 letters[k][g.qubits[0]] = index.setdefault(key, len(index))
     starts = sorted({0, *flips}) if circ.depth else []
-    segments = tuple((a, b, tuple(flips.get(a, ())))
+    segments = tuple((a, b, (tuple(flips.get(a, ())),))
                      for a, b in zip(starts, starts[1:] + [circ.depth]))
-    maps = [_FIXED_MAPS[name] if angle is None
-            else pair_superoperator(Gate(name, (0,), angle).matrix())
-            for name, angle in index]
-    letters = np.array(letters, dtype=np.intp).reshape(circ.depth, n)
-    return CircuitPlan(n, letters, np.stack(maps), segments,
+    unitaries = [FIXED_MATRICES[name] if angle is None
+                 else Gate(name, (0,), angle).matrix() for name, angle in index]
+    letters = np.array(letters, dtype=np.intp).reshape(1, circ.depth, n)
+    return CircuitPlan(n, letters, np.stack(unitaries), segments,
                        twirl_plan(circ) if rc else None)
 
 
@@ -241,35 +269,40 @@ def simulate(circ: Circuit, state: DensityMatrix,
     and the closing Pauli frame is composed into the last maps noise-free, the
     same correction a hardware run folds into measurement relabeling.
     """
-    if circ.n_qubits != state.n_qubits:
+    n = circ.n_qubits
+    if n != state.n_qubits:
         raise WidthMismatch(
-            f"circuit width {circ.n_qubits} != state width {state.n_qubits}"
+            f"circuit width {n} != state width {state.n_qubits}"
         )
     plan = compile_plan(circ, rc)
-    maps = plan.compose(noise, [seed] if rc else None)
-    return plan.run(state.matrix, maps[0])
+    v = plan.run(to_paired(state.matrix, n)[None],
+                 plan.compose(noise, [seed] if rc else None))
+    return DensityMatrix(from_paired(v[0], n))
 
 
-@functools.lru_cache(maxsize=32)
-def _flip_order(flips: tuple, n: int) -> np.ndarray:
-    """v[order] is the paired state v after the controlled-X gates `flips`."""
-    order = np.arange(4 ** n)
+@functools.lru_cache(maxsize=64)
+def _flip_order(flips: tuple, n: int, sides: int = 2) -> np.ndarray:
+    """v[order] is v after the controlled-X gates `flips`: a paired state
+    (sides 2) or a ket (sides 1)."""
+    order = np.arange(2 ** (sides * n))
     for qubits in flips:
-        _controlled_x(order, qubits, n)
+        _controlled_x(order, qubits, n, sides)
     order.flags.writeable = False
     return order
 
 
-def _controlled_x(v: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
-    """In place on a paired state: flip the last qubit where all the others
-    are 1 (CNOT, Toffoli), on the row bits and on the column bits."""
-    t = v.reshape((2,) * (2 * n))
-    for side in (0, 1):
-        idx = [slice(None)] * (2 * n)
+def _controlled_x(v: np.ndarray, qubits: tuple[int, ...], n: int,
+                  sides: int = 2) -> None:
+    """In place: flip the last qubit where all the others are 1 (CNOT,
+    Toffoli), on the row and column bits of a paired state (sides 2) or the
+    bits of a ket (sides 1)."""
+    t = v.reshape((2,) * (sides * n))
+    for side in range(sides):
+        idx = [slice(None)] * (sides * n)
         for c in qubits[:-1]:
-            idx[2 * c + side] = slice(1, 2)
+            idx[sides * c + side] = slice(1, 2)
         w = t[tuple(idx)]
-        w[...] = np.flip(w, axis=2 * qubits[-1] + side)
+        w[...] = np.flip(w, axis=sides * qubits[-1] + side)
 
 
 def toffoli_decomposition(c1: int, c2: int, target: int,

@@ -21,13 +21,20 @@ from .benchmarks import (
     MaxCutGraph,
     build_benchmark,
     maxcut_expectation,
+    random_plan,
 )
-from .circuits import CLIFFORD_T, compile_plan, simulate
+# simulate, process_fidelity, ket_to_density and random_product_state are not
+# called here, but perfbench/tracer.py times their layers under this module's
+# names, so the names stay importable from it.
+from .circuits import CLIFFORD_T, compile_plan, simulate  # noqa: F401
 from .compiling import interleave_idle
 from .errors import ConfigError, IoError, SimulationError
-from .metrics import process_fidelity
-from .noise import LEVEL_PARAMS, NOISE_KINDS, noise_model_for
-from .states import DensityMatrix, ket_to_density, random_product_state
+from .metrics import process_fidelity  # noqa: F401
+from .noise import (LEVEL_PARAMS, NOISE_KINDS, from_paired, noise_model_for,
+                    to_paired)
+from .states import (check_norms, check_traces,  # noqa: F401
+                     ket_to_density, random_product_kets,
+                     random_product_state)
 
 CSV_HEADER = "benchmark,noise,param,depth,rc,metric,mean,stderr,trials,seed"
 _FIELDS = tuple(CSV_HEADER.split(","))
@@ -35,7 +42,7 @@ _FIELDS = tuple(CSV_HEADER.split(","))
 DEFAULT_TRIALS = 100
 DEFAULT_LEVELS = (0, 1, 2, 3)
 MAX_SWEEP_POINTS = 1000  # more is a mistyped step, not an experiment
-# Trials whose maps compose as one batch (cycles x TRIAL_CHUNK x qubits x 4x4).
+# Trials run as one batch: TRIAL_CHUNK states and their maps at once.
 TRIAL_CHUNK = 32
 
 
@@ -189,64 +196,38 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     Per trial: fresh random product input (the QAOA circuits keep their
     fixed all-zeros input), fresh randomized-compiling seed, and for the
-    random benchmark a fresh circuit. The noiseless reference reuses the
-    same input and circuit.
+    random benchmark a fresh circuit. The noiseless reference is the pure
+    state the same circuit makes of the same input.
 
     A fixed (non-random) benchmark is compiled once per depth, before the
-    noise sweep, and the noisy maps of TRIAL_CHUNK trials compose at once."""
+    noise sweep, with its noiseless unitary."""
     cfg.validate()
     spec = BENCHMARKS[cfg.benchmark]
-    graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
-    plans = {}  # depth -> (plan, noiseless maps) of a fixed benchmark
+    fixed = {}  # depth -> (plan, U^T or None) of a fixed benchmark
     if cfg.benchmark != "random":
         for depth in _depths(cfg):
             plan = compile_plan(build_benchmark(cfg.benchmark, depth=depth),
                                 cfg.rc)
-            plans[depth] = (plan, None if graph else plan.compose()[0])
+            # Row j is U e_j: the basis states through the noiseless circuit.
+            ideal = (None if spec.metric == "expectation_value" else
+                     plan.run(np.eye(2 ** spec.n_qubits, dtype=np.complex128),
+                              plan.compose(ket=True)))
+            fixed[depth] = (plan, ideal)
     rows = []
     sweep_idx = 0
     for param in _sweep_params(cfg):
         noise = noise_model_for(cfg.noise, param)
         for depth in _depths(cfg):
-            plan, ideal = plans.get(depth, (None, None))
-            values = np.empty(cfg.trials)
-            for lo in range(0, cfg.trials, TRIAL_CHUNK):
-                seeds = [np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(3)
-                         for t in range(lo, min(lo + TRIAL_CHUNK, cfg.trials))]
-                if plan is not None:
-                    batch = plan.compose(
-                        noise, [s[2] for s in seeds] if cfg.rc else None)
-                for k, (input_seed, circ_seed, rc_seed) in enumerate(seeds):
-                    if spec.metric == "expectation_value":
-                        state = DensityMatrix.basis(spec.n_qubits, 0)
-                    else:
-                        state = ket_to_density(
-                            random_product_state(spec.n_qubits, seed=input_seed))
-                    if plan is None:
-                        circ = build_benchmark(cfg.benchmark, depth=depth,
-                                               seed=circ_seed)
-                        if cfg.rc:
-                            circ = interleave_idle(circ)
-                        noisy = simulate(circ, state, noise=noise, rc=cfg.rc,
-                                         seed=rc_seed)
-                    else:
-                        noisy = plan.run(state.matrix, batch[k if cfg.rc else 0])
-                    if spec.metric == "expectation_value":
-                        probs = np.real(np.diag(noisy.matrix))
-                        values[lo + k] = maxcut_expectation(probs, graph)
-                    else:
-                        # Noiseless RC equals the plain circuit (test_kernels::
-                        # test_noiseless_rc_equals_plain_circuit), so no rewrite.
-                        ref = (simulate(circ, state) if plan is None
-                               else plan.run(state.matrix, ideal))
-                        values[lo + k] = process_fidelity(ref, noisy)
+            values = _trial_values(cfg, sweep_idx, noise, depth,
+                                   fixed.get(depth))
             mean = float(np.mean(values))
             stderr = 0.0
             if cfg.trials > 1:
                 stderr = float(np.std(values, ddof=1) / np.sqrt(cfg.trials))
             # Swept benchmarks report the requested depth (the sweep point);
             # fixed ones report the built circuit's cycle count.
-            row_depth = depth if depth is not None else len(plan.letters)
+            row_depth = (depth if depth is not None
+                         else fixed[depth][0].letters.shape[1])
             rows.append(ResultRow(
                 benchmark=cfg.benchmark,
                 noise=cfg.noise,
@@ -262,6 +243,54 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             sweep_idx += 1
     rows.sort(key=lambda r: (r.noise, r.param, r.depth, r.rc))
     return rows
+
+
+def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
+                  fixed) -> np.ndarray:
+    """Every trial's metric at one sweep point. The trials run TRIAL_CHUNK
+    at a time as one batch: noisy density matrices through the plan, and for
+    a fidelity the pure reference U psi, scored as Re <U psi| rho |U psi>.
+    A random trial with randomized compiling runs its own compiled plan."""
+    spec = BENCHMARKS[cfg.benchmark]
+    n = spec.n_qubits
+    graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
+    values = np.empty(cfg.trials)
+    for lo in range(0, cfg.trials, TRIAL_CHUNK):
+        hi = min(lo + TRIAL_CHUNK, cfg.trials)
+        input_seeds, circ_seeds, rc_seeds = zip(*(
+            np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(3)
+            for t in range(lo, hi)))
+        if graph is None:
+            psi = random_product_kets(n, input_seeds)
+            v = to_paired(psi[:, :, None] * psi.conj()[:, None, :], n)
+        else:
+            v = np.zeros((hi - lo, 4 ** n), dtype=np.complex128)
+            v[:, 0] = 1.0  # |0...0><0...0|
+        if fixed is not None:
+            plan, ideal = fixed
+            v = plan.run(v, plan.compose(noise, rc_seeds if cfg.rc else None))
+            ref = None if ideal is None else psi @ ideal
+        elif not cfg.rc:
+            plan = random_plan(n, depth, circ_seeds)
+            v = plan.run(v, plan.compose(noise))
+            ref = plan.run(psi, plan.compose(ket=True))
+        else:
+            ref = np.empty_like(psi)
+            for k, (circ_seed, rc_seed) in enumerate(zip(circ_seeds, rc_seeds)):
+                plan = compile_plan(interleave_idle(build_benchmark(
+                    cfg.benchmark, depth=depth, seed=circ_seed)), rc=True)
+                v[k] = plan.run(v[k:k + 1], plan.compose(noise, [rc_seed]))[0]
+                ref[k] = plan.run(psi[k:k + 1], plan.compose(ket=True))[0]
+        rho = from_paired(v, n)
+        check_traces(rho)
+        if graph is not None:
+            values[lo:hi] = [maxcut_expectation(np.diagonal(r).real, graph)
+                             for r in rho]
+        else:
+            check_norms(ref)
+            values[lo:hi] = (ref.conj()[:, None, :] @ rho
+                             @ ref[:, :, None])[:, 0, 0].real
+    return values
 
 
 # ---------------------------------------------------------------------------

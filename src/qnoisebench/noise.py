@@ -151,44 +151,62 @@ def superoperator(model: NoiseModel) -> np.ndarray:
 
 
 def pair_superoperator(k: np.ndarray) -> np.ndarray:
-    """K (x) conj(K) for one 2x2 operator: rho -> K rho K^dagger."""
-    return np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3).reshape(4, 4)
+    """K (x) conj(K) for one 2x2 operator, or for each of a stack (..., 2, 2):
+    rho -> K rho K^dagger."""
+    k = np.asarray(k)
+    outer = k[..., :, None, :, None] * k.conj()[..., None, :, None, :]
+    return outer.reshape(k.shape[:-2] + (4, 4))
 
 
 def to_paired(rho: np.ndarray, n: int) -> np.ndarray:
     """rho as a flat vector with axes (r0, c0, r1, c1, ...): one base-4 digit
-    2*r_q + c_q per qubit, qubit 0 most significant. Always a fresh copy."""
-    order = [a for q in range(n) for a in (q, n + q)]
-    return np.array(rho.reshape((2,) * (2 * n)).transpose(order)).reshape(-1)
+    2*r_q + c_q per qubit, qubit 0 most significant. A batch (T, 2^n, 2^n)
+    gives (T, 4^n). Always a fresh copy."""
+    lead = rho.shape[:-2]
+    k = len(lead)
+    order = [*range(k), *(k + a for q in range(n) for a in (q, n + q))]
+    return np.array(rho.reshape(lead + (2,) * (2 * n)).transpose(order)
+                    ).reshape(lead + (-1,))
 
 
 def from_paired(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of `to_paired`: the 2^n x 2^n matrix."""
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return v.reshape((2,) * (2 * n)).transpose(order).reshape(2 ** n, 2 ** n)
+    """Inverse of `to_paired`: the 2^n x 2^n matrix, or one per batch row."""
+    lead = v.shape[:-1]
+    k = len(lead)
+    order = [*range(k), *range(k, k + 2 * n, 2), *range(k + 1, k + 2 * n, 2)]
+    return v.reshape(lead + (2,) * (2 * n)).transpose(order).reshape(
+        lead + (2 ** n, 2 ** n))
 
 
 def apply_superoperators(v: np.ndarray, maps) -> np.ndarray:
-    """Apply maps[q] (4x4, or None for the identity) to qubit q of a paired
-    state, for every qubit.
+    """Apply maps[q] to qubit q of a state, for every qubit.
 
-    Each step is one GEMM, (m @ x).T computed as x.T @ m.T so that it writes
-    the leading digit straight to the back; after one pass the digits are in
-    their original order again. A run of identity maps is one rotation by the
-    run's length.
+    v is one state or a batch (T, d^n) of them: paired density matrices (4x4
+    maps; see `to_paired`) or kets (2x2 maps). maps[q] is one (d, d) map for
+    every state, a (T, d, d) stack with one per state, or None for the
+    identity.
+
+    Each step is one GEMM per state, (m @ x).T computed as x.T @ m.T so that
+    it writes the leading digit straight to the back; after one pass the
+    digits are in their original order again. A run of identity maps is one
+    rotation by the run's length.
     """
+    d = next((m.shape[-1] for m in maps if m is not None), 1)
+    w = v.reshape(-1, v.shape[-1])
+    t = len(w)
     skip = 0
     for m in maps:
         if m is None:
             skip += 1
             continue
         if skip:
-            v = v.reshape(4 ** skip, -1).T.reshape(-1)
+            w = w.reshape(t, d ** skip, -1).swapaxes(1, 2).reshape(t, -1)
             skip = 0
-        v = (v.reshape(4, -1).T @ m.T).reshape(-1)
+        w = (w.reshape(t, d, -1).swapaxes(1, 2) @ m.swapaxes(-1, -2)
+             ).reshape(t, -1)
     if skip and skip < len(maps):
-        v = v.reshape(4 ** skip, -1).T.reshape(-1)
-    return v
+        w = w.reshape(t, d ** skip, -1).swapaxes(1, 2).reshape(t, -1)
+    return w.reshape(v.shape)
 
 
 def apply_qubit_map(rho: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .circuits import PARAM_ROTATIONS, Circuit, Cycle, simulate
 from .errors import FitDiverged, InvalidParams, ZeroIdealProbability
@@ -151,7 +150,13 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
 
 def rb_fit(lengths: Sequence[int], survivals: Sequence[float],
            max_residual: float = 0.05) -> RBResult:
-    """Fit survival = A(1-2r)^m + B with A, B in [0,1] and r in [0, 0.5]."""
+    """Fit survival = A(1-2r)^m + B with A, B in [0,1] and r in [0, 0.5].
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973):
+    for each r the best (A, B) is a two-column least-squares problem with a
+    closed form, so only r is searched, on a grid over [0, 0.5] and then by
+    golden section around the best grid point.
+    """
     lengths = tuple(int(m) for m in lengths)
     survivals = tuple(float(f) for f in survivals)
     if len(set(lengths)) < 3:
@@ -162,16 +167,57 @@ def rb_fit(lengths: Sequence[int], survivals: Sequence[float],
         return RBResult(lengths, survivals, 0.0, float(fs.mean()), 0.0, 0.0,
                         degenerate=True)
 
-    def model(m, a, b, r):
-        return a * (1.0 - 2.0 * r) ** m + b
+    def fit(r):
+        return _rb_linear_fit((1.0 - 2.0 * np.asarray(r))[..., None] ** ms, fs)
 
-    (a, b, r), _ = curve_fit(model, ms, fs, p0=(0.5, 0.5, 0.02),
-                             bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 0.5]),
-                             maxfev=10000)
-    residual = float(np.sum((model(ms, a, b, r) - fs) ** 2))
+    grid = np.linspace(0.0, 0.5, _RB_GRID)
+    k = int(np.argmin(fit(grid)[2]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _RB_GRID - 1)]
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = fit(c)[2], fit(d)[2]
+    while hi - lo > 1e-13:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = fit(c)[2]
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = fit(d)[2]
+    r = c if fc <= fd else d
+    a, b, residual = (float(x) for x in fit(r))
     if residual > max_residual:
         raise FitDiverged(f"rb fit residual {residual} exceeds {max_residual}")
-    return RBResult(lengths, survivals, float(a), float(b), float(r), residual)
+    return RBResult(lengths, survivals, a, b, float(r), residual)
+
+
+_RB_GRID = 501
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _rb_linear_fit(x: np.ndarray, fs: np.ndarray) -> tuple:
+    """Per row of x (..., L): the (A, B) in [0, 1]^2 minimizing
+    sum (A x + B - fs)^2, and that sum. The minimum is the unconstrained one
+    if it lies in the box, else the best of the four edges, each a 1-D
+    problem solved by clipping."""
+    n = fs.size
+    sxx, sx = (x * x).sum(-1), x.sum(-1)
+    sxf, sf = (x * fs).sum(-1), fs.sum()
+    det = n * sxx - sx * sx
+    zero, one = np.zeros_like(sx), np.ones_like(sx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.stack([(n * sxf - sx * sf) / det, zero, one,
+                      np.clip(np.where(sxx > 0, sxf / sxx, 0.0), 0.0, 1.0),
+                      np.clip(np.where(sxx > 0, (sxf - sx) / sxx, 0.0), 0.0, 1.0)])
+        b = np.stack([(sxx * sf - sx * sxf) / det,
+                      np.clip(sf / n * one, 0.0, 1.0),
+                      np.clip((sf - sx) / n, 0.0, 1.0), zero, one])
+        inside = (a >= 0.0) & (a <= 1.0) & (b >= 0.0) & (b <= 1.0)
+        res = np.where(inside,
+                       ((a[..., None] * x + b[..., None] - fs) ** 2).sum(-1),
+                       np.inf)
+    k = np.argmin(res, axis=0)[None]
+    return tuple(np.take_along_axis(arr, k, axis=0)[0] for arr in (a, b, res))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,7 @@ class Ket:
         amps = as_complex(self.amplitudes).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
         _check_power_of_two(amps.size)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"state norm {norm} differs from 1")
+        check_norms(amps, NotNormalized)
 
     @property
     def n_qubits(self) -> int:
@@ -105,20 +103,43 @@ def random_product_state(n: int, seed=None) -> Ket:
     Each factor is cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> with
     phi ~ U[0, 2pi) and cos(theta) ~ U[-1, 1].
     """
+    return Ket(random_product_kets(n, [seed])[0])
+
+
+def random_product_kets(n: int, seeds) -> np.ndarray:
+    """`random_product_state` for each seed, as a (T, 2^n) batch. Each seed's
+    draws are one `uniform(lows, highs)` call, the same stream as the scalar
+    (phi, cos theta) pairs qubit by qubit. Raises NotNormalized if any ket's
+    norm is off by more than NORM_TOL."""
     if n < 1:
         raise InvalidParams("need at least one qubit")
-    rng = np.random.default_rng(seed)
-    amps = np.ones(1, dtype=np.complex128)
-    for _ in range(n):
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        cos_t = rng.uniform(-1.0, 1.0)
-        theta = np.arccos(cos_t)
-        q = np.array(
-            [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)],
-            dtype=np.complex128,
-        )
-        amps = np.kron(amps, q)
-    return Ket(amps)
+    lows, highs = np.tile([0.0, -1.0], n), np.tile([2.0 * np.pi, 1.0], n)
+    draws = np.array([np.random.default_rng(s).uniform(lows, highs)
+                      for s in seeds]).reshape(-1, n, 2)
+    phi, theta = draws[..., 0], np.arccos(draws[..., 1])
+    factors = np.stack([np.cos(theta / 2.0),
+                        np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+    amps = factors[:, 0]
+    for q in range(1, n):
+        amps = (amps[:, :, None] * factors[:, q, None, :]).reshape(len(amps), -1)
+    check_norms(amps, NotNormalized)
+    return amps
+
+
+def check_norms(kets: np.ndarray, error=InvalidState) -> None:
+    """Raise `error` unless every ket of the batch (T, 2^n) has norm 1 within
+    NORM_TOL."""
+    dev = np.abs(np.linalg.norm(kets, axis=-1) - 1.0)
+    if np.any(dev > NORM_TOL):
+        raise error(f"state norm off 1 by {dev.max():.3e}")
+
+
+def check_traces(rhos: np.ndarray) -> None:
+    """Raise InvalidState unless every density matrix of the batch
+    (T, 2^n, 2^n) has trace 1 within TRACE_TOL."""
+    dev = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
+    if np.any(dev > TRACE_TOL):
+        raise InvalidState(f"trace off 1 by {dev.max():.3e}")
 
 
 def measurement_distribution(dm: DensityMatrix) -> np.ndarray:

@@ -19,8 +19,10 @@ from qnoisebench.benchmarks import (
     cut_sizes,
     maxcut_expectation,
     optimize_qaoa_angles,
+    random_plan,
 )
-from qnoisebench.circuits import CLIFFORD_T, PARAM_ROTATIONS, circuit_unitary, simulate
+from qnoisebench.circuits import (CLIFFORD_T, PARAM_ROTATIONS, circuit_unitary,
+                                  compile_plan, simulate)
 from qnoisebench.compiling import is_easy_cycle
 from qnoisebench.errors import InvalidParams
 from qnoisebench.linalg import phase_aligned_distance
@@ -63,6 +65,27 @@ def test_random_circuit_seeding():
     assert a.cycles != build_random(4, 30, seed=6).cycles
     with pytest.raises(InvalidParams):
         build_random(1, 10)
+
+
+def test_random_plan_is_the_compiled_random_circuits():
+    """The drawn plan arrays equal `compile_plan(build_random(...))` per trial:
+    letters, each cycle's CNOT flips and the letter table, for 552 seeds at
+    every depth from 2 to 70."""
+    for depth in range(2, 71):
+        seeds = range(8 * depth, 8 * depth + 8)
+        plan = random_plan(4, depth, seeds)
+        assert plan.letters.shape == (len(seeds), depth, 4)
+        assert [start for start, _, _ in plan.segments] == list(range(depth))
+        for t, seed in enumerate(seeds):
+            ref = compile_plan(build_random(4, depth, seed=seed))
+            np.testing.assert_array_equal(plan.letters[t], ref.letters[0])
+            opened = {start: flips[0] for start, _, flips in ref.segments}
+            assert [flips[t] for _, _, flips in plan.segments] == [
+                opened.get(k, ()) for k in range(depth)]
+            np.testing.assert_array_equal(
+                plan.unitaries[:len(ref.unitaries)], ref.unitaries)
+    with pytest.raises(InvalidParams):
+        random_plan(1, 10, [0])
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,8 @@ def test_rc_rewrites_each_trial_once(monkeypatch):
 @pytest.mark.parametrize("bench,trials,chunk", [
     ("qft_ct", 35, None),  # a full chunk and a partial one
     ("adder", 5, 2),
+    ("random", 35, None),
+    ("random", 5, 2),
 ])
 @pytest.mark.parametrize("rc", [True, False])
 def test_batched_point_equals_per_trial_simulate(monkeypatch, bench, trials,
@@ -197,6 +199,7 @@ def test_batched_point_equals_per_trial_simulate(monkeypatch, bench, trials,
     from qnoisebench import harness
     from qnoisebench.benchmarks import BENCHMARKS, build_benchmark
     from qnoisebench.circuits import simulate
+    from qnoisebench.compiling import interleave_idle
     from qnoisebench.metrics import process_fidelity
     from qnoisebench.noise import noise_level_table
     from qnoisebench.states import ket_to_density, random_product_state
@@ -204,25 +207,117 @@ def test_batched_point_equals_per_trial_simulate(monkeypatch, bench, trials,
     if chunk is not None:
         monkeypatch.setattr(harness, "TRIAL_CHUNK", chunk)
     got = []
+    real = harness._trial_values
 
-    def recording(ideal, noisy):
-        got.append(process_fidelity(ideal, noisy))
-        return got[-1]
+    def recording(*args):
+        values = real(*args)
+        got.extend(values)
+        return values
 
-    monkeypatch.setattr(harness, "process_fidelity", recording)
+    monkeypatch.setattr(harness, "_trial_values", recording)
+    depth = 12 if bench == "random" else None
     cfg = ExperimentConfig(benchmark=bench, noise="pauli_coherent",
-                           levels=(3,), rc=rc, trials=trials, seed=5)
+                           levels=(3,), rc=rc, trials=trials, seed=5,
+                           depth_range=(depth, depth, 1) if depth else None)
     run_experiment(cfg)
-    circ = build_benchmark(bench)
     noise = noise_level_table("pauli_coherent", 3)
     n = BENCHMARKS[bench].n_qubits
     want = []
     for t in range(trials):
-        input_seed, _, rc_seed = np.random.SeedSequence((5, 0, t)).spawn(3)
+        input_seed, circ_seed, rc_seed = np.random.SeedSequence(
+            (5, 0, t)).spawn(3)
+        circ = build_benchmark(bench, depth=depth, seed=circ_seed)
+        if rc and bench == "random":
+            circ = interleave_idle(circ)
         state = ket_to_density(random_product_state(n, seed=input_seed))
         noisy = simulate(circ, state, noise=noise, rc=rc, seed=rc_seed)
         want.append(process_fidelity(simulate(circ, state), noisy))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bench,rc", [
+    ("random", False), ("random", True), ("qft_ct", False), ("qft_ct", True),
+    ("adder", False),
+])
+def test_reference_is_a_pure_state_not_a_simulation(monkeypatch, bench, rc):
+    """The harness takes its reference from a ket pass: it runs no noiseless
+    density-matrix simulation and no `process_fidelity`."""
+    from qnoisebench import circuits, harness, metrics
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("density-matrix reference on the harness path")
+
+    for module, name in ((harness, "simulate"), (circuits, "simulate"),
+                         (harness, "process_fidelity"),
+                         (metrics, "process_fidelity")):
+        monkeypatch.setattr(module, name, forbidden)
+    depth = (6, 6, 1) if bench == "random" else None
+    rows = run_experiment(ExperimentConfig(
+        benchmark=bench, noise="pauli", levels=(1,), rc=rc, trials=3,
+        depth_range=depth))
+    assert len(rows) == 1 and 0.0 < rows[0].mean <= 1.0
+
+
+@pytest.mark.parametrize("rc", [False, True])
+def test_random_trials_compile_at_most_once(monkeypatch, rc):
+    """Without RC the random trials are drawn straight into one plan per
+    chunk; with RC each trial's interleaved circuit is compiled once."""
+    from qnoisebench import harness
+
+    calls = []
+    real = harness.compile_plan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compile_plan", counting)
+    cfg = ExperimentConfig(benchmark="random", noise="pauli", levels=(1, 2),
+                           rc=rc, trials=5, depth_range=(4, 8, 4))
+    rows = run_experiment(cfg)
+    assert len(calls) == (len(rows) * cfg.trials if rc else 0)
+
+
+@pytest.mark.parametrize("bench,rc", [
+    ("random", False), ("random", True), ("qft_ct", True), ("qaoa_ct", False),
+])
+def test_non_trace_preserving_map_raises(monkeypatch, bench, rc):
+    """A channel that adds 1% weight per cycle leaves the simulator with a
+    trace off 1, and the harness stops with InvalidState."""
+    from qnoisebench import circuits
+    from qnoisebench.errors import InvalidState
+
+    real = circuits.superoperator
+    monkeypatch.setattr(circuits, "superoperator",
+                        lambda model: 1.01 * real(model))
+    depth = (6, 6, 1) if bench == "random" else None
+    cfg = ExperimentConfig(benchmark=bench, noise="pauli", levels=(1,), rc=rc,
+                           trials=2, depth_range=depth)
+    with pytest.raises(InvalidState, match="trace"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("bench,rc", [
+    ("random", False), ("random", True), ("qft_ct", False),
+])
+def test_non_unitary_reference_raises(monkeypatch, bench, rc):
+    """A reference pass whose 2x2 maps are not unitary leaves kets of norm
+    off 1, and the harness stops with InvalidState."""
+    from qnoisebench.circuits import CircuitPlan
+    from qnoisebench.errors import InvalidState
+
+    real = CircuitPlan.compose
+
+    def scaled(self, *args, ket=False, **kwargs):
+        maps = real(self, *args, ket=ket, **kwargs)
+        return 1.01 * maps if ket else maps
+
+    monkeypatch.setattr(CircuitPlan, "compose", scaled)
+    depth = (6, 6, 1) if bench == "random" else None
+    cfg = ExperimentConfig(benchmark=bench, noise="pauli", levels=(1,), rc=rc,
+                           trials=2, depth_range=depth)
+    with pytest.raises(InvalidState, match="norm"):
+        run_experiment(cfg)
 
 
 def test_fixed_benchmark_built_once_per_config(monkeypatch):

@@ -10,8 +10,11 @@ import itertools
 import numpy as np
 import pytest
 
+from qnoisebench import circuits
+from qnoisebench.benchmarks import build_random, random_plan
 from qnoisebench.circuits import (CLIFFORD_T, Circuit, Cycle, apply_cycle,
-                                  apply_local_unitary, simulate)
+                                  apply_local_unitary, circuit_unitary,
+                                  compile_plan, simulate)
 from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
                                    randomized_compile)
 from qnoisebench.errors import InvalidParams, WidthMismatch
@@ -132,6 +135,45 @@ def test_random_circuits_match_dense_oracle(model, n):
         rho = random_density(n, rng)
         got = simulate(circ, DensityMatrix(rho), noise=model).matrix
         np.testing.assert_allclose(got, dense_oracle(circ, rho, model),
+                                   atol=ATOL)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ket_pass_matches_circuit_unitary(n):
+    """The plan's 2x2 pass over the basis kets gives the dense unitary, with
+    rz/rx letters and the CNOT and Toffoli orders on kets."""
+    rng = np.random.default_rng(300 + n)
+    names = sorted(GATE_ARITY) + ["cnot"] * 3
+    for _ in range(4):
+        circ = Circuit(n, tuple(random_cycle(n, rng, names) for _ in range(8)))
+        plan = compile_plan(circ)
+        got = plan.run(np.eye(2 ** n, dtype=np.complex128),
+                       plan.compose(ket=True))
+        np.testing.assert_allclose(got.T, circuit_unitary(circ), atol=ATOL)
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 512])
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_drawn_batch_matches_dense_oracle(monkeypatch, model, slice_bytes):
+    """Random circuits drawn into one plan, each trial with its own letters
+    and CNOTs, run as one batch of density matrices and one of kets (whole,
+    or in slices of one density matrix and two kets); each trial equals its
+    own circuit's dense oracle."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
+    rng = np.random.default_rng(11)
+    seeds, depth = range(6), 9
+    plan = random_plan(4, depth, seeds)
+    rhos = np.stack([random_density(4, rng) for _ in seeds])
+    kets = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    got = from_paired(plan.run(to_paired(rhos, 4), plan.compose(model)), 4)
+    got_kets = plan.run(kets, plan.compose(ket=True))
+    for t, seed in enumerate(seeds):
+        circ = build_random(4, depth, seed=seed)
+        np.testing.assert_allclose(got[t], dense_oracle(circ, rhos[t], model),
+                                   atol=ATOL)
+        np.testing.assert_allclose(got_kets[t], circuit_unitary(circ) @ kets[t],
                                    atol=ATOL)
 
 
