@@ -34,7 +34,6 @@ from .compiling import (
     apply_pauli_frame,
     approx_rz,
     best_rz_error,
-    euler_decompose,
     interleave_idle,
     is_easy_cycle,
     lower_controlled_rz,

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateIndex, InvalidParams, WidthMismatch
-from .gates import (CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, TOFFOLI, Gate,
-                    gate_matrix)
+from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, TOFFOLI, Gate
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
 from .noise import (NoNoise, NoiseModel, apply_channel_all,  # noqa: F401
@@ -127,19 +126,20 @@ def apply_cycle(dm: DensityMatrix, cycle: Cycle) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def cycle_unitary(cycle: Cycle, n: int) -> np.ndarray:
-    u = np.eye(2 ** n, dtype=np.complex128)
-    for g in cycle.gates:
-        u = gate_matrix(g, n) @ u
-    return u
-
-
 def circuit_unitary(circ: Circuit) -> np.ndarray:
-    """Product of all cycle unitaries, later cycles on the left."""
-    u = np.eye(2 ** circ.n_qubits, dtype=np.complex128)
+    """Product of all gate unitaries, later cycles on the left: the dense
+    oracle the tests check the plan kernel against. U is held as a (2,)*n x
+    2^n tensor, one row axis per qubit, and each gate's 2^k x 2^k matrix is
+    contracted into the row axes of its k qubits."""
+    n = circ.n_qubits
+    u = np.eye(2 ** n, dtype=np.complex128).reshape((2,) * n + (2 ** n,))
     for c in circ.cycles:
-        u = cycle_unitary(c, circ.n_qubits) @ u
-    return u
+        for g in c.gates:
+            k = len(g.qubits)
+            m = g.matrix().reshape((2,) * (2 * k))
+            u = np.tensordot(m, u, axes=(range(k, 2 * k), g.qubits))
+            u = np.moveaxis(u, range(k), g.qubits)
+    return u.reshape(2 ** n, 2 ** n)
 
 
 # Every plan's first letters: the easy gates, the Paulis in the order of their

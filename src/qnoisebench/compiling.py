@@ -18,11 +18,9 @@ from .errors import (
     DuplicateIndex,
     InvalidParams,
     NotInterleaved,
-    NotUnitary,
     SearchExhausted,
 )
 from .gates import Gate, WordTable, rz_matrix, word_table
-from .linalg import as_complex, is_unitary
 
 EASY_NAMES = frozenset(["i", "x", "y", "z", "s", "sdg"])
 
@@ -32,41 +30,6 @@ DEFAULT_DEPTH_BUDGET = 25
 
 def is_easy_cycle(cycle: Cycle) -> bool:
     return all(g.name in EASY_NAMES for g in cycle.gates)
-
-
-# ---------------------------------------------------------------------------
-# Euler angles.
-
-
-def euler_decompose(u: np.ndarray, tol: float = 1e-9) -> tuple[float, float, float]:
-    """Angles (beta, gamma, delta) with Rz(beta) H Rz(gamma) H Rz(delta) = u
-    up to global phase."""
-    u = as_complex(u)
-    if u.shape != (2, 2) or not is_unitary(u, tol):
-        raise NotUnitary("euler_decompose needs a 2x2 unitary")
-    det = np.linalg.det(u)
-    su = u / np.sqrt(det)
-    c = abs(su[0, 0])
-    s = abs(su[0, 1])
-    gamma = 2.0 * np.arctan2(s, c)
-    if s < 1e-12:
-        beta = -2.0 * np.angle(su[0, 0])
-        delta = 0.0
-    elif c < 1e-12:
-        beta = -2.0 * (np.angle(su[0, 1]) + np.pi / 2.0)
-        delta = 0.0
-    else:
-        sum_bd = -2.0 * np.angle(su[0, 0])
-        diff_bd = -2.0 * np.angle(su[0, 1]) - np.pi
-        beta = 0.5 * (sum_bd + diff_bd)
-        delta = 0.5 * (sum_bd - diff_bd)
-    return float(beta), float(gamma), float(delta)
-
-
-def euler_compose(beta: float, gamma: float, delta: float) -> np.ndarray:
-    from .gates import H
-
-    return rz_matrix(beta) @ H @ rz_matrix(gamma) @ H @ rz_matrix(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class NotADistribution(SimulationError):
     """Probability vector is negative, non-normalized, or shape-mismatched."""
 
 
-class NotUnitary(SimulationError):
-    pass
-
-
 class SearchExhausted(SimulationError):
     """Gate-sequence search hit its depth budget without reaching tolerance."""
 

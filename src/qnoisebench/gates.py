@@ -28,8 +28,6 @@ SDG = S.conj().T
 T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128)
 TDG = T.conj().T
 
-PAULIS = {"i": I2, "x": X, "y": Y, "z": Z}
-
 CNOT = np.array(
     [[1, 0, 0, 0],
      [0, 1, 0, 0],

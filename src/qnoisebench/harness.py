@@ -223,7 +223,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
             mean = float(np.mean(values))
             stderr = 0.0
             if cfg.trials > 1:
-                stderr = float(np.std(values, ddof=1) / np.sqrt(cfg.trials))
+                # Spread about the first value: exactly 0 when all are equal.
+                stderr = float(np.std(values - values[0], ddof=1)
+                               / np.sqrt(cfg.trials))
             # Swept benchmarks report the requested depth (the sweep point);
             # fixed ones report the built circuit's cycle count.
             row_depth = (depth if depth is not None
@@ -250,7 +252,9 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
     """Every trial's metric at one sweep point. The trials run TRIAL_CHUNK
     at a time as one batch: noisy density matrices through the plan, and for
     a fidelity the pure reference U psi, scored as Re <U psi| rho |U psi>.
-    A random trial with randomized compiling runs its own compiled plan."""
+    A random trial with randomized compiling runs its own compiled plan. A
+    MaxCut point without randomized compiling has one fixed input and one set
+    of maps, so its trials are equal: it runs one state for the chunk."""
     spec = BENCHMARKS[cfg.benchmark]
     n = spec.n_qubits
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
@@ -264,7 +268,8 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
             psi = random_product_kets(n, input_seeds)
             v = to_paired(psi[:, :, None] * psi.conj()[:, None, :], n)
         else:
-            v = np.zeros((hi - lo, 4 ** n), dtype=np.complex128)
+            v = np.zeros((hi - lo if cfg.rc else 1, 4 ** n),
+                         dtype=np.complex128)
             v[:, 0] = 1.0  # |0...0><0...0|
         if fixed is not None:
             plan, ideal = fixed

@@ -2,7 +2,7 @@
 
 Everything operates on plain ``numpy.ndarray`` values with complex128 dtype.
 The functions here are thin, but they pin down the numerical tolerances the
-rest of the package relies on (hermiticity and unitarity checks at 1e-9).
+rest of the package relies on (the hermiticity check at 1e-9).
 """
 
 from __future__ import annotations
@@ -16,13 +16,6 @@ HERMITICITY_TOL = 1e-9
 
 def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for m in mats:
-        out = np.kron(out, as_complex(m))
-    return out
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -45,13 +38,6 @@ def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.nda
     if not is_hermitian(a, tol):
         raise NotHermitian(f"matrix deviates from Hermitian by more than {tol}")
     return np.linalg.eigvalsh(a)
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
-    u = as_complex(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0])) <= tol
 
 
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:

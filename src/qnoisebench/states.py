@@ -84,11 +84,6 @@ class DensityMatrix:
     def basis(cls, n: int, index: int) -> "DensityMatrix":
         return cls.from_ket(Ket.basis(n, index))
 
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        dim = 2 ** n
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 

@@ -1,5 +1,7 @@
 """Clifford+T lowering and randomized compiling."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,6 @@ from qnoisebench.compiling import (
     apply_pauli_frame,
     approx_rz,
     best_rz_error,
-    euler_compose,
-    euler_decompose,
     interleave_idle,
     is_easy_cycle,
     lower_controlled_rz,
@@ -30,48 +30,14 @@ from qnoisebench.errors import (
     DuplicateIndex,
     InvalidParams,
     NotInterleaved,
-    NotUnitary,
     SearchExhausted,
 )
 from qnoisebench.gates import FIXED_MATRICES, Gate
-from qnoisebench.linalg import equal_up_to_phase, kron_all, phase_aligned_distance
+from qnoisebench.linalg import equal_up_to_phase, phase_aligned_distance
 from qnoisebench.noise import PauliNoise
 from qnoisebench.states import ket_to_density, random_product_state
 
-rng = np.random.default_rng(55)
-
 G = Gate
-
-
-def random_unitary(dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-# ---------------------------------------------------------------------------
-# Euler angles.
-
-
-def test_euler_roundtrip_random_unitaries():
-    for _ in range(30):
-        u = random_unitary(2)
-        beta, gamma, delta = euler_decompose(u)
-        assert equal_up_to_phase(euler_compose(beta, gamma, delta), u, tol=1e-8)
-
-
-def test_euler_handles_diagonal_and_antidiagonal():
-    for u in (np.diag([1.0, np.exp(0.7j)]),
-              np.array([[0, 1j], [1j, 0]], dtype=np.complex128)):
-        beta, gamma, delta = euler_decompose(u)
-        assert equal_up_to_phase(euler_compose(beta, gamma, delta), u, tol=1e-8)
-
-
-def test_euler_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        euler_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(NotUnitary):
-        euler_decompose(np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +254,7 @@ def test_interleave_idle_leaves_easy_circuits_alone():
 
 
 def frame_unitary(frame):
-    return kron_all([FIXED_MATRICES[p] for p in frame])
+    return functools.reduce(np.kron, [FIXED_MATRICES[p] for p in frame])
 
 
 def test_rc_preserves_circuit_action():

@@ -137,6 +137,41 @@ def test_circuit_unitary_matches_simulation():
     assert np.allclose(simulate(circ, rho).matrix, direct)
 
 
+def product_of_embeddings(circ):
+    """The plain formula: one dense 2^n x 2^n `gate_matrix` per gate,
+    multiplied in order, later gates on the left."""
+    u = np.eye(2 ** circ.n_qubits, dtype=np.complex128)
+    for c in circ.cycles:
+        for g in c.gates:
+            u = gate_matrix(g, circ.n_qubits) @ u
+    return u
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_circuit_unitary_matches_product_of_embeddings(n):
+    """Every gate matrix here is symmetric except Y (Y^T = -Y), so the y
+    gates are what would show a gate contracted on its output axes."""
+    rng = np.random.default_rng(900 + n)
+    makers = [(1, lambda q: Gate.rz(*q, rng.uniform(-np.pi, np.pi))),
+              (1, lambda q: Gate.rx(*q, rng.uniform(-np.pi, np.pi))),
+              (1, lambda q: Gate.h(*q)), (1, lambda q: Gate.t(*q)),
+              (1, lambda q: Gate.y(*q)),
+              (2, lambda q: Gate.cnot(*q)), (3, lambda q: Gate.toffoli(*q))]
+    for _ in range(3):
+        cycles = []
+        for _ in range(10):
+            free, gates = list(rng.permutation(n)), []
+            while free:
+                k, make = makers[rng.integers(len(makers))]
+                if k <= len(free):
+                    gates.append(make([int(q) for q in free[:k]]))
+                    free = free[k:]
+            cycles.append(Cycle(tuple(gates)))
+        circ = Circuit(n, tuple(cycles))
+        np.testing.assert_allclose(circuit_unitary(circ),
+                                   product_of_embeddings(circ), atol=1e-12)
+
+
 def test_apply_cycle_is_noiseless():
     rho = DensityMatrix.basis(1, 0)
     out = apply_cycle(rho, Cycle((Gate.x(0),)))

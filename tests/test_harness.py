@@ -349,6 +349,34 @@ def test_qaoa_expectation_metric():
     assert rows[0].stderr == 0.0
 
 
+@pytest.mark.parametrize("rc,trials,rows", [(False, 5, 1), (True, 3, 3)])
+def test_qaoa_point_without_rc_runs_one_state(monkeypatch, rc, trials, rows):
+    """Without RC every qaoa_ct trial has the |0...0> input and the same
+    maps, so the plan runs one state for them all; with RC one per trial."""
+    from qnoisebench.circuits import CircuitPlan
+
+    sizes = []
+    real = CircuitPlan.run
+
+    def recording(self, v, maps):
+        sizes.append(len(v))
+        return real(self, v, maps)
+
+    monkeypatch.setattr(CircuitPlan, "run", recording)
+    cfg = ExperimentConfig(benchmark="qaoa_ct", noise="pauli", levels=(1,),
+                           rc=rc, trials=trials)
+    assert len(run_experiment(cfg)) == 1
+    assert sizes == [rows]
+
+
+def test_equal_trials_have_zero_stderr():
+    """100 bit-identical qaoa_ct values (RC off) report a stderr of exactly 0,
+    not the rounding of their mean."""
+    cfg = ExperimentConfig(benchmark="qaoa_ct", noise="pauli", levels=(1,),
+                           trials=100)
+    assert run_experiment(cfg)[0].stderr == 0.0
+
+
 def test_fixed_benchmark_reports_built_depth():
     cfg = ExperimentConfig(benchmark="qft", noise="none", trials=1)
     rows = run_experiment(cfg)

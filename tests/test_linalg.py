@@ -6,8 +6,6 @@ from qnoisebench.linalg import (
     equal_up_to_phase,
     hermitian_eigenvalues,
     is_hermitian,
-    is_unitary,
-    kron_all,
     max_abs,
     phase_aligned_distance,
     phase_canonical_keys,
@@ -26,13 +24,6 @@ def test_adjoint_involution():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert np.allclose(adjoint(adjoint(a)), a)
     assert np.allclose(adjoint(a), a.conj().T)
-
-
-def test_kron_all_matches_sequential():
-    rng = np.random.default_rng(1)
-    mats = [rng.normal(size=(2, 2)) for _ in range(3)]
-    expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    assert np.allclose(kron_all(mats), expected)
 
 
 def test_max_abs():
@@ -54,12 +45,6 @@ def test_hermitian_eigenvalues_sorted_real():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_is_unitary():
-    rng = np.random.default_rng(3)
-    assert is_unitary(random_unitary(4, rng))
-    assert not is_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_phase_aligned_distance_ignores_global_phase():

@@ -32,7 +32,7 @@ def test_density_matrix_invariants():
         DensityMatrix(np.array([[0.5, 0.0], [0.0, 0.6]])).validate()
     with pytest.raises(InvalidState):
         DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]])).validate()
-    dm = DensityMatrix.maximally_mixed(2).validate()
+    dm = DensityMatrix(np.eye(4) / 4).validate()
     assert np.isclose(dm.purity(), 0.25)
 
 
