@@ -33,7 +33,8 @@ from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, TOFFOLI, Gate
 # noise layer under this module's name, so the name stays importable from it.
 from .noise import (NoNoise, NoiseModel, apply_channel_all,  # noqa: F401
                     apply_qubit_map, apply_superoperators, from_paired,
-                    pair_superoperator, superoperator, to_paired)
+                    from_pauli_transfer, pair_superoperator, pauli_transfer,
+                    superoperator, to_paired)
 from .states import DensityMatrix
 
 PARAM_ROTATIONS = "param_rotations"
@@ -173,30 +174,46 @@ class CircuitPlan:
         """Each segment's map per qubit, (trial, segment, qubit, d, d): the
         4x4 paired maps N (u (x) conj(u)), or with `ket` the 2x2 unitaries,
         noise-free. One trial per row of `letters`, or a twirled trial per
-        seed with its closing frame composed in. One batched product per
-        cycle."""
-        frame_maps = self.unitaries if ket else self.pair_maps
-        if ket or isinstance(noise.validate(), NoNoise):
-            table = frame_maps
-        else:
-            table = superoperator(noise) @ self.pair_maps
+        seed with its closing frame composed in.
+
+        Maps that must be multiplied (a segment of several cycles, or a
+        closing frame) are multiplied as real Pauli transfer matrices, one
+        batched float64 product per cycle, and each segment map goes back to
+        the paired layout once, in one GEMM for all of them. A plan whose
+        segments are one cycle each and that has no frame has nothing to
+        multiply: its maps are read straight from the paired table."""
         letters, frames = self.letters, None
         if seeds is not None:
             merged, frames = self.twirl.sample([self.twirl.draw(s) for s in seeds])
             letters = np.repeat(letters, len(merged), axis=0)
             letters[:, self.twirl.easy] = merged
-        cycle_maps = table[letters]  # (trial, cycle, qubit, d, d)
+        multiply = frames is not None or any(
+            stop - start > 1 for start, stop, _ in self.segments)
+        pauli = multiply and not ket
+        frame_maps = self.unitaries if ket else self.pair_maps
+        if pauli:
+            frame_maps = pauli_transfer(frame_maps)
+        table = frame_maps
+        if not ket and not isinstance(noise.validate(), NoNoise):
+            channel = superoperator(noise)
+            table = (pauli_transfer(channel) if pauli else channel) @ frame_maps
+        if not multiply:  # segment k is cycle k
+            return table[letters]
+        # (cycle, trial, qubit, d, d): each cycle's maps are contiguous.
+        cycle_maps = table[letters.swapaxes(0, 1)]
         segs = []
         for start, stop, _ in self.segments:
-            m = cycle_maps[:, start]
+            m = cycle_maps[start]
             for k in range(start + 1, stop):
-                m = cycle_maps[:, k] @ m
+                m = cycle_maps[k] @ m
             segs.append(m)
         if frames is not None and segs:
             segs[-1] = frame_maps[frames] @ segs[-1]
         d = table.shape[-1]
-        return np.array(segs).reshape(
-            len(segs), len(letters), self.n_qubits, d, d).swapaxes(0, 1)
+        segs = np.array(segs).reshape(len(segs), len(letters), self.n_qubits, d, d)
+        if pauli:
+            segs = from_pauli_transfer(segs)
+        return segs.swapaxes(0, 1)
 
     def run(self, v: np.ndarray, maps: np.ndarray) -> np.ndarray:
         """A batch of states (T, d^n) through maps from `compose` (T trials,

@@ -254,13 +254,15 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
     a fidelity the pure reference U psi, scored as Re <U psi| rho |U psi>.
     A random trial with randomized compiling runs its own compiled plan. A
     MaxCut point without randomized compiling has one fixed input and one set
-    of maps, so its trials are equal: it runs one state for the chunk."""
+    of maps, so its trials are equal: it runs one state for all of them."""
     spec = BENCHMARKS[cfg.benchmark]
     n = spec.n_qubits
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
+    equal = graph is not None and not cfg.rc
+    step = cfg.trials if equal else TRIAL_CHUNK
     values = np.empty(cfg.trials)
-    for lo in range(0, cfg.trials, TRIAL_CHUNK):
-        hi = min(lo + TRIAL_CHUNK, cfg.trials)
+    for lo in range(0, cfg.trials, step):
+        hi = min(lo + step, cfg.trials)
         input_seeds, circ_seeds, rc_seeds = zip(*(
             np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(3)
             for t in range(lo, hi)))
@@ -268,7 +270,7 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
             psi = random_product_kets(n, input_seeds)
             v = to_paired(psi[:, :, None] * psi.conj()[:, None, :], n)
         else:
-            v = np.zeros((hi - lo if cfg.rc else 1, 4 ** n),
+            v = np.zeros((1 if equal else hi - lo, 4 ** n),
                          dtype=np.complex128)
             v[:, 0] = 1.0  # |0...0><0...0|
         if fixed is not None:

@@ -158,6 +158,29 @@ def pair_superoperator(k: np.ndarray) -> np.ndarray:
     return outer.reshape(k.shape[:-2] + (4, 4))
 
 
+# B: the row-major vectorizations of I, X, Y, Z as columns, in the paired
+# index order 2*r + c. B^dagger B = 2 I, so B^-1 = B^dagger / 2.
+PAULI_BASIS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0],
+                        [1, 0, 0, -1]]).T
+_PAULI_INV = PAULI_BASIS.conj().T / 2
+# Row-major vec(B R B^-1) = vec(R) @ kron(B, B^-1 ^T)^T.
+_FROM_PAULI = np.kron(PAULI_BASIS, _PAULI_INV.T).T
+
+
+def pauli_transfer(m: np.ndarray) -> np.ndarray:
+    """The Pauli transfer matrix B^-1 m B of a 4x4 paired map, or of each of
+    a stack (..., 4, 4). It is real for every map that keeps Hermitian
+    matrices Hermitian, as Kraus sums and u (x) conj(u) do (Wood, Biamonte &
+    Cory, arXiv:1111.6950), so products of such maps run on float64."""
+    return (_PAULI_INV @ m @ PAULI_BASIS).real
+
+
+def from_pauli_transfer(r: np.ndarray) -> np.ndarray:
+    """Inverse of `pauli_transfer`: the paired map B r B^-1 of each transfer
+    matrix in a stack (..., 4, 4), as one GEMM."""
+    return (r.reshape(-1, 16) @ _FROM_PAULI).reshape(r.shape)
+
+
 def to_paired(rho: np.ndarray, n: int) -> np.ndarray:
     """rho as a flat vector with axes (r0, c0, r1, c1, ...): one base-4 digit
     2*r_q + c_q per qubit, qubit 0 most significant. A batch (T, 2^n, 2^n)

@@ -349,10 +349,12 @@ def test_qaoa_expectation_metric():
     assert rows[0].stderr == 0.0
 
 
-@pytest.mark.parametrize("rc,trials,rows", [(False, 5, 1), (True, 3, 3)])
+@pytest.mark.parametrize("rc,trials,rows",
+                         [(False, 5, 1), (False, 100, 1), (True, 3, 3)])
 def test_qaoa_point_without_rc_runs_one_state(monkeypatch, rc, trials, rows):
     """Without RC every qaoa_ct trial has the |0...0> input and the same
-    maps, so the plan runs one state for them all; with RC one per trial."""
+    maps, so the plan runs one state once for them all, however many chunks
+    the trials span; with RC one per trial."""
     from qnoisebench.circuits import CircuitPlan
 
     sizes = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qnoisebench import circuits
-from qnoisebench.benchmarks import build_random, random_plan
+from qnoisebench.benchmarks import build_benchmark, build_random, random_plan
 from qnoisebench.circuits import (CLIFFORD_T, Circuit, Cycle, apply_cycle,
                                   apply_local_unitary, circuit_unitary,
                                   compile_plan, simulate)
@@ -22,6 +22,7 @@ from qnoisebench.gates import (CLIFFORD_T_NAMES, GATE_ARITY, H, Gate, embed_unit
                               gate_matrix)
 from qnoisebench.noise import (
     NOISE_KINDS,
+    PAULI_BASIS,
     AmplitudeDamping,
     CoherentNoise,
     NoNoise,
@@ -256,3 +257,76 @@ def test_superoperator_at_the_validation_tolerance(model):
     # Trace preservation: vec(I)^T N = vec(I)^T in the row-major convention.
     np.testing.assert_allclose(np.eye(2).reshape(-1) @ s, np.eye(2).reshape(-1),
                                atol=1e-11)
+
+
+def product_chain(plan, model, seeds=None):
+    """The paired maps of every segment as complex products, one cycle at a
+    time with the closing frame last: the formula `compose` had before it
+    multiplied Pauli transfer matrices."""
+    table = plan.pair_maps
+    if not isinstance(model, NoNoise):
+        table = superoperator(model) @ table
+    letters, frames = plan.letters, None
+    if seeds is not None:
+        merged, frames = plan.twirl.sample([plan.twirl.draw(s) for s in seeds])
+        letters = np.repeat(letters, len(merged), axis=0)
+        letters[:, plan.twirl.easy] = merged
+    cycle_maps = table[letters]
+    segs = []
+    for start, stop, _ in plan.segments:
+        m = cycle_maps[:, start]
+        for k in range(start + 1, stop):
+            m = cycle_maps[:, k] @ m
+        segs.append(m)
+    if frames is not None:
+        segs[-1] = plan.pair_maps[frames] @ segs[-1]
+    return np.stack(segs, axis=1)
+
+
+@pytest.mark.parametrize("rc", [False, True])
+@pytest.mark.parametrize("bench", ["qft_ct", "adder"])
+def test_compose_matches_complex_product_chain(bench, rc):
+    """The Pauli-transfer products, converted back, give the complex product
+    chain's maps under every noise model, with 5 twirl seeds or without RC."""
+    circ = build_benchmark(bench)
+    plan = compile_plan(interleave_idle(circ) if rc else circ, rc)
+    seeds = range(5) if rc else None
+    for model in MODELS:
+        np.testing.assert_allclose(plan.compose(model, seeds),
+                                   product_chain(plan, model, seeds),
+                                   rtol=0, atol=ATOL, err_msg=repr(model))
+
+
+def test_pauli_transfer_matrices_are_real():
+    """B^-1 M B is real for every letter's map under every model; a wrong
+    column of B would show here as an imaginary part, which the real
+    products would otherwise drop unseen."""
+    plan = compile_plan(interleave_idle(build_benchmark("qft_ct")), rc=True)
+    inverse = PAULI_BASIS.conj().T / 2
+    np.testing.assert_allclose(inverse @ PAULI_BASIS, np.eye(4), atol=1e-15)
+    for model in MODELS:
+        for m in superoperator(model) @ plan.pair_maps:
+            assert np.abs((inverse @ m @ PAULI_BASIS).imag).max() <= 1e-15
+
+
+def test_idle_segment_map_stays_exact_identity(monkeypatch):
+    """Noise-free, a qubit idle through a multi-cycle segment gets exactly
+    the identity from `compose`, and `run` skips it (passes None)."""
+    circ = Circuit(2, (Cycle((Gate.h(0),)), Cycle((Gate.t(0),)),
+                       Cycle((Gate.s(0),))))
+    plan = compile_plan(circ)
+    maps = plan.compose()
+    assert maps.shape == (1, 1, 2, 4, 4)
+    assert np.array_equal(maps[0, 0, 1], np.eye(4))
+    seen = []
+
+    def recording(v, maps):
+        seen.append(list(maps))
+        return apply_superoperators(v, maps)
+
+    monkeypatch.setattr(circuits, "apply_superoperators", recording)
+    rho = random_density(2, np.random.default_rng(7))
+    got = from_paired(plan.run(to_paired(rho, 2)[None], maps)[0], 2)
+    assert len(seen) == 1 and seen[0][1] is None and seen[0][0] is not None
+    u = circuit_unitary(circ)
+    np.testing.assert_allclose(got, u @ rho @ u.conj().T, atol=ATOL)
