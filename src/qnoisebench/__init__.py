@@ -24,8 +24,6 @@ from .circuits import (
     PARAM_ROTATIONS,
     Circuit,
     Cycle,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     simulate,
     toffoli_decomposition,

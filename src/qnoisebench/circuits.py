@@ -1,4 +1,4 @@
-"""Circuits as sequences of cycles, density-matrix simulation, serialization.
+"""Circuits as sequences of cycles and density-matrix simulation.
 
 A cycle applies at most one gate per qubit; all its gates act simultaneously.
 Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
@@ -8,21 +8,11 @@ entries, then every qubit gets one 4x4 map, its channel times its gate's
 superoperator u (x) conj(u). A plan runs a batch of trials at once, and runs
 kets under the 2x2 unitaries the same way. `apply_local_unitary` and
 `apply_cycle` run on the same two kernels.
-
-Text format (one circuit per file):
-
-    qubits 3
-    h@0 i@1 i@2
-    cnot@0,1 rz(0.25)@2
-
-One cycle per line after the header; tokens are `name@qubits` or
-`name(angle)@qubits`, idle qubits written explicitly as `i@q`.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +46,6 @@ class Cycle:
                 if q in seen:
                     raise DuplicateIndex(f"qubit {q} used twice in one cycle")
                 seen.add(q)
-
-    def qubits(self) -> set[int]:
-        return {q for g in self.gates for q in g.qubits}
 
 
 @dataclass(frozen=True)
@@ -169,12 +156,13 @@ class CircuitPlan:
         object.__setattr__(self, "pair_maps",
                            pair_superoperator(self.unitaries))
 
-    def compose(self, noise: NoiseModel = NoNoise(), seeds=None,
-                ket: bool = False) -> np.ndarray:
+    def _compose(self, noise: NoiseModel = NoNoise(), seeds=None,
+                 ket: bool = False) -> np.ndarray:
         """Each segment's map per qubit, (trial, segment, qubit, d, d): the
-        4x4 paired maps N (u (x) conj(u)), or with `ket` the 2x2 unitaries,
-        noise-free. One trial per row of `letters`, or a twirled trial per
-        seed with its closing frame composed in.
+        4x4 paired maps N (u (x) conj(u)), or with `ket` the 2x2 unitaries
+        (`run` lets a ket batch run noise-free only). One trial per row of
+        `letters`, or a twirled trial per seed with its closing frame
+        composed in.
 
         Maps that must be multiplied (a segment of several cycles, or a
         closing frame) are multiplied as real Pauli transfer matrices, one
@@ -194,7 +182,7 @@ class CircuitPlan:
         if pauli:
             frame_maps = pauli_transfer(frame_maps)
         table = frame_maps
-        if not ket and not isinstance(noise.validate(), NoNoise):
+        if not isinstance(noise, NoNoise):
             channel = superoperator(noise)
             table = (pauli_transfer(channel) if pauli else channel) @ frame_maps
         if not multiply:  # segment k is cycle k
@@ -215,14 +203,36 @@ class CircuitPlan:
             segs = from_pauli_transfer(segs)
         return segs.swapaxes(0, 1)
 
-    def run(self, v: np.ndarray, maps: np.ndarray) -> np.ndarray:
-        """A batch of states (T, d^n) through maps from `compose` (T trials,
-        or one for the whole batch): paired density matrices under 4x4 maps,
-        kets under 2x2. One gather and one kernel pass per segment for a
+    def run(self, v: np.ndarray, noise: NoiseModel = NoNoise(),
+            seeds=None) -> np.ndarray:
+        """A batch of states (T, width) through the plan, under `noise` after
+        every cycle. Width 4^n is paired density matrices (`noise.to_paired`),
+        run under the 4x4 maps N (u (x) conj(u)); width 2^n is kets, run
+        noise-free under the 2x2 unitaries. Any other width raises
+        WidthMismatch, and a ket batch under noise raises InvalidParams.
+
+        The trials are the rows of `letters`, or with seeds one twirled trial
+        per seed, its closing frame composed in: one trial for every state or
+        one per state. One gather and one kernel pass per segment for a
         slice of the batch; a map that is exactly the identity for every
         trial is skipped. A slice holds at most _SLICE_BYTES of states (one
         state at least), so it stays in cache through all the passes."""
-        n, d = self.n_qubits, maps.shape[-1]
+        n = self.n_qubits
+        if v.ndim != 2 or v.shape[1] not in (2 ** n, 4 ** n):
+            raise WidthMismatch(
+                f"batch of shape {v.shape} is neither kets (width {2 ** n}) "
+                f"nor paired density matrices (width {4 ** n})")
+        ket = v.shape[1] == 2 ** n
+        noise = noise.validate()
+        if ket and not isinstance(noise, NoNoise):
+            raise InvalidParams(f"kets run noise-free, not under {noise!r}")
+        if seeds is not None and self.twirl is None:
+            raise InvalidParams("seeds draw twirls; compile the plan with rc")
+        maps = self._compose(noise, seeds, ket=ket)
+        if len(maps) not in (1, len(v)):
+            raise InvalidParams(
+                f"{len(maps)} trials of maps for a batch of {len(v)} states")
+        d = maps.shape[-1]
         idle = (maps == np.eye(d)).all(axis=(0, -2, -1)).tolist()
         step = max(1, _SLICE_BYTES // v[0].nbytes)
         out = []
@@ -292,8 +302,8 @@ def simulate(circ: Circuit, state: DensityMatrix,
             f"circuit width {n} != state width {state.n_qubits}"
         )
     plan = compile_plan(circ, rc)
-    v = plan.run(to_paired(state.matrix, n)[None],
-                 plan.compose(noise, [seed] if rc else None))
+    v = plan.run(to_paired(state.matrix, n)[None], noise,
+                 [seed] if rc else None)
     return DensityMatrix(from_paired(v[0], n))
 
 
@@ -344,71 +354,3 @@ def toffoli_decomposition(c1: int, c2: int, target: int,
         [G.cnot(c1, c2)],
     ]
     return Circuit(n, tuple(Cycle(tuple(layer)) for layer in layers), CLIFFORD_T)
-
-
-# ---------------------------------------------------------------------------
-# Text serialization.
-
-_TOKEN_RE = re.compile(
-    r"^(?P<name>[a-z]+)(?:\((?P<angle>[^)]+)\))?@(?P<qubits>\d+(?:,\d+)*)$"
-)
-
-
-def _gate_token(g: Gate) -> str:
-    qubits = ",".join(str(q) for q in g.qubits)
-    if g.angle is not None:
-        return f"{g.name}({g.angle!r})@{qubits}"
-    return f"{g.name}@{qubits}"
-
-
-def circuit_to_text(circ: Circuit) -> str:
-    lines = [f"qubits {circ.n_qubits}"]
-    for cycle in circ.cycles:
-        tokens = []
-        covered = cycle.qubits()
-        by_first = {min(g.qubits): g for g in cycle.gates}
-        q = 0
-        while q < circ.n_qubits:
-            if q in by_first:
-                tokens.append(_gate_token(by_first[q]))
-            elif q not in covered:
-                tokens.append(f"i@{q}")
-            q += 1
-        lines.append(" ".join(tokens))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str, gate_set: str | None = None) -> Circuit:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("qubits "):
-        raise InvalidParams("missing 'qubits N' header line")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise InvalidParams(f"bad header {lines[0]!r}") from exc
-    cycles = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        gates = []
-        for token in line.split():
-            m = _TOKEN_RE.match(token)
-            if not m:
-                raise InvalidParams(f"line {lineno}: bad token {token!r}")
-            name = m.group("name")
-            qubits = tuple(int(q) for q in m.group("qubits").split(","))
-            angle = m.group("angle")
-            if name == "i":
-                continue
-            if angle is not None:
-                try:
-                    theta = float(angle)
-                except ValueError as exc:
-                    raise InvalidParams(
-                        f"line {lineno}: bad angle in {token!r}") from exc
-                gates.append(Gate(name, qubits, theta))
-            else:
-                gates.append(Gate(name, qubits))
-        cycles.append(Cycle(tuple(gates)))
-    return Circuit(n, tuple(cycles), gate_set)

@@ -210,8 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                                 cfg.rc)
             # Row j is U e_j: the basis states through the noiseless circuit.
             ideal = (None if spec.metric == "expectation_value" else
-                     plan.run(np.eye(2 ** spec.n_qubits, dtype=np.complex128),
-                              plan.compose(ket=True)))
+                     plan.run(np.eye(2 ** spec.n_qubits, dtype=np.complex128)))
             fixed[depth] = (plan, ideal)
     rows = []
     sweep_idx = 0
@@ -275,19 +274,19 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
             v[:, 0] = 1.0  # |0...0><0...0|
         if fixed is not None:
             plan, ideal = fixed
-            v = plan.run(v, plan.compose(noise, rc_seeds if cfg.rc else None))
+            v = plan.run(v, noise, rc_seeds if cfg.rc else None)
             ref = None if ideal is None else psi @ ideal
         elif not cfg.rc:
             plan = random_plan(n, depth, circ_seeds)
-            v = plan.run(v, plan.compose(noise))
-            ref = plan.run(psi, plan.compose(ket=True))
+            v = plan.run(v, noise)
+            ref = plan.run(psi)
         else:
             ref = np.empty_like(psi)
             for k, (circ_seed, rc_seed) in enumerate(zip(circ_seeds, rc_seeds)):
                 plan = compile_plan(interleave_idle(build_benchmark(
                     cfg.benchmark, depth=depth, seed=circ_seed)), rc=True)
-                v[k] = plan.run(v[k:k + 1], plan.compose(noise, [rc_seed]))[0]
-                ref[k] = plan.run(psi[k:k + 1], plan.compose(ket=True))[0]
+                v[k] = plan.run(v[k:k + 1], noise, [rc_seed])[0]
+                ref[k] = plan.run(psi[k:k + 1])[0]
         rho = from_paired(v, n)
         check_traces(rho)
         if graph is not None:

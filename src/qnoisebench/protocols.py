@@ -3,16 +3,17 @@ scoring, heavy-output testing and quantum volume."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import PARAM_ROTATIONS, Circuit, Cycle, simulate
+from .circuits import PARAM_ROTATIONS, Circuit, CircuitPlan, Cycle, simulate
 from .errors import FitDiverged, InvalidParams, ZeroIdealProbability
 from .gates import FIXED_MATRICES, Gate, H, SDG, WordTable, word_table
 from .linalg import adjoint, equal_up_to_phase, phase_canonical_keys
-from .noise import NoNoise, NoiseModel, pair_superoperator, superoperator
+from .noise import NoNoise, NoiseModel
 from .states import DensityMatrix, measurement_distribution
 
 
@@ -59,6 +60,8 @@ def state_tomography_1q(prepare: Callable[[], DensityMatrix],
     basis is sampled independently. Sampled reconstructions can be non-PSD:
     raw keeps the linear inversion, reconstructed is its PSD projection.
     """
+    if shots_per_basis is not None:
+        _check_count("shots_per_basis", shots_per_basis)
     rng = np.random.default_rng(seed)
     expectations = []
     for rotation in (None, H, H @ SDG):
@@ -127,24 +130,26 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
     """Mean |0> survival per sequence length.
 
     Each sequence is m uniform Cliffords plus the group inverse of their
-    product; the noise channel fires once after every Clifford. Every step is
-    one fused 4x4 map N (c (x) conj(c)) on the vectorized 2x2 state.
+    product; the noise channel fires once after every Clifford. The
+    sequences of one length run as one batch through a one-qubit
+    `CircuitPlan`: its letters are the drawn Clifford indices, its table the
+    24 Clifford unitaries, and its one segment all m + 1 cycles.
     """
-    if any(m < 1 for m in lengths):
-        raise InvalidParams("sequence lengths must be >= 1")
+    for m in lengths:
+        _check_count("sequence length", m)
+    _check_count("sequences_per_length", sequences_per_length)
     noise = noise if noise is not None else NoNoise()
-    chan = superoperator(noise)
-    steps = [chan @ pair_superoperator(c) for c in _clifford_table().mats]
+    cliffords = _clifford_table().mats
     rng = np.random.default_rng(seed)
+    start = np.zeros((sequences_per_length, 4), dtype=np.complex128)
+    start[:, 0] = 1.0  # |0><0|
     means = []
     for m in lengths:
-        total = 0.0
-        for _ in range(sequences_per_length):
-            v = np.array([1, 0, 0, 0], dtype=np.complex128)  # |0><0|
-            for idx in rb_sequence_indices(m, rng):
-                v = steps[idx] @ v
-            total += float(v[0].real)
-        means.append(total / sequences_per_length)
+        letters = np.array([rb_sequence_indices(m, rng)
+                            for _ in range(sequences_per_length)])
+        plan = CircuitPlan(1, letters[:, :, None], cliffords,
+                           ((0, m + 1, ((),)),))
+        means.append(plan.run(start, noise)[:, 0].real.mean())
     return np.asarray(means)
 
 
@@ -322,6 +327,7 @@ def quantum_volume(noise: NoiseModel, max_m: int = 4,
     pass the heavy-output test under the given noise."""
     if max_m > 8:
         raise InvalidParams("max_m above 8 is outside desk scale")
+    _check_count("circuits_per_size", circuits_per_size)
     rng = np.random.default_rng(seed)
     best = 0
     for m in range(2, max_m + 1):
@@ -336,3 +342,11 @@ def quantum_volume(noise: NoiseModel, max_m: int = 4,
         if passes > circuits_per_size // 2:
             best = m
     return 2 ** best
+
+
+def _check_count(name: str, value) -> None:
+    """A sample count must be an integer >= 1: zero samples estimate
+    nothing."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise InvalidParams(f"{name}: {value!r} must be an integer >= 1")

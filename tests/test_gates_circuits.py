@@ -7,8 +7,6 @@ from qnoisebench.circuits import (
     Circuit,
     Cycle,
     apply_cycle,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     simulate,
     toffoli_decomposition,
@@ -176,38 +174,3 @@ def test_apply_cycle_is_noiseless():
     rho = DensityMatrix.basis(1, 0)
     out = apply_cycle(rho, Cycle((Gate.x(0),)))
     assert np.allclose(out.matrix, [[0, 0], [0, 1]])
-
-
-def test_serialization_golden():
-    circ = Circuit(2, (
-        Cycle((Gate.h(0),)),
-        Cycle((Gate.cnot(0, 1),)),
-        Cycle((Gate.rz(1, 0.5),)),
-    ), PARAM_ROTATIONS)
-    assert circuit_to_text(circ) == (
-        "qubits 2\n"
-        "h@0 i@1\n"
-        "cnot@0,1\n"
-        "i@0 rz(0.5)@1\n"
-    )
-
-
-def test_serialization_round_trip():
-    circ = Circuit(3, (
-        Cycle((Gate.h(0), Gate.rz(2, np.pi / 8))),
-        Cycle((Gate.cnot(2, 0),)),
-        Cycle(()),
-    ), PARAM_ROTATIONS)
-    back = circuit_from_text(circuit_to_text(circ), gate_set=PARAM_ROTATIONS)
-    assert back.n_qubits == 3
-    assert len(back.cycles) == 3
-    assert circuit_to_text(back) == circuit_to_text(circ)
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(InvalidParams):
-        circuit_from_text("no header\n")
-    with pytest.raises(InvalidParams):
-        circuit_from_text("qubits 2\nwat?!@0\n")
-    with pytest.raises(InvalidParams, match="line 2"):
-        circuit_from_text("qubits 1\nrz(abc)@0\n")

@@ -306,13 +306,13 @@ def test_non_unitary_reference_raises(monkeypatch, bench, rc):
     from qnoisebench.circuits import CircuitPlan
     from qnoisebench.errors import InvalidState
 
-    real = CircuitPlan.compose
+    real = CircuitPlan._compose
 
     def scaled(self, *args, ket=False, **kwargs):
         maps = real(self, *args, ket=ket, **kwargs)
         return 1.01 * maps if ket else maps
 
-    monkeypatch.setattr(CircuitPlan, "compose", scaled)
+    monkeypatch.setattr(CircuitPlan, "_compose", scaled)
     depth = (6, 6, 1) if bench == "random" else None
     cfg = ExperimentConfig(benchmark=bench, noise="pauli", levels=(1,), rc=rc,
                            trials=2, depth_range=depth)
@@ -360,9 +360,9 @@ def test_qaoa_point_without_rc_runs_one_state(monkeypatch, rc, trials, rows):
     sizes = []
     real = CircuitPlan.run
 
-    def recording(self, v, maps):
+    def recording(self, v, *args):
         sizes.append(len(v))
-        return real(self, v, maps)
+        return real(self, v, *args)
 
     monkeypatch.setattr(CircuitPlan, "run", recording)
     cfg = ExperimentConfig(benchmark="qaoa_ct", noise="pauli", levels=(1,),

@@ -148,8 +148,7 @@ def test_ket_pass_matches_circuit_unitary(n):
     for _ in range(4):
         circ = Circuit(n, tuple(random_cycle(n, rng, names) for _ in range(8)))
         plan = compile_plan(circ)
-        got = plan.run(np.eye(2 ** n, dtype=np.complex128),
-                       plan.compose(ket=True))
+        got = plan.run(np.eye(2 ** n, dtype=np.complex128))
         np.testing.assert_allclose(got.T, circuit_unitary(circ), atol=ATOL)
 
 
@@ -168,8 +167,8 @@ def test_drawn_batch_matches_dense_oracle(monkeypatch, model, slice_bytes):
     rhos = np.stack([random_density(4, rng) for _ in seeds])
     kets = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    got = from_paired(plan.run(to_paired(rhos, 4), plan.compose(model)), 4)
-    got_kets = plan.run(kets, plan.compose(ket=True))
+    got = from_paired(plan.run(to_paired(rhos, 4), model), 4)
+    got_kets = plan.run(kets)
     for t, seed in enumerate(seeds):
         circ = build_random(4, depth, seed=seed)
         np.testing.assert_allclose(got[t], dense_oracle(circ, rhos[t], model),
@@ -261,7 +260,7 @@ def test_superoperator_at_the_validation_tolerance(model):
 
 def product_chain(plan, model, seeds=None):
     """The paired maps of every segment as complex products, one cycle at a
-    time with the closing frame last: the formula `compose` had before it
+    time with the closing frame last: the formula `_compose` had before it
     multiplied Pauli transfer matrices."""
     table = plan.pair_maps
     if not isinstance(model, NoNoise):
@@ -292,7 +291,7 @@ def test_compose_matches_complex_product_chain(bench, rc):
     plan = compile_plan(interleave_idle(circ) if rc else circ, rc)
     seeds = range(5) if rc else None
     for model in MODELS:
-        np.testing.assert_allclose(plan.compose(model, seeds),
+        np.testing.assert_allclose(plan._compose(model, seeds),
                                    product_chain(plan, model, seeds),
                                    rtol=0, atol=ATOL, err_msg=repr(model))
 
@@ -311,11 +310,11 @@ def test_pauli_transfer_matrices_are_real():
 
 def test_idle_segment_map_stays_exact_identity(monkeypatch):
     """Noise-free, a qubit idle through a multi-cycle segment gets exactly
-    the identity from `compose`, and `run` skips it (passes None)."""
+    the identity from `_compose`, and `run` skips it (passes None)."""
     circ = Circuit(2, (Cycle((Gate.h(0),)), Cycle((Gate.t(0),)),
                        Cycle((Gate.s(0),))))
     plan = compile_plan(circ)
-    maps = plan.compose()
+    maps = plan._compose()
     assert maps.shape == (1, 1, 2, 4, 4)
     assert np.array_equal(maps[0, 0, 1], np.eye(4))
     seen = []
@@ -326,7 +325,50 @@ def test_idle_segment_map_stays_exact_identity(monkeypatch):
 
     monkeypatch.setattr(circuits, "apply_superoperators", recording)
     rho = random_density(2, np.random.default_rng(7))
-    got = from_paired(plan.run(to_paired(rho, 2)[None], maps)[0], 2)
+    got = from_paired(plan.run(to_paired(rho, 2)[None])[0], 2)
     assert len(seen) == 1 and seen[0][1] is None and seen[0][0] is not None
     u = circuit_unitary(circ)
     np.testing.assert_allclose(got, u @ rho @ u.conj().T, atol=ATOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_run_takes_kets_or_density_matrices_by_width(n):
+    """A batch 4^n wide is paired density matrices, run under each model's
+    maps; one 2^n wide is kets, run under the unitaries. Each matches its
+    dense oracle, and twirled kets with their closing frames undone are the
+    plain circuit up to a global phase."""
+    rng = np.random.default_rng(900 + n)
+    circ = random_clifford_t(n, 8, rng)
+    plan = compile_plan(circ, rc=True)
+    rhos = np.stack([random_density(n, rng) for _ in range(3)])
+    for model in MODELS:
+        got = from_paired(plan.run(to_paired(rhos, n), model), n)
+        for rho, g in zip(rhos, got):
+            np.testing.assert_allclose(g, dense_oracle(circ, rho, model),
+                                       atol=ATOL, err_msg=repr(model))
+    kets = rhos[:, :, 0] / np.linalg.norm(rhos[:, :, 0], axis=1, keepdims=True)
+    want = kets @ circuit_unitary(circ).T
+    np.testing.assert_allclose(plan.run(kets), want, atol=ATOL)
+    twirled = plan.run(kets, NoNoise(), range(3))
+    np.testing.assert_allclose(np.abs((twirled.conj() * want).sum(axis=1)), 1.0,
+                               atol=ATOL)
+
+
+def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
+    """A batch neither 2^n nor 4^n wide raises WidthMismatch. Kets under a
+    noise model raise InvalidParams, and so do maps for a different number
+    of trials than the batch has states and seeds for a plan without RC
+    tables."""
+    circ = interleave_idle(Circuit(2, (Cycle((Gate.h(0), Gate.t(1))),
+                                       Cycle((Gate.cnot(0, 1),))), CLIFFORD_T))
+    plan = compile_plan(circ, rc=True)
+    for shape in [(1, 2), (1, 8), (1, 64), (16,), (1, 4, 4)]:
+        with pytest.raises(WidthMismatch):
+            plan.run(np.zeros(shape, dtype=np.complex128))
+    kets = np.eye(4, dtype=np.complex128)
+    with pytest.raises(InvalidParams, match="noise-free"):
+        plan.run(kets, PauliNoise(0.01, 0.0, 0.0))
+    with pytest.raises(InvalidParams, match="batch of 4"):
+        plan.run(kets, NoNoise(), range(3))
+    with pytest.raises(InvalidParams, match="rc"):
+        compile_plan(circ).run(kets, NoNoise(), range(4))

@@ -13,7 +13,16 @@ from qnoisebench.errors import (
 from qnoisebench.gates import FIXED_MATRICES, I2
 from qnoisebench.linalg import equal_up_to_phase, phase_canonical_keys
 from qnoisebench.metrics import trace_distance
-from qnoisebench.noise import AmplitudeDamping, NoNoise, PauliNoise
+from qnoisebench.noise import (
+    AmplitudeDamping,
+    CoherentNoise,
+    NoNoise,
+    PauliNoise,
+    PauliPlusCoherent,
+    PhaseDamping,
+    pair_superoperator,
+    superoperator,
+)
 from qnoisebench.protocols import (
     EULER_GAMMA,
     clifford_group,
@@ -156,6 +165,39 @@ def test_rb_survivals_are_pinned():
         rtol=0, atol=1e-12)
 
 
+def rb_reference(lengths, sequences_per_length, noise, seed):
+    """Mean survival from one fused 4x4 step per Clifford, state by state:
+    the loop `rb_experiment` ran before it ran the plan."""
+    chan = superoperator(noise)
+    steps = [chan @ pair_superoperator(c) for c in clifford_group()[0]]
+    rng = np.random.default_rng(seed)
+    means = []
+    for m in lengths:
+        total = 0.0
+        for _ in range(sequences_per_length):
+            v = np.array([1, 0, 0, 0], dtype=np.complex128)  # |0><0|
+            for idx in rb_sequence_indices(m, rng):
+                v = steps[idx] @ v
+            total += float(v[0].real)
+        means.append(total / sequences_per_length)
+    return np.asarray(means)
+
+
+@pytest.mark.parametrize("noise", [
+    NoNoise(),
+    PauliNoise(0.02, 0.01, 0.03),
+    CoherentNoise("z", 0.2),
+    CoherentNoise("x", 0.15),
+    PauliPlusCoherent(0.05, 0.1),
+    AmplitudeDamping(0.3),
+    PhaseDamping(0.2),
+], ids=repr)
+def test_rb_experiment_matches_per_step_reference(noise):
+    got = rb_experiment((1, 4, 16), 12, noise=noise, seed=7)
+    np.testing.assert_allclose(got, rb_reference((1, 4, 16), 12, noise, 7),
+                               rtol=0, atol=1e-12)
+
+
 def test_rb_fit_recovers_synthetic_decay():
     a, b, r = 0.6, 0.35, 0.015
     lengths = (1, 2, 4, 8, 16, 32, 64)
@@ -273,3 +315,16 @@ def test_quantum_volume_noiseless_and_saturated():
 def test_quantum_volume_rejects_large_width():
     with pytest.raises(InvalidParams):
         quantum_volume(NoNoise(), max_m=9)
+
+
+def test_zero_sample_counts_raise():
+    """Zero samples estimate nothing: no NaN state, no division by zero, no
+    volume of 1 from zero circuits."""
+    with pytest.raises(InvalidParams, match="shots_per_basis"):
+        state_tomography_1q(fixed_state([1, 0]), shots_per_basis=0, seed=1)
+    with pytest.raises(InvalidParams, match="sequences_per_length"):
+        rb_experiment((1, 2), sequences_per_length=0)
+    with pytest.raises(InvalidParams, match="sequence length"):
+        rb_experiment((2.5, 3), sequences_per_length=1)
+    with pytest.raises(InvalidParams, match="circuits_per_size"):
+        quantum_volume(NoNoise(), max_m=2, circuits_per_size=0)
