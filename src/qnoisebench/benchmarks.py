@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
-                       CircuitPlan, Cycle, identity_cycle,
-                       toffoli_decomposition)
+from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, Circuit, CircuitPlan,
+                       Cycle, identity_cycle, toffoli_decomposition)
 from .compiling import interleave_idle, lower_controlled_rz, to_clifford_t
 from .errors import InvalidParams
 from .gates import FIXED_MATRICES, Gate
@@ -96,12 +95,8 @@ def build_idle(n: int, depth: int) -> Circuit:
 
 
 _RANDOM_SINGLES = ("i", "x", "y", "z", "h")
+_RANDOM_UNITARIES = np.stack([FIXED_MATRICES[name] for name in _RANDOM_SINGLES])
 CNOT_CYCLE_PROB = 0.25
-# The random set as plan letters: PLAN_LETTERS, then h, the order in which
-# `compile_plan` numbers them.
-_PLAN_NAMES = PLAN_LETTERS + ("h",)
-_PLAN_CODES = np.array([_PLAN_NAMES.index(name) for name in _RANDOM_SINGLES])
-_PLAN_UNITARIES = np.stack([FIXED_MATRICES[name] for name in _PLAN_NAMES])
 
 
 def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
@@ -142,14 +137,14 @@ def build_random(n: int, depth: int, seed=None) -> Circuit:
 
 def random_plan(n: int, depth: int, seeds) -> CircuitPlan:
     """The circuits `build_random` draws from `seeds`, one trial each, as one
-    plan: letters (trial, cycle, qubit) and one segment per cycle, whose CNOT
-    flips are each trial's own."""
+    plan: letters (trial, cycle, qubit) indexing _RANDOM_SINGLES, and one
+    segment per cycle, whose CNOT flips are each trial's own."""
     draws = [_draw_random(n, depth, s) for s in seeds]
-    letters = _PLAN_CODES[np.array([singles for singles, _ in draws],
-                                   dtype=np.intp).reshape(len(draws), depth, n)]
+    letters = np.array([singles for singles, _ in draws],
+                       dtype=np.intp).reshape(len(draws), depth, n)
     segments = tuple((k, k + 1, tuple(flips[k] for _, flips in draws))
                      for k in range(depth))
-    return CircuitPlan(n, letters, _PLAN_UNITARIES, segments)
+    return CircuitPlan(n, letters, _RANDOM_UNITARIES, segments)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 A cycle applies at most one gate per qubit; all its gates act simultaneously.
 Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
-applied to every qubit, idle qubits included. `simulate` runs a `CircuitPlan`
-on the paired layout of `noise.to_paired`: each CNOT (or Toffoli) permutes the
-entries, then every qubit gets one 4x4 map, its channel times its gate's
-superoperator u (x) conj(u). A plan runs a batch of trials at once, and runs
-kets under the 2x2 unitaries the same way. `apply_local_unitary` and
-`apply_cycle` run on the same two kernels.
+applied to every qubit, idle qubits included. `CircuitPlan.run` takes density
+matrices and runs them on the paired layout of `noise.to_paired`, which never
+leaves `run`: each CNOT (or Toffoli) permutes the entries, then every qubit
+gets one 4x4 map, its channel times its gate's superoperator u (x) conj(u). A
+plan runs a batch of trials at once, and kets under the 2x2 unitaries the same
+way. `apply_local_unitary` and `apply_cycle` run on the same two kernels.
 """
 
 from __future__ import annotations
@@ -203,13 +203,13 @@ class CircuitPlan:
             segs = from_pauli_transfer(segs)
         return segs.swapaxes(0, 1)
 
-    def run(self, v: np.ndarray, noise: NoiseModel = NoNoise(),
+    def run(self, states: np.ndarray, noise: NoiseModel = NoNoise(),
             seeds=None) -> np.ndarray:
-        """A batch of states (T, width) through the plan, under `noise` after
-        every cycle. Width 4^n is paired density matrices (`noise.to_paired`),
-        run under the 4x4 maps N (u (x) conj(u)); width 2^n is kets, run
-        noise-free under the 2x2 unitaries. Any other width raises
-        WidthMismatch, and a ket batch under noise raises InvalidParams.
+        """Density matrices (T, 2^n, 2^n) or kets (T, 2^n) through the plan,
+        under `noise` after every cycle, returned in the same shape. Density
+        matrices run paired (`noise.to_paired`) under the 4x4 maps
+        N (u (x) conj(u)); kets run noise-free under the 2x2 unitaries. Any
+        other shape raises WidthMismatch, and noisy kets InvalidParams.
 
         The trials are the rows of `letters`, or with seeds one twirled trial
         per seed, its closing frame composed in: one trial for every state or
@@ -218,26 +218,27 @@ class CircuitPlan:
         trial is skipped. A slice holds at most _SLICE_BYTES of states (one
         state at least), so it stays in cache through all the passes."""
         n = self.n_qubits
-        if v.ndim != 2 or v.shape[1] not in (2 ** n, 4 ** n):
+        if states.shape[1:] not in ((2 ** n,), (2 ** n, 2 ** n)):
             raise WidthMismatch(
-                f"batch of shape {v.shape} is neither kets (width {2 ** n}) "
-                f"nor paired density matrices (width {4 ** n})")
-        ket = v.shape[1] == 2 ** n
+                f"batch of shape {states.shape} is neither kets (T, {2 ** n}) "
+                f"nor density matrices (T, {2 ** n}, {2 ** n})")
+        ket = states.ndim == 2
         noise = noise.validate()
         if ket and not isinstance(noise, NoNoise):
             raise InvalidParams(f"kets run noise-free, not under {noise!r}")
         if seeds is not None and self.twirl is None:
             raise InvalidParams("seeds draw twirls; compile the plan with rc")
         maps = self._compose(noise, seeds, ket=ket)
-        if len(maps) not in (1, len(v)):
+        if len(maps) not in (1, len(states)):
             raise InvalidParams(
-                f"{len(maps)} trials of maps for a batch of {len(v)} states")
+                f"{len(maps)} trials of maps for a batch of {len(states)} states")
         d = maps.shape[-1]
         idle = (maps == np.eye(d)).all(axis=(0, -2, -1)).tolist()
-        step = max(1, _SLICE_BYTES // v[0].nbytes)
+        step = max(1, _SLICE_BYTES // states[0].nbytes)
         out = []
-        for lo in range(0, len(v), step):
-            w, trials = v[lo:lo + step], slice(lo, lo + step)
+        for lo in range(0, len(states), step):
+            trials = slice(lo, lo + step)
+            w = states[trials] if ket else to_paired(states[trials], n)
             for (_, _, flips), seg, skip in zip(self.segments,
                                                 maps.swapaxes(0, 1), idle):
                 if len(flips) > 1:  # each trial's own order, as one flat take
@@ -250,7 +251,7 @@ class CircuitPlan:
                 w = apply_superoperators(
                     w, [None if s else m[trials] if len(m) > 1 else m
                         for m, s in zip(seg.swapaxes(0, 1), skip)])
-            out.append(w)
+            out.append(w if ket else from_paired(w, n))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
 
@@ -296,15 +297,9 @@ def simulate(circ: Circuit, state: DensityMatrix,
     and the closing Pauli frame is composed into the last maps noise-free, the
     same correction a hardware run folds into measurement relabeling.
     """
-    n = circ.n_qubits
-    if n != state.n_qubits:
-        raise WidthMismatch(
-            f"circuit width {n} != state width {state.n_qubits}"
-        )
     plan = compile_plan(circ, rc)
-    v = plan.run(to_paired(state.matrix, n)[None], noise,
-                 [seed] if rc else None)
-    return DensityMatrix(from_paired(v[0], n))
+    rho = plan.run(state.matrix[None], noise, [seed] if rc else None)
+    return DensityMatrix(rho[0])
 
 
 @functools.lru_cache(maxsize=64)

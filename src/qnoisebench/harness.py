@@ -30,8 +30,7 @@ from .circuits import CLIFFORD_T, compile_plan, simulate  # noqa: F401
 from .compiling import interleave_idle
 from .errors import ConfigError, IoError, SimulationError
 from .metrics import process_fidelity  # noqa: F401
-from .noise import (LEVEL_PARAMS, NOISE_KINDS, from_paired, noise_model_for,
-                    to_paired)
+from .noise import LEVEL_PARAMS, NOISE_KINDS, noise_model_for
 from .states import (check_norms, check_traces,  # noqa: F401
                      ket_to_density, random_product_kets,
                      random_product_state)
@@ -267,27 +266,26 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
             for t in range(lo, hi)))
         if graph is None:
             psi = random_product_kets(n, input_seeds)
-            v = to_paired(psi[:, :, None] * psi.conj()[:, None, :], n)
+            rho = psi[:, :, None] * psi.conj()[:, None, :]
         else:
-            v = np.zeros((1 if equal else hi - lo, 4 ** n),
-                         dtype=np.complex128)
-            v[:, 0] = 1.0  # |0...0><0...0|
+            rho = np.zeros((1 if equal else hi - lo, 2 ** n, 2 ** n),
+                           dtype=np.complex128)
+            rho[:, 0, 0] = 1.0  # |0...0><0...0|
         if fixed is not None:
             plan, ideal = fixed
-            v = plan.run(v, noise, rc_seeds if cfg.rc else None)
+            rho = plan.run(rho, noise, rc_seeds if cfg.rc else None)
             ref = None if ideal is None else psi @ ideal
         elif not cfg.rc:
             plan = random_plan(n, depth, circ_seeds)
-            v = plan.run(v, noise)
+            rho = plan.run(rho, noise)
             ref = plan.run(psi)
         else:
             ref = np.empty_like(psi)
             for k, (circ_seed, rc_seed) in enumerate(zip(circ_seeds, rc_seeds)):
                 plan = compile_plan(interleave_idle(build_benchmark(
                     cfg.benchmark, depth=depth, seed=circ_seed)), rc=True)
-                v[k] = plan.run(v[k:k + 1], noise, [rc_seed])[0]
+                rho[k] = plan.run(rho[k:k + 1], noise, [rc_seed])[0]
                 ref[k] = plan.run(psi[k:k + 1])[0]
-        rho = from_paired(v, n)
         check_traces(rho)
         if graph is not None:
             values[lo:hi] = [maxcut_expectation(np.diagonal(r).real, graph)

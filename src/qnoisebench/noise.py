@@ -17,6 +17,7 @@ per qubit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,19 +187,26 @@ def to_paired(rho: np.ndarray, n: int) -> np.ndarray:
     2*r_q + c_q per qubit, qubit 0 most significant. A batch (T, 2^n, 2^n)
     gives (T, 4^n). Always a fresh copy."""
     lead = rho.shape[:-2]
-    k = len(lead)
-    order = [*range(k), *(k + a for q in range(n) for a in (q, n + q))]
-    return np.array(rho.reshape(lead + (2,) * (2 * n)).transpose(order)
-                    ).reshape(lead + (-1,))
+    return np.take(rho.reshape(lead + (4 ** n,)), _paired_order(n)[0], axis=-1)
 
 
 def from_paired(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of `to_paired`: the 2^n x 2^n matrix, or one per batch row."""
-    lead = v.shape[:-1]
-    k = len(lead)
-    order = [*range(k), *range(k, k + 2 * n, 2), *range(k + 1, k + 2 * n, 2)]
-    return v.reshape(lead + (2,) * (2 * n)).transpose(order).reshape(
-        lead + (2 ** n, 2 ** n))
+    return np.take(v, _paired_order(n)[1], axis=-1).reshape(
+        v.shape[:-1] + (2 ** n, 2 ** n))
+
+
+@functools.lru_cache(maxsize=8)
+def _paired_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only gathers of `to_paired` and `from_paired`: arange(4^n) in
+    int32 (half the bytes of intp) under the layout's axis order and its
+    inverse, built once per n, so a conversion is one `take`."""
+    axes = [a for q in range(n) for a in (q, n + q)]
+    digits = np.arange(4 ** n, dtype=np.int32).reshape((2,) * (2 * n))
+    to = digits.transpose(axes).ravel()
+    back = digits.transpose(np.argsort(axes)).ravel()
+    to.flags.writeable = back.flags.writeable = False
+    return to, back
 
 
 def apply_superoperators(v: np.ndarray, maps) -> np.ndarray:

@@ -3,18 +3,18 @@ scoring, heavy-output testing and quantum volume."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuits import PARAM_ROTATIONS, Circuit, CircuitPlan, Cycle, simulate
+from .circuits import (PARAM_ROTATIONS, Circuit, CircuitPlan, Cycle,
+                       compile_plan)
 from .errors import FitDiverged, InvalidParams, ZeroIdealProbability
 from .gates import FIXED_MATRICES, Gate, H, SDG, WordTable, word_table
 from .linalg import adjoint, equal_up_to_phase, phase_canonical_keys
 from .noise import NoNoise, NoiseModel
-from .states import DensityMatrix, measurement_distribution
+from .states import DensityMatrix, check_count, measurement_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def state_tomography_1q(prepare: Callable[[], DensityMatrix],
     raw keeps the linear inversion, reconstructed is its PSD projection.
     """
     if shots_per_basis is not None:
-        _check_count("shots_per_basis", shots_per_basis)
+        check_count("shots_per_basis", shots_per_basis)
     rng = np.random.default_rng(seed)
     expectations = []
     for rotation in (None, H, H @ SDG):
@@ -136,20 +136,20 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
     24 Clifford unitaries, and its one segment all m + 1 cycles.
     """
     for m in lengths:
-        _check_count("sequence length", m)
-    _check_count("sequences_per_length", sequences_per_length)
+        check_count("sequence length", m)
+    check_count("sequences_per_length", sequences_per_length)
     noise = noise if noise is not None else NoNoise()
     cliffords = _clifford_table().mats
     rng = np.random.default_rng(seed)
-    start = np.zeros((sequences_per_length, 4), dtype=np.complex128)
-    start[:, 0] = 1.0  # |0><0|
+    start = np.zeros((sequences_per_length, 2, 2), dtype=np.complex128)
+    start[:, 0, 0] = 1.0  # |0><0|
     means = []
     for m in lengths:
         letters = np.array([rb_sequence_indices(m, rng)
                             for _ in range(sequences_per_length)])
         plan = CircuitPlan(1, letters[:, :, None], cliffords,
                            ((0, m + 1, ((),)),))
-        means.append(plan.run(start, noise)[:, 0].real.mean())
+        means.append(plan.run(start, noise)[:, 0, 0].real.mean())
     return np.asarray(means)
 
 
@@ -323,30 +323,26 @@ def random_model_circuit(n_qubits: int, depth: int,
 def quantum_volume(noise: NoiseModel, max_m: int = 4,
                    circuits_per_size: int = 20,
                    seed: int | None = None) -> int:
-    """Largest 2^m over square model circuits where the majority of circuits
-    pass the heavy-output test under the given noise."""
-    if max_m > 8:
-        raise InvalidParams("max_m above 8 is outside desk scale")
-    _check_count("circuits_per_size", circuits_per_size)
+    """Largest 2^m (m in 2..max_m, else 1) over square model circuits where
+    the majority pass the heavy-output test under the given noise. Each
+    circuit is compiled once, and its ket pass gives the ideal distribution."""
+    check_count("max_m", max_m)
+    if not 2 <= max_m <= 8:
+        raise InvalidParams(f"max_m: {max_m} outside 2..8, the desk scale")
+    check_count("circuits_per_size", circuits_per_size)
     rng = np.random.default_rng(seed)
     best = 0
     for m in range(2, max_m + 1):
+        ket = np.eye(1, 2 ** m, dtype=np.complex128)  # |0...0>
+        start = DensityMatrix.basis(m, 0).matrix[None]
         passes = 0
         for _ in range(circuits_per_size):
-            circ = random_model_circuit(m, m, rng)
-            start = DensityMatrix.basis(m, 0)
-            ideal = measurement_distribution(simulate(circ, start))
-            noisy = measurement_distribution(simulate(circ, start, noise=noise))
+            plan = compile_plan(random_model_circuit(m, m, rng))
+            ideal = np.abs(plan.run(ket)[0]) ** 2
+            noisy = measurement_distribution(
+                DensityMatrix(plan.run(start, noise)[0]))
             if heavy_output_test(ideal, noisy).passed:
                 passes += 1
         if passes > circuits_per_size // 2:
             best = m
     return 2 ** best
-
-
-def _check_count(name: str, value) -> None:
-    """A sample count must be an integer >= 1: zero samples estimate
-    nothing."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise InvalidParams(f"{name}: {value!r} must be an integer >= 1")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,13 @@ def random_product_kets(n: int, seeds) -> np.ndarray:
     return amps
 
 
+def check_count(name: str, value) -> None:
+    """Raise InvalidParams unless a count is an integer >= 1, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise InvalidParams(f"{name}: {value!r} must be an integer >= 1")
+
+
 def check_norms(kets: np.ndarray, error=InvalidState) -> None:
     """Raise `error` unless every ket of the batch (T, 2^n) has norm 1 within
     NORM_TOL."""
@@ -155,8 +163,7 @@ def measurement_distribution(dm: DensityMatrix) -> np.ndarray:
 
 def sample_measurements(dm: DensityMatrix, shots: int, seed=None) -> np.ndarray:
     """Multinomial counts over basis outcomes; deterministic for a fixed seed."""
-    if shots < 1:
-        raise InvalidParams("shots must be >= 1")
+    check_count("shots", shots)
     probs = measurement_distribution(dm)
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs)

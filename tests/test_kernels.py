@@ -167,7 +167,7 @@ def test_drawn_batch_matches_dense_oracle(monkeypatch, model, slice_bytes):
     rhos = np.stack([random_density(4, rng) for _ in seeds])
     kets = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    got = from_paired(plan.run(to_paired(rhos, 4), model), 4)
+    got = plan.run(rhos, model)
     got_kets = plan.run(kets)
     for t, seed in enumerate(seeds):
         circ = build_random(4, depth, seed=seed)
@@ -198,6 +198,30 @@ def test_paired_layout_round_trip(n):
     maps = [None if rng.random() < 0.5 else np.eye(4) for _ in range(n)]
     np.testing.assert_array_equal(apply_superoperators(v, maps), v)
     np.testing.assert_array_equal(apply_superoperators(v, [None] * n), v)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_paired_order_is_one_base4_digit_per_qubit(n):
+    """Paired entry sum_q (2 r_q + c_q) 4^(n-1-q) is rho[r, c], where r_q and
+    c_q are qubit q's bits of r and c, qubit 0 most significant: for one
+    matrix and for each row of a batch. A matrix of another width is no
+    n-qubit state."""
+    rng = np.random.default_rng(40 + n)
+    rhos = np.stack([random_density(n, rng) for _ in range(3)])
+    want = np.empty((3, 4 ** n), dtype=np.complex128)
+
+    def bit(x, q):
+        return (x >> (n - 1 - q)) & 1
+
+    for r, c in itertools.product(range(2 ** n), repeat=2):
+        i = sum((2 * bit(r, q) + bit(c, q)) * 4 ** (n - 1 - q)
+                for q in range(n))
+        want[:, i] = rhos[:, r, c]
+    np.testing.assert_array_equal(to_paired(rhos[0], n), want[0])
+    np.testing.assert_array_equal(to_paired(rhos, n), want)
+    np.testing.assert_array_equal(from_paired(want, n), rhos)
+    with pytest.raises(ValueError):
+        to_paired(rhos, n + 1)
 
 
 def random_clifford_t(n, depth, rng):
@@ -325,7 +349,7 @@ def test_idle_segment_map_stays_exact_identity(monkeypatch):
 
     monkeypatch.setattr(circuits, "apply_superoperators", recording)
     rho = random_density(2, np.random.default_rng(7))
-    got = from_paired(plan.run(to_paired(rho, 2)[None])[0], 2)
+    got = plan.run(rho[None])[0]
     assert len(seen) == 1 and seen[0][1] is None and seen[0][0] is not None
     u = circuit_unitary(circ)
     np.testing.assert_allclose(got, u @ rho @ u.conj().T, atol=ATOL)
@@ -333,8 +357,8 @@ def test_idle_segment_map_stays_exact_identity(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_run_takes_kets_or_density_matrices_by_width(n):
-    """A batch 4^n wide is paired density matrices, run under each model's
-    maps; one 2^n wide is kets, run under the unitaries. Each matches its
+    """A batch (T, 2^n, 2^n) is density matrices, run under each model's
+    maps; one (T, 2^n) is kets, run under the unitaries. Each matches its
     dense oracle, and twirled kets with their closing frames undone are the
     plain circuit up to a global phase."""
     rng = np.random.default_rng(900 + n)
@@ -342,7 +366,7 @@ def test_run_takes_kets_or_density_matrices_by_width(n):
     plan = compile_plan(circ, rc=True)
     rhos = np.stack([random_density(n, rng) for _ in range(3)])
     for model in MODELS:
-        got = from_paired(plan.run(to_paired(rhos, n), model), n)
+        got = plan.run(rhos, model)
         for rho, g in zip(rhos, got):
             np.testing.assert_allclose(g, dense_oracle(circ, rho, model),
                                        atol=ATOL, err_msg=repr(model))
@@ -355,14 +379,15 @@ def test_run_takes_kets_or_density_matrices_by_width(n):
 
 
 def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
-    """A batch neither 2^n nor 4^n wide raises WidthMismatch. Kets under a
-    noise model raise InvalidParams, and so do maps for a different number
-    of trials than the batch has states and seeds for a plan without RC
-    tables."""
+    """A batch neither (T, 2^n) nor (T, 2^n, 2^n) raises WidthMismatch,
+    paired vectors (T, 4^n) included. Kets under a noise model raise
+    InvalidParams, and so do maps for a different number of trials than the
+    batch has states and seeds for a plan without RC tables."""
     circ = interleave_idle(Circuit(2, (Cycle((Gate.h(0), Gate.t(1))),
                                        Cycle((Gate.cnot(0, 1),))), CLIFFORD_T))
     plan = compile_plan(circ, rc=True)
-    for shape in [(1, 2), (1, 8), (1, 64), (16,), (1, 4, 4)]:
+    for shape in [(1, 2), (1, 8), (1, 64), (16,), (1, 16), (1, 2, 2),
+                  (1, 4, 8)]:
         with pytest.raises(WidthMismatch):
             plan.run(np.zeros(shape, dtype=np.complex128))
     kets = np.eye(4, dtype=np.complex128)

@@ -317,6 +317,14 @@ def test_quantum_volume_rejects_large_width():
         quantum_volume(NoNoise(), max_m=9)
 
 
+@pytest.mark.parametrize("max_m", [1, 0, -3, True, 2.5, "4"])
+def test_quantum_volume_needs_an_integer_max_m_in_2_to_8(max_m):
+    """A width outside 2..8, a bool or a fraction is no volume of 1 and no
+    raw TypeError: it raises InvalidParams."""
+    with pytest.raises(InvalidParams, match="max_m"):
+        quantum_volume(NoNoise(), max_m=max_m, circuits_per_size=1)
+
+
 def test_zero_sample_counts_raise():
     """Zero samples estimate nothing: no NaN state, no division by zero, no
     volume of 1 from zero circuits."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnoisebench.errors import InvalidState, NotNormalized
+from qnoisebench.errors import InvalidParams, InvalidState, NotNormalized
 from qnoisebench.states import (
     DensityMatrix,
     Ket,
@@ -76,6 +76,13 @@ def test_sample_measurements_matches_distribution():
     assert counts.shape == (2,)
     assert counts.sum() == 20000
     assert abs(counts[0] / 20000 - 0.8) < 0.02
+
+
+@pytest.mark.parametrize("shots", [0, -1, 2.5, True, np.float64(3.0)])
+def test_sample_measurements_needs_an_integer_shot_count(shots):
+    """A fraction or a bool is not a shot count: no silent truncation."""
+    with pytest.raises(InvalidParams, match="shots"):
+        sample_measurements(DensityMatrix.basis(1, 0), shots, seed=0)
 
 
 def test_one_uniform_call_is_the_scalar_pair_stream():
