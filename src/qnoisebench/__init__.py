@@ -73,7 +73,6 @@ from .noise import (
     PauliNoise,
     PauliPlusCoherent,
     PhaseDamping,
-    apply_channel,
     kraus_operators,
     noise_level_table,
     noise_model_for,

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, Circuit, CircuitPlan,
-                       Cycle, identity_cycle, toffoli_decomposition)
+                       Cycle, compile_plan, identity_cycle,
+                       toffoli_decomposition)
 from .compiling import interleave_idle, lower_controlled_rz, to_clifford_t
 from .errors import InvalidParams
 from .gates import FIXED_MATRICES, Gate
@@ -343,9 +344,9 @@ def maxcut_expectation(dist: np.ndarray, graph: MaxCutGraph) -> float:
 def optimize_qaoa_angles(resolution: float = 0.01) -> tuple[float, float, float]:
     """Grid search over [0, pi]^2 for the best p=1 angles on the hypercube.
 
-    Works in statevector form: the cost layer is a diagonal phase by cut
-    size; the mixer applies rx(beta) per qubit. Returns (beta, gamma,
-    expectation).
+    Works on kets: the cost layer is a diagonal phase by cut size, and each
+    beta's mixer, one rx(beta) cycle, runs as a ket pass of its plan over
+    all gammas at once. Returns (beta, gamma, expectation).
     """
     graph = MaxCutGraph.hypercube()
     n = graph.n_vertices
@@ -357,15 +358,8 @@ def optimize_qaoa_angles(resolution: float = 0.01) -> tuple[float, float, float]
     cost = np.exp(1j * np.outer(grid, cuts)) * psi0
     best = (-1.0, 0.0, 0.0)
     for beta in grid:
-        rx = 0.5 * np.array([[1 + np.exp(1j * beta), 1 - np.exp(1j * beta)],
-                             [1 - np.exp(1j * beta), 1 + np.exp(1j * beta)]])
-        psi = cost
-        for _ in range(n):
-            # contract qubit axes one at a time; each pass rolls the axes
-            psi = np.einsum("ab,gbr->gra", rx,
-                            psi.reshape(len(grid), 2, dim // 2))
-        psi = psi.reshape(len(grid), dim)
-        values = np.abs(psi) ** 2 @ cuts
+        mixer = Circuit(n, (Cycle(tuple(Gate.rx(q, beta) for q in range(n))),))
+        values = np.abs(compile_plan(mixer).run(cost)) ** 2 @ cuts
         k = int(np.argmax(values))
         if values[k] > best[0]:
             best = (float(values[k]), float(beta), float(grid[k]))

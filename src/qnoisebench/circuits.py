@@ -2,12 +2,13 @@
 
 A cycle applies at most one gate per qubit; all its gates act simultaneously.
 Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
-applied to every qubit, idle qubits included. `CircuitPlan.run` takes density
-matrices and runs them on the paired layout of `noise.to_paired`, which never
-leaves `run`: each CNOT (or Toffoli) permutes the entries, then every qubit
-gets one 4x4 map, its channel times its gate's superoperator u (x) conj(u). A
-plan runs a batch of trials at once, and kets under the 2x2 unitaries the same
-way. `apply_local_unitary` and `apply_cycle` run on the same two kernels.
+applied to every qubit, idle qubits included. `CircuitPlan.run` is the one
+code path that moves a state. It takes density matrices and runs them on the
+paired layout of `to_paired`, which never leaves `run`: each CNOT (or Toffoli)
+permutes the entries, then every qubit gets one 4x4 map, its channel times its
+gate's superoperator u (x) conj(u). A plan runs a batch of trials at once, and
+kets under the 2x2 unitaries the same way. `apply_local_unitary` and
+`apply_cycle` build one-cycle plans and run them.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DuplicateIndex, InvalidParams, WidthMismatch
-from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, TOFFOLI, Gate
+from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, I2, TOFFOLI, Gate
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
 from .noise import (NoNoise, NoiseModel, apply_channel_all,  # noqa: F401
-                    apply_qubit_map, apply_superoperators, from_paired,
                     from_pauli_transfer, pair_superoperator, pauli_transfer,
-                    superoperator, to_paired)
+                    superoperator)
 from .states import DensityMatrix
 
 PARAM_ROTATIONS = "param_rotations"
@@ -86,32 +86,29 @@ def identity_cycle() -> Cycle:
 
 def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
                         targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Conjugate rho by a gate's unitary on `targets`: U rho U^dagger.
-
-    A 2x2 u is the 4x4 map u (x) conj(u) on its qubit; a multi-qubit u must
-    be the CNOT or Toffoli matrix, the permutations `simulate` runs.
-    """
+    """Conjugate rho by a gate's unitary on `targets`: U rho U^dagger, as a
+    one-cycle plan. A 2x2 u is letter 1 of the table [I, u] on its qubit; a
+    multi-qubit u must be the CNOT or Toffoli matrix, the cycle's flips."""
     targets = tuple(targets)
     if any(q >= n for q in targets):
         raise WidthMismatch(f"targets {targets} exceed width {n}")
-    if u.shape == (2 ** len(targets),) * 2:
-        if len(targets) == 1:
-            return apply_qubit_map(rho, pair_superoperator(u), targets[0], n)
-        if np.array_equal(u, CNOT) or np.array_equal(u, TOFFOLI):
-            v = to_paired(rho, n)
-            _controlled_x(v, targets, n)
-            return from_paired(v, n)
-    raise InvalidParams(
-        f"operator of shape {u.shape} on {targets} is not a one-qubit gate, "
-        "CNOT or Toffoli")
+    letters = np.zeros((1, 1, n), dtype=np.intp)
+    if u.shape == (2, 2) and len(targets) == 1:
+        letters[0, 0, targets[0]] = 1
+        plan = CircuitPlan(n, letters, np.stack([I2, u]), ((0, 1, ((),)),))
+    elif u.shape == (2 ** len(targets),) * 2 and (
+            np.array_equal(u, CNOT) or np.array_equal(u, TOFFOLI)):
+        plan = CircuitPlan(n, letters, I2[None], ((0, 1, ((targets,),)),))
+    else:
+        raise InvalidParams(
+            f"operator of shape {u.shape} on {targets} is not a one-qubit "
+            "gate, CNOT or Toffoli")
+    return plan.run(rho[None])[0]
 
 
 def apply_cycle(dm: DensityMatrix, cycle: Cycle) -> DensityMatrix:
     """Noiseless application of one cycle."""
-    rho = dm.matrix
-    for g in cycle.gates:
-        rho = apply_local_unitary(rho, g.matrix(), g.qubits, dm.n_qubits)
-    return DensityMatrix(rho)
+    return simulate(Circuit(dm.n_qubits, (cycle,)), dm)
 
 
 def circuit_unitary(circ: Circuit) -> np.ndarray:
@@ -207,9 +204,10 @@ class CircuitPlan:
             seeds=None) -> np.ndarray:
         """Density matrices (T, 2^n, 2^n) or kets (T, 2^n) through the plan,
         under `noise` after every cycle, returned in the same shape. Density
-        matrices run paired (`noise.to_paired`) under the 4x4 maps
+        matrices run paired (`to_paired`) under the 4x4 maps
         N (u (x) conj(u)); kets run noise-free under the 2x2 unitaries. Any
-        other shape raises WidthMismatch, and noisy kets InvalidParams.
+        other shape raises WidthMismatch, and an empty batch or noisy kets
+        InvalidParams.
 
         The trials are the rows of `letters`, or with seeds one twirled trial
         per seed, its closing frame composed in: one trial for every state or
@@ -222,6 +220,8 @@ class CircuitPlan:
             raise WidthMismatch(
                 f"batch of shape {states.shape} is neither kets (T, {2 ** n}) "
                 f"nor density matrices (T, {2 ** n}, {2 ** n})")
+        if not len(states):
+            raise InvalidParams("empty batch: run needs at least one state")
         ket = states.ndim == 2
         noise = noise.validate()
         if ket and not isinstance(noise, NoNoise):
@@ -302,31 +302,6 @@ def simulate(circ: Circuit, state: DensityMatrix,
     return DensityMatrix(rho[0])
 
 
-@functools.lru_cache(maxsize=64)
-def _flip_order(flips: tuple, n: int, sides: int = 2) -> np.ndarray:
-    """v[order] is v after the controlled-X gates `flips`: a paired state
-    (sides 2) or a ket (sides 1)."""
-    order = np.arange(2 ** (sides * n))
-    for qubits in flips:
-        _controlled_x(order, qubits, n, sides)
-    order.flags.writeable = False
-    return order
-
-
-def _controlled_x(v: np.ndarray, qubits: tuple[int, ...], n: int,
-                  sides: int = 2) -> None:
-    """In place: flip the last qubit where all the others are 1 (CNOT,
-    Toffoli), on the row and column bits of a paired state (sides 2) or the
-    bits of a ket (sides 1)."""
-    t = v.reshape((2,) * (sides * n))
-    for side in range(sides):
-        idx = [slice(None)] * (sides * n)
-        for c in qubits[:-1]:
-            idx[sides * c + side] = slice(1, 2)
-        w = t[tuple(idx)]
-        w[...] = np.flip(w, axis=sides * qubits[-1] + side)
-
-
 def toffoli_decomposition(c1: int, c2: int, target: int,
                           n_qubits: int | None = None) -> Circuit:
     """Standard 6-CNOT, 7-T realization of the Toffoli over {h, t, tdg, cnot}."""
@@ -349,3 +324,83 @@ def toffoli_decomposition(c1: int, c2: int, target: int,
         [G.cnot(c1, c2)],
     ]
     return Circuit(n, tuple(Cycle(tuple(layer)) for layer in layers), CLIFFORD_T)
+
+
+# ---------------------------------------------------------------------------
+# The paired layout `run` holds density matrices in, and its two kernels.
+
+
+@functools.lru_cache(maxsize=64)
+def _flip_order(flips: tuple, n: int, sides: int = 2) -> np.ndarray:
+    """v[order] is v after the controlled-X gates `flips` (CNOT, Toffoli:
+    the last qubit flips where all the others are 1), on the row and column
+    bits of a paired state (sides 2) or the bits of a ket (sides 1)."""
+    order = np.arange(2 ** (sides * n))
+    t = order.reshape((2,) * (sides * n))
+    for qubits in flips:
+        for side in range(sides):
+            idx = [slice(None)] * (sides * n)
+            for c in qubits[:-1]:
+                idx[sides * c + side] = slice(1, 2)
+            w = t[tuple(idx)]
+            w[...] = np.flip(w, axis=sides * qubits[-1] + side)
+    order.flags.writeable = False
+    return order
+
+
+def to_paired(rho: np.ndarray, n: int) -> np.ndarray:
+    """rho as a flat vector with axes (r0, c0, r1, c1, ...): one base-4 digit
+    2*r_q + c_q per qubit, qubit 0 most significant. A batch (T, 2^n, 2^n)
+    gives (T, 4^n). Always a fresh copy."""
+    lead = rho.shape[:-2]
+    return np.take(rho.reshape(lead + (4 ** n,)), _paired_order(n)[0], axis=-1)
+
+
+def from_paired(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `to_paired`: the 2^n x 2^n matrix, or one per batch row."""
+    return np.take(v, _paired_order(n)[1], axis=-1).reshape(
+        v.shape[:-1] + (2 ** n, 2 ** n))
+
+
+@functools.lru_cache(maxsize=8)
+def _paired_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only gathers of `to_paired` and `from_paired`: arange(4^n) in
+    int32 (half the bytes of intp) under the layout's axis order and its
+    inverse, built once per n, so a conversion is one `take`."""
+    axes = [a for q in range(n) for a in (q, n + q)]
+    digits = np.arange(4 ** n, dtype=np.int32).reshape((2,) * (2 * n))
+    to = digits.transpose(axes).ravel()
+    back = digits.transpose(np.argsort(axes)).ravel()
+    to.flags.writeable = back.flags.writeable = False
+    return to, back
+
+
+def apply_superoperators(v: np.ndarray, maps) -> np.ndarray:
+    """Apply maps[q] to qubit q of a state, for every qubit.
+
+    v is one state or a batch (T, d^n) of them: paired density matrices (4x4
+    maps; see `to_paired`) or kets (2x2 maps). maps[q] is one (d, d) map for
+    every state, a (T, d, d) stack with one per state, or None for the
+    identity.
+
+    Each step is one GEMM per state, (m @ x).T computed as x.T @ m.T so that
+    it writes the leading digit straight to the back; after one pass the
+    digits are in their original order again. A run of identity maps is one
+    rotation by the run's length.
+    """
+    d = next((m.shape[-1] for m in maps if m is not None), 1)
+    w = v.reshape(-1, v.shape[-1])
+    t = len(w)
+    skip = 0
+    for m in maps:
+        if m is None:
+            skip += 1
+            continue
+        if skip:
+            w = w.reshape(t, d ** skip, -1).swapaxes(1, 2).reshape(t, -1)
+            skip = 0
+        w = (w.reshape(t, d, -1).swapaxes(1, 2) @ m.swapaxes(-1, -2)
+             ).reshape(t, -1)
+    if skip and skip < len(maps):
+        w = w.reshape(t, d ** skip, -1).swapaxes(1, 2).reshape(t, -1)
+    return w.reshape(v.shape)

@@ -18,10 +18,6 @@ def as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return as_complex(a).conj().T
-
-
 def max_abs(a: np.ndarray) -> float:
     """Largest entrywise magnitude (the distance norm used for gate synthesis)."""
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0

@@ -10,19 +10,19 @@ All channels are exact maps on the density matrix, never Monte Carlo:
 
 Each channel is one 4x4 superoperator, sum_k K (x) conj(K) over its Kraus
 operators (Wood, Biamonte & Cory, arXiv:1111.6950), acting on one qubit's
-digit of the paired layout (see `to_paired`). The simulator fuses it with the
-qubit's gate u of the cycle as N (u (x) conj(u)), so one cycle is one 4x4 map
-per qubit.
+digit of the paired layout the simulator in `circuits` runs on. The simulator
+fuses it with the qubit's gate u of the cycle as N (u (x) conj(u)), so one
+cycle is one 4x4 map per qubit.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParams, UnknownLevel
+from .states import DensityMatrix
 
 _PROB_TOL = 1e-12
 
@@ -142,7 +142,7 @@ def kraus_operators(model: NoiseModel) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Superoperators and the paired layout.
+# Superoperators and Pauli transfer matrices.
 
 
 def superoperator(model: NoiseModel) -> np.ndarray:
@@ -182,82 +182,12 @@ def from_pauli_transfer(r: np.ndarray) -> np.ndarray:
     return (r.reshape(-1, 16) @ _FROM_PAULI).reshape(r.shape)
 
 
-def to_paired(rho: np.ndarray, n: int) -> np.ndarray:
-    """rho as a flat vector with axes (r0, c0, r1, c1, ...): one base-4 digit
-    2*r_q + c_q per qubit, qubit 0 most significant. A batch (T, 2^n, 2^n)
-    gives (T, 4^n). Always a fresh copy."""
-    lead = rho.shape[:-2]
-    return np.take(rho.reshape(lead + (4 ** n,)), _paired_order(n)[0], axis=-1)
-
-
-def from_paired(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of `to_paired`: the 2^n x 2^n matrix, or one per batch row."""
-    return np.take(v, _paired_order(n)[1], axis=-1).reshape(
-        v.shape[:-1] + (2 ** n, 2 ** n))
-
-
-@functools.lru_cache(maxsize=8)
-def _paired_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only gathers of `to_paired` and `from_paired`: arange(4^n) in
-    int32 (half the bytes of intp) under the layout's axis order and its
-    inverse, built once per n, so a conversion is one `take`."""
-    axes = [a for q in range(n) for a in (q, n + q)]
-    digits = np.arange(4 ** n, dtype=np.int32).reshape((2,) * (2 * n))
-    to = digits.transpose(axes).ravel()
-    back = digits.transpose(np.argsort(axes)).ravel()
-    to.flags.writeable = back.flags.writeable = False
-    return to, back
-
-
-def apply_superoperators(v: np.ndarray, maps) -> np.ndarray:
-    """Apply maps[q] to qubit q of a state, for every qubit.
-
-    v is one state or a batch (T, d^n) of them: paired density matrices (4x4
-    maps; see `to_paired`) or kets (2x2 maps). maps[q] is one (d, d) map for
-    every state, a (T, d, d) stack with one per state, or None for the
-    identity.
-
-    Each step is one GEMM per state, (m @ x).T computed as x.T @ m.T so that
-    it writes the leading digit straight to the back; after one pass the
-    digits are in their original order again. A run of identity maps is one
-    rotation by the run's length.
-    """
-    d = next((m.shape[-1] for m in maps if m is not None), 1)
-    w = v.reshape(-1, v.shape[-1])
-    t = len(w)
-    skip = 0
-    for m in maps:
-        if m is None:
-            skip += 1
-            continue
-        if skip:
-            w = w.reshape(t, d ** skip, -1).swapaxes(1, 2).reshape(t, -1)
-            skip = 0
-        w = (w.reshape(t, d, -1).swapaxes(1, 2) @ m.swapaxes(-1, -2)
-             ).reshape(t, -1)
-    if skip and skip < len(maps):
-        w = w.reshape(t, d ** skip, -1).swapaxes(1, 2).reshape(t, -1)
-    return w.reshape(v.shape)
-
-
-def apply_qubit_map(rho: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Apply one 4x4 map to qubit q of an n-qubit density matrix."""
-    maps = [None] * n
-    maps[q] = m
-    return from_paired(apply_superoperators(to_paired(rho, n), maps), n)
-
-
-def apply_channel(rho: np.ndarray, model: NoiseModel, q: int, n: int) -> np.ndarray:
-    """Apply one noise channel to qubit q of an n-qubit density matrix."""
-    return apply_qubit_map(rho, superoperator(model), q, n)
-
-
 def apply_channel_all(rho: np.ndarray, model: NoiseModel, n: int) -> np.ndarray:
-    """Apply the channel to every qubit, idle or not."""
-    if isinstance(model, NoNoise):
-        return rho
-    v = apply_superoperators(to_paired(rho, n), [superoperator(model)] * n)
-    return from_paired(v, n)
+    """Apply the channel to every qubit, idle or not: one idle cycle under
+    `model`."""
+    from .circuits import Circuit, Cycle, simulate  # circuits imports this module
+
+    return simulate(Circuit(n, (Cycle(),)), DensityMatrix(rho), model).matrix
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ scoring, heavy-output testing and quantum volume."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -12,7 +13,7 @@ from .circuits import (PARAM_ROTATIONS, Circuit, CircuitPlan, Cycle,
                        compile_plan)
 from .errors import FitDiverged, InvalidParams, ZeroIdealProbability
 from .gates import FIXED_MATRICES, Gate, H, SDG, WordTable, word_table
-from .linalg import adjoint, equal_up_to_phase, phase_canonical_keys
+from .linalg import phase_canonical_keys
 from .noise import NoNoise, NoiseModel
 from .states import DensityMatrix, check_count, measurement_distribution
 
@@ -95,18 +96,30 @@ def clifford_group() -> tuple[tuple[np.ndarray, ...], tuple[str, ...]]:
     return tuple(table.mats), tuple("".join(w) for w in table.words)
 
 
+@functools.cache
+def _clifford_cayley() -> tuple[list[list[int]], list[int]]:
+    """The Cayley table of `_clifford_table()`, product[i][j] the index of
+    mats[i] @ mats[j] up to phase, and each element's inverse, built once so
+    that RB multiplies exact indices, not floats."""
+    table = _clifford_table()
+    products = (table.mats[:, None] @ table.mats[None]).reshape(-1, 2, 2)
+    product = np.array([table.index.get(key, -1)
+                        for key in phase_canonical_keys(products)])
+    if (product < 0).any():
+        raise InvalidParams("clifford closure is not closed under products")
+    product = product.reshape(len(table.mats), -1)
+    # Index 0 is the identity, the empty word.
+    return product.tolist(), np.argmax(product == 0, axis=1).tolist()
+
+
 def rb_sequence_indices(m: int, rng: np.random.Generator) -> list[int]:
     """m uniform Clifford indices plus the index inverting their product."""
-    table = _clifford_table()
-    picks = [int(i) for i in rng.integers(0, 24, size=m)]
-    net = np.eye(2, dtype=np.complex128)
+    product, inverse = _clifford_cayley()
+    picks = rng.integers(0, 24, size=m).tolist()
+    net = 0  # the identity
     for i in picks:
-        net = table.mats[i] @ net
-    target = adjoint(net)
-    inv = table.index.get(phase_canonical_keys(target[None])[0])
-    if inv is None or not equal_up_to_phase(table.mats[inv], target):
-        raise InvalidParams("no inverting clifford found")
-    return picks + [inv]
+        net = product[i][net]
+    return picks + [inverse[net]]
 
 
 # ---------------------------------------------------------------------------

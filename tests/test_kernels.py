@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 
 from qnoisebench import circuits
-from qnoisebench.benchmarks import build_benchmark, build_random, random_plan
+from qnoisebench.benchmarks import (build_benchmark, build_random,
+                                    optimize_qaoa_angles, random_plan)
 from qnoisebench.circuits import (CLIFFORD_T, Circuit, Cycle, apply_cycle,
-                                  apply_local_unitary, circuit_unitary,
-                                  compile_plan, simulate)
+                                  apply_local_unitary, apply_superoperators,
+                                  circuit_unitary, compile_plan, from_paired,
+                                  simulate, to_paired)
 from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
                                    randomized_compile)
 from qnoisebench.errors import InvalidParams, WidthMismatch
-from qnoisebench.gates import (CLIFFORD_T_NAMES, GATE_ARITY, H, Gate, embed_unitary,
-                              gate_matrix)
+from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, TOFFOLI, H,
+                              Gate, embed_unitary, gate_matrix)
+from qnoisebench.metrics import average_gate_fidelity
 from qnoisebench.noise import (
     NOISE_KINDS,
     PAULI_BASIS,
@@ -29,12 +32,10 @@ from qnoisebench.noise import (
     PauliNoise,
     PauliPlusCoherent,
     PhaseDamping,
-    apply_superoperators,
-    from_paired,
+    apply_channel_all,
     kraus_operators,
     noise_level_table,
     superoperator,
-    to_paired,
 )
 from qnoisebench.states import DensityMatrix
 
@@ -380,15 +381,19 @@ def test_run_takes_kets_or_density_matrices_by_width(n):
 
 def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
     """A batch neither (T, 2^n) nor (T, 2^n, 2^n) raises WidthMismatch,
-    paired vectors (T, 4^n) included. Kets under a noise model raise
-    InvalidParams, and so do maps for a different number of trials than the
-    batch has states and seeds for a plan without RC tables."""
+    paired vectors (T, 4^n) included. An empty batch of kets or density
+    matrices raises InvalidParams, and so do kets under a noise model, maps
+    for a different number of trials than the batch has states and seeds
+    for a plan without RC tables."""
     circ = interleave_idle(Circuit(2, (Cycle((Gate.h(0), Gate.t(1))),
                                        Cycle((Gate.cnot(0, 1),))), CLIFFORD_T))
     plan = compile_plan(circ, rc=True)
     for shape in [(1, 2), (1, 8), (1, 64), (16,), (1, 16), (1, 2, 2),
                   (1, 4, 8)]:
         with pytest.raises(WidthMismatch):
+            plan.run(np.zeros(shape, dtype=np.complex128))
+    for shape in [(0, 4), (0, 4, 4)]:
+        with pytest.raises(InvalidParams, match="empty"):
             plan.run(np.zeros(shape, dtype=np.complex128))
     kets = np.eye(4, dtype=np.complex128)
     with pytest.raises(InvalidParams, match="noise-free"):
@@ -397,3 +402,38 @@ def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
         plan.run(kets, NoNoise(), range(3))
     with pytest.raises(InvalidParams, match="rc"):
         compile_plan(circ).run(kets, NoNoise(), range(4))
+
+
+def test_every_state_update_runs_through_plan_run(monkeypatch):
+    """The dense side paths, the channel on every qubit, the gate fidelity
+    and the QAOA angle search each reach `CircuitPlan.run`, the one code path
+    that moves a state; `apply_local_unitary` still matches its oracle."""
+    calls = []
+    real = circuits.CircuitPlan.run
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(circuits.CircuitPlan, "run", counting)
+    rho = random_density(3, np.random.default_rng(11))
+    dm = DensityMatrix(rho)
+    for u, targets in [(H, (1,)), (CNOT, (2, 0)), (TOFFOLI, (2, 0, 1))]:
+        calls.clear()
+        full = embed_unitary(u, targets, 3)
+        np.testing.assert_allclose(apply_local_unitary(rho, u, targets, 3),
+                                   full @ rho @ full.conj().T, atol=ATOL)
+        assert calls, f"apply_local_unitary on {targets} never reached run"
+    paths = {
+        "apply_cycle": lambda: apply_cycle(dm, Cycle((Gate.h(0),))),
+        "apply_pauli_frame": lambda: apply_pauli_frame(dm, ("x", "i", "z")),
+        "apply_channel_all": lambda: apply_channel_all(
+            rho, AmplitudeDamping(0.1), 3),
+        "average_gate_fidelity": lambda: average_gate_fidelity(
+            H, AmplitudeDamping(0.1)),
+        "optimize_qaoa_angles": lambda: optimize_qaoa_angles(resolution=0.5),
+    }
+    for name, call in paths.items():
+        calls.clear()
+        call()
+        assert calls, f"{name} never reached run"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qnoisebench.linalg import (
-    adjoint,
     equal_up_to_phase,
     hermitian_eigenvalues,
     is_hermitian,
@@ -17,13 +16,6 @@ def random_unitary(n, rng):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(adjoint(adjoint(a)), a)
-    assert np.allclose(adjoint(a), a.conj().T)
 
 
 def test_max_abs():
