@@ -3,12 +3,11 @@
 A cycle applies at most one gate per qubit; all its gates act simultaneously.
 Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
 applied to every qubit, idle qubits included. `CircuitPlan.run` is the one
-code path that moves a state. It takes density matrices and runs them on the
-paired layout of `to_paired`, which never leaves `run`: each CNOT (or Toffoli)
-permutes the entries, then every qubit gets one 4x4 map, its channel times its
-gate's superoperator u (x) conj(u). A plan runs a batch of trials at once, and
-kets under the 2x2 unitaries the same way. `apply_local_unitary` and
-`apply_cycle` build one-cycle plans and run them.
+code path that moves a state. It runs a batch of density matrices as real
+Pauli vectors (`to_pauli`), which never leave `run`: a CNOT is a signed gather
+of the entries, and each qubit's channel and gates one real 4x4 Pauli transfer
+matrix. Kets run under the 2x2 unitaries the same way. `apply_local_unitary`
+and `apply_cycle` build one-cycle plans and run them.
 """
 
 from __future__ import annotations
@@ -18,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateIndex, InvalidParams, WidthMismatch
+from .errors import DuplicateIndex, InvalidParams, NotHermitian, WidthMismatch
 from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, I2, TOFFOLI, Gate
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
-from .noise import (NoNoise, NoiseModel, apply_channel_all,  # noqa: F401
-                    from_pauli_transfer, pair_superoperator, pauli_transfer,
-                    superoperator)
+from .linalg import is_hermitian
+from .noise import (PAULI_BASIS, PAULI_INV, NoNoise, NoiseModel,
+                    apply_channel_all, pair_superoperator,  # noqa: F401
+                    pauli_transfer, superoperator)
 from .states import DensityMatrix
 
 PARAM_ROTATIONS = "param_rotations"
@@ -147,43 +147,30 @@ class CircuitPlan:
     unitaries: np.ndarray
     segments: tuple
     twirl: object = None
-    pair_maps: np.ndarray = field(init=False)  # u (x) conj(u) per letter
+    ptms: np.ndarray = field(init=False)  # R(u (x) conj(u)) per letter
 
     def __post_init__(self):
-        object.__setattr__(self, "pair_maps",
-                           pair_superoperator(self.unitaries))
+        object.__setattr__(self, "ptms",
+                           pauli_transfer(pair_superoperator(self.unitaries)))
 
     def _compose(self, noise: NoiseModel = NoNoise(), seeds=None,
                  ket: bool = False) -> np.ndarray:
-        """Each segment's map per qubit, (trial, segment, qubit, d, d): the
-        4x4 paired maps N (u (x) conj(u)), or with `ket` the 2x2 unitaries
-        (`run` lets a ket batch run noise-free only). One trial per row of
-        `letters`, or a twirled trial per seed with its closing frame
-        composed in.
-
-        Maps that must be multiplied (a segment of several cycles, or a
-        closing frame) are multiplied as real Pauli transfer matrices, one
-        batched float64 product per cycle, and each segment map goes back to
-        the paired layout once, in one GEMM for all of them. A plan whose
-        segments are one cycle each and that has no frame has nothing to
-        multiply: its maps are read straight from the paired table."""
+        """Each segment's map per qubit, (trial, segment, qubit, d, d): real
+        4x4 Pauli transfer matrices R(N) R(u (x) conj(u)), or with `ket` the
+        2x2 unitaries (noise-free). One trial per row of `letters`, or a
+        twirled trial per seed with its closing frame composed in. A segment
+        of several cycles multiplies its maps, one batched product a cycle."""
         letters, frames = self.letters, None
         if seeds is not None:
             merged, frames = self.twirl.sample([self.twirl.draw(s) for s in seeds])
             letters = np.repeat(letters, len(merged), axis=0)
             letters[:, self.twirl.easy] = merged
-        multiply = frames is not None or any(
-            stop - start > 1 for start, stop, _ in self.segments)
-        pauli = multiply and not ket
-        frame_maps = self.unitaries if ket else self.pair_maps
-        if pauli:
-            frame_maps = pauli_transfer(frame_maps)
+        frame_maps = self.unitaries if ket else self.ptms
         table = frame_maps
         if not isinstance(noise, NoNoise):
-            channel = superoperator(noise)
-            table = (pauli_transfer(channel) if pauli else channel) @ frame_maps
-        if not multiply:  # segment k is cycle k
-            return table[letters]
+            table = pauli_transfer(superoperator(noise)) @ frame_maps
+        if frames is None and all(b - a == 1 for a, b, _ in self.segments):
+            return table[letters]  # segment k is cycle k
         # (cycle, trial, qubit, d, d): each cycle's maps are contiguous.
         cycle_maps = table[letters.swapaxes(0, 1)]
         segs = []
@@ -196,25 +183,20 @@ class CircuitPlan:
             segs[-1] = frame_maps[frames] @ segs[-1]
         d = table.shape[-1]
         segs = np.array(segs).reshape(len(segs), len(letters), self.n_qubits, d, d)
-        if pauli:
-            segs = from_pauli_transfer(segs)
         return segs.swapaxes(0, 1)
 
     def run(self, states: np.ndarray, noise: NoiseModel = NoNoise(),
             seeds=None) -> np.ndarray:
         """Density matrices (T, 2^n, 2^n) or kets (T, 2^n) through the plan,
-        under `noise` after every cycle, returned in the same shape. Density
-        matrices run paired (`to_paired`) under the 4x4 maps
-        N (u (x) conj(u)); kets run noise-free under the 2x2 unitaries. Any
-        other shape raises WidthMismatch, and an empty batch or noisy kets
-        InvalidParams.
+        under `noise` after every cycle, returned in the same shape: density
+        matrices as real Pauli vectors (`to_pauli`) under the maps of
+        `_compose`, kets noise-free. Any other shape raises WidthMismatch, a
+        non-Hermitian density matrix NotHermitian, and an empty batch or noisy
+        kets InvalidParams. One trial for every state or one per state.
 
-        The trials are the rows of `letters`, or with seeds one twirled trial
-        per seed, its closing frame composed in: one trial for every state or
-        one per state. One gather and one kernel pass per segment for a
-        slice of the batch; a map that is exactly the identity for every
-        trial is skipped. A slice holds at most _SLICE_BYTES of states (one
-        state at least), so it stays in cache through all the passes."""
+        Per segment, one gather and one kernel pass on a slice of the batch
+        (at most _SLICE_BYTES, one state at least, so it stays in cache); a
+        map that is exactly the identity for every trial is skipped."""
         n = self.n_qubits
         if states.shape[1:] not in ((2 ** n,), (2 ** n, 2 ** n)):
             raise WidthMismatch(
@@ -232,31 +214,40 @@ class CircuitPlan:
         if len(maps) not in (1, len(states)):
             raise InvalidParams(
                 f"{len(maps)} trials of maps for a batch of {len(states)} states")
-        d = maps.shape[-1]
-        idle = (maps == np.eye(d)).all(axis=(0, -2, -1)).tolist()
-        step = max(1, _SLICE_BYTES // states[0].nbytes)
+        idle = (maps == np.eye(maps.shape[-1])).all(axis=(0, -2, -1)).tolist()
+        step = max(1, _SLICE_BYTES // (states[0].nbytes if ket else 8 * 4 ** n))
         out = []
         for lo in range(0, len(states), step):
             trials = slice(lo, lo + step)
-            w = states[trials] if ket else to_paired(states[trials], n)
+            w = states[trials]
+            if not (ket or is_hermitian(w)):  # a NaN fails too
+                raise NotHermitian("a state of the batch is not Hermitian")
+            w = w if ket else to_pauli(w, n)
             for (_, _, flips), seg, skip in zip(self.segments,
                                                 maps.swapaxes(0, 1), idle):
-                if len(flips) > 1:  # each trial's own order, as one flat take
-                    order = np.stack([_flip_order(f, n, d // 2)
-                                      for f in flips[trials]])
-                    order += np.arange(0, w.size, w.shape[1])[:, None]
-                    w = w.reshape(-1).take(order)
-                elif flips[0]:
-                    w = np.take(w, _flip_order(flips[0], n, d // 2), axis=1)
+                flips = flips if len(flips) == 1 else flips[trials]
+                if not ket and any(len(g) > 2 for f in flips for g in f):
+                    # A Toffoli has no signed gather: permute the matrices.
+                    o = np.stack([_flip_order(f, n, False)[0] for f in flips])
+                    rho = from_pauli(w, n)
+                    w = to_pauli(rho[np.arange(len(rho))[:, None, None],
+                                     o[:, :, None], o[:, None, :]], n)
+                elif any(flips):  # one order for all, or each trial's own
+                    order, sign = zip(*(_flip_order(f, n, not ket)
+                                        for f in flips))
+                    w = w.reshape(-1).take(np.stack(order) + np.arange(
+                        0, w.size, w.shape[1])[:, None])
+                    if not ket:
+                        w *= np.stack(sign)
                 w = apply_superoperators(
                     w, [None if s else m[trials] if len(m) > 1 else m
                         for m, s in zip(seg.swapaxes(0, 1), skip)])
-            out.append(w if ket else from_paired(w, n))
+            out.append(w if ket else from_pauli(w, n))
         return out[0] if len(out) == 1 else np.concatenate(out)
 
 
-# A 32-state batch of 8-qubit density matrices (32 MB) ran twice as slow as
-# slices of 2 MB, the L2 cache of one core of the 2-core Xeon it was timed on.
+# A 32-state batch of 8-qubit Pauli vectors (16 MB) ran 1.7 times as slow as
+# slices of 2 MB (1 or 4 MB within 8%), the L2 of one core of a 2-core Xeon.
 _SLICE_BYTES = 2 ** 21
 
 
@@ -327,46 +318,64 @@ def toffoli_decomposition(c1: int, c2: int, target: int,
 
 
 # ---------------------------------------------------------------------------
-# The paired layout `run` holds density matrices in, and its two kernels.
+# The Pauli vectors `run` holds density matrices as, and its two kernels.
+
+# CNOT sign on the output's (control, target) digits: -1 at x_c z_t (1^x_t^z_c).
+_X, _Z = np.arange(4) & 1, np.arange(4) >> 1
+_CNOT_SIGN = 1.0 - 2 * (_X[:, None] * _Z * (1 ^ _X ^ _Z[:, None]))
 
 
 @functools.lru_cache(maxsize=64)
-def _flip_order(flips: tuple, n: int, sides: int = 2) -> np.ndarray:
-    """v[order] is v after the controlled-X gates `flips` (CNOT, Toffoli:
-    the last qubit flips where all the others are 1), on the row and column
-    bits of a paired state (sides 2) or the bits of a ket (sides 1)."""
-    order = np.arange(2 ** (sides * n))
-    t = order.reshape((2,) * (sides * n))
-    for qubits in flips:
-        for side in range(sides):
-            idx = [slice(None)] * (sides * n)
-            for c in qubits[:-1]:
-                idx[sides * c + side] = slice(1, 2)
+def _flip_order(flips: tuple, n: int, pauli: bool) -> tuple:
+    """(order, sign): sign * v[order] is v after the controlled-X gates
+    `flips`. On a ket (sign None) the last qubit flips where all the others
+    are 1. On a Pauli vector (CNOTs only, which map Pauli strings to signed
+    ones: Gottesman, quant-ph/9807006) the target's x flips where the
+    control's x is 1, and the control's z where the target's z is 1."""
+    bits = 2 * n if pauli else n
+    order = np.arange(2 ** bits, dtype=np.int32)
+    t = order.reshape((2,) * bits)
+    sign = np.ones(4 ** n) if pauli else None
+    for *controls, target in flips:
+        moves = [(controls, target)]
+        if pauli:  # bits (z, x) per qubit: digit x + 2z
+            (c,) = controls
+            moves = [([2 * c + 1], 2 * target + 1), ([2 * target], 2 * c)]
+            np.moveaxis(sign.reshape((4,) * n), (c, target), (0, 1))[...] *= (
+                _CNOT_SIGN.reshape((4, 4) + (1,) * (n - 2)))
+        for where, axis in moves:  # flip bit `axis` where bits `where` are 1
+            idx = [slice(None)] * bits
+            for b in where:
+                idx[b] = slice(1, 2)
             w = t[tuple(idx)]
-            w[...] = np.flip(w, axis=sides * qubits[-1] + side)
+            w[...] = np.flip(w, axis=axis)
     order.flags.writeable = False
-    return order
+    if pauli:
+        sign.flags.writeable = False
+    return order, sign
 
 
-def to_paired(rho: np.ndarray, n: int) -> np.ndarray:
-    """rho as a flat vector with axes (r0, c0, r1, c1, ...): one base-4 digit
-    2*r_q + c_q per qubit, qubit 0 most significant. A batch (T, 2^n, 2^n)
-    gives (T, 4^n). Always a fresh copy."""
-    lead = rho.shape[:-2]
-    return np.take(rho.reshape(lead + (4 ** n,)), _paired_order(n)[0], axis=-1)
+def to_pauli(rho: np.ndarray, n: int) -> np.ndarray:
+    """rho as its real Pauli vector, (T, 4^n) for a batch (T, 2^n, 2^n):
+    entry sum_q p_q 4^(n-1-q) is Tr(P rho) / 2^n for the Pauli string with
+    code p_q = x + 2z (I, X, Z, Y) on qubit q, qubit 0 most significant: the
+    paired gather and one B^-1 pass, less its imaginary part (0 if Hermitian)."""
+    paired = np.take(rho.reshape(rho.shape[:-2] + (4 ** n,)),
+                     _paired_order(n)[0], axis=-1)
+    return apply_superoperators(paired, [PAULI_INV] * n).real.copy()
 
 
-def from_paired(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of `to_paired`: the 2^n x 2^n matrix, or one per batch row."""
-    return np.take(v, _paired_order(n)[1], axis=-1).reshape(
+def from_pauli(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `to_pauli`: the 2^n x 2^n matrix, or one per batch row."""
+    paired = apply_superoperators(v, [PAULI_BASIS] * n)
+    return np.take(paired, _paired_order(n)[1], axis=-1).reshape(
         v.shape[:-1] + (2 ** n, 2 ** n))
 
 
 @functools.lru_cache(maxsize=8)
 def _paired_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only gathers of `to_paired` and `from_paired`: arange(4^n) in
-    int32 (half the bytes of intp) under the layout's axis order and its
-    inverse, built once per n, so a conversion is one `take`."""
+    """Read-only int32 gathers from a matrix to its paired layout, axes
+    (r0, c0, r1, c1, ...), and back, built once per n."""
     axes = [a for q in range(n) for a in (q, n + q)]
     digits = np.arange(4 ** n, dtype=np.int32).reshape((2,) * (2 * n))
     to = digits.transpose(axes).ravel()
@@ -378,10 +387,9 @@ def _paired_order(n: int) -> tuple[np.ndarray, np.ndarray]:
 def apply_superoperators(v: np.ndarray, maps) -> np.ndarray:
     """Apply maps[q] to qubit q of a state, for every qubit.
 
-    v is one state or a batch (T, d^n) of them: paired density matrices (4x4
-    maps; see `to_paired`) or kets (2x2 maps). maps[q] is one (d, d) map for
-    every state, a (T, d, d) stack with one per state, or None for the
-    identity.
+    v is one state or a batch (T, d^n) of them: Pauli vectors (4x4 maps; see
+    `to_pauli`) or kets (2x2 maps). maps[q] is one (d, d) map for every
+    state, a (T, d, d) stack with one per state, or None for the identity.
 
     Each step is one GEMM per state, (m @ x).T computed as x.T @ m.T so that
     it writes the leading digit straight to the back; after one pass the

@@ -25,7 +25,8 @@ def max_abs(a: np.ndarray) -> float:
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     a = as_complex(a)
-    return a.shape[0] == a.shape[1] and max_abs(a - a.conj().T) <= tol
+    return (a.shape[-1] == a.shape[-2]
+            and max_abs(a - a.conj().swapaxes(-1, -2)) <= tol)
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -9,10 +9,10 @@ All channels are exact maps on the density matrix, never Monte Carlo:
   PhaseDamping   Z flip with probability lambda
 
 Each channel is one 4x4 superoperator, sum_k K (x) conj(K) over its Kraus
-operators (Wood, Biamonte & Cory, arXiv:1111.6950), acting on one qubit's
-digit of the paired layout the simulator in `circuits` runs on. The simulator
-fuses it with the qubit's gate u of the cycle as N (u (x) conj(u)), so one
-cycle is one 4x4 map per qubit.
+operators (Wood, Biamonte & Cory, arXiv:1111.6950). The simulator in
+`circuits` runs its real Pauli transfer matrix (`pauli_transfer`) on one
+qubit's digit of a state's Pauli vector, fused with the qubit's gate u of the
+cycle as R(N) R(u (x) conj(u)), so one cycle is one real 4x4 map per qubit.
 """
 
 from __future__ import annotations
@@ -159,27 +159,18 @@ def pair_superoperator(k: np.ndarray) -> np.ndarray:
     return outer.reshape(k.shape[:-2] + (4, 4))
 
 
-# B: the row-major vectorizations of I, X, Y, Z as columns, in the paired
-# index order 2*r + c. B^dagger B = 2 I, so B^-1 = B^dagger / 2.
-PAULI_BASIS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0],
-                        [1, 0, 0, -1]]).T
-_PAULI_INV = PAULI_BASIS.conj().T / 2
-# Row-major vec(B R B^-1) = vec(R) @ kron(B, B^-1 ^T)^T.
-_FROM_PAULI = np.kron(PAULI_BASIS, _PAULI_INV.T).T
+# B: column p = x + 2z is the row-major vectorization (index 2*r + c) of
+# I, X, Z, Y, as in `circuits.PLAN_LETTERS`; B^-1 = B^dagger / 2.
+PAULI_BASIS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1],
+                        [0, -1j, 1j, 0]]).T
+PAULI_INV = PAULI_BASIS.conj().T / 2
 
 
 def pauli_transfer(m: np.ndarray) -> np.ndarray:
     """The Pauli transfer matrix B^-1 m B of a 4x4 paired map, or of each of
-    a stack (..., 4, 4). It is real for every map that keeps Hermitian
-    matrices Hermitian, as Kraus sums and u (x) conj(u) do (Wood, Biamonte &
-    Cory, arXiv:1111.6950), so products of such maps run on float64."""
-    return (_PAULI_INV @ m @ PAULI_BASIS).real
-
-
-def from_pauli_transfer(r: np.ndarray) -> np.ndarray:
-    """Inverse of `pauli_transfer`: the paired map B r B^-1 of each transfer
-    matrix in a stack (..., 4, 4), as one GEMM."""
-    return (r.reshape(-1, 16) @ _FROM_PAULI).reshape(r.shape)
+    a stack (..., 4, 4): real for every map that keeps Hermitian matrices
+    Hermitian, as Kraus sums and u (x) conj(u) do (arXiv:1111.6950)."""
+    return (PAULI_INV @ m @ PAULI_BASIS).real
 
 
 def apply_channel_all(rho: np.ndarray, model: NoiseModel, n: int) -> np.ndarray:

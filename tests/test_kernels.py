@@ -13,15 +13,15 @@ import pytest
 from qnoisebench import circuits
 from qnoisebench.benchmarks import (build_benchmark, build_random,
                                     optimize_qaoa_angles, random_plan)
-from qnoisebench.circuits import (CLIFFORD_T, Circuit, Cycle, apply_cycle,
-                                  apply_local_unitary, apply_superoperators,
-                                  circuit_unitary, compile_plan, from_paired,
-                                  simulate, to_paired)
+from qnoisebench.circuits import (CLIFFORD_T, Circuit, CircuitPlan, Cycle,
+                                  apply_cycle, apply_local_unitary,
+                                  apply_superoperators, circuit_unitary,
+                                  compile_plan, from_pauli, simulate, to_pauli)
 from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
                                    randomized_compile)
-from qnoisebench.errors import InvalidParams, WidthMismatch
-from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, TOFFOLI, H,
-                              Gate, embed_unitary, gate_matrix)
+from qnoisebench.errors import InvalidParams, NotHermitian, WidthMismatch
+from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, I2, TOFFOLI,
+                              H, X, Y, Z, Gate, embed_unitary, gate_matrix)
 from qnoisebench.metrics import average_gate_fidelity
 from qnoisebench.noise import (
     NOISE_KINDS,
@@ -35,6 +35,8 @@ from qnoisebench.noise import (
     apply_channel_all,
     kraus_operators,
     noise_level_table,
+    pair_superoperator,
+    pauli_transfer,
     superoperator,
 )
 from qnoisebench.states import DensityMatrix
@@ -190,11 +192,19 @@ def test_superoperator_is_kraus_sum(model):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_paired_layout_round_trip(n):
+    """`to_pauli` and `from_pauli` undo each other on Hermitian matrices,
+    and the real Pauli vector is a fresh array; identity maps in the kernel
+    leave its digit order alone."""
     rng = np.random.default_rng(n)
-    rho = random_density(n, rng) if n <= 6 else rng.standard_normal((2 ** n,) * 2)
-    v = to_paired(rho, n)
+    if n <= 6:
+        rho = random_density(n, rng)
+    else:
+        rho = rng.standard_normal((2 ** n,) * 2)
+        rho += rho.T
+    v = to_pauli(rho, n)
+    assert v.dtype == np.float64 and v.shape == (4 ** n,)
     assert not np.shares_memory(v, rho)
-    np.testing.assert_array_equal(from_paired(v, n), rho)
+    np.testing.assert_allclose(from_pauli(v, n), rho, rtol=0, atol=1e-14)
     # Identity maps, in runs or everywhere, leave the digit order alone.
     maps = [None if rng.random() < 0.5 else np.eye(4) for _ in range(n)]
     np.testing.assert_array_equal(apply_superoperators(v, maps), v)
@@ -203,26 +213,23 @@ def test_paired_layout_round_trip(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_paired_order_is_one_base4_digit_per_qubit(n):
-    """Paired entry sum_q (2 r_q + c_q) 4^(n-1-q) is rho[r, c], where r_q and
-    c_q are qubit q's bits of r and c, qubit 0 most significant: for one
-    matrix and for each row of a batch. A matrix of another width is no
-    n-qubit state."""
+    """Pauli entry sum_q p_q 4^(n-1-q) is Tr(P rho) / 2^n, where P is the
+    string with Pauli code p_q = x + 2z (I, X, Z, Y) on qubit q, qubit 0
+    most significant: for one matrix and for each row of a batch. A matrix
+    of another width is no n-qubit state."""
     rng = np.random.default_rng(40 + n)
     rhos = np.stack([random_density(n, rng) for _ in range(3)])
-    want = np.empty((3, 4 ** n), dtype=np.complex128)
-
-    def bit(x, q):
-        return (x >> (n - 1 - q)) & 1
-
-    for r, c in itertools.product(range(2 ** n), repeat=2):
-        i = sum((2 * bit(r, q) + bit(c, q)) * 4 ** (n - 1 - q)
-                for q in range(n))
-        want[:, i] = rhos[:, r, c]
-    np.testing.assert_array_equal(to_paired(rhos[0], n), want[0])
-    np.testing.assert_array_equal(to_paired(rhos, n), want)
-    np.testing.assert_array_equal(from_paired(want, n), rhos)
+    want = np.empty((3, 4 ** n))
+    for i, digits in enumerate(itertools.product(range(4), repeat=n)):
+        p = np.ones((1, 1))
+        for d in digits:
+            p = np.kron(p, (I2, X, Z, Y)[d])
+        want[:, i] = np.trace(p @ rhos, axis1=1, axis2=2).real / 2 ** n
+    np.testing.assert_allclose(to_pauli(rhos[0], n), want[0], atol=1e-15)
+    np.testing.assert_allclose(to_pauli(rhos, n), want, atol=1e-15)
+    np.testing.assert_allclose(from_pauli(want, n), rhos, atol=1e-15)
     with pytest.raises(ValueError):
-        to_paired(rhos, n + 1)
+        to_pauli(rhos, n + 1)
 
 
 def random_clifford_t(n, depth, rng):
@@ -287,7 +294,8 @@ def product_chain(plan, model, seeds=None):
     """The paired maps of every segment as complex products, one cycle at a
     time with the closing frame last: the formula `_compose` had before it
     multiplied Pauli transfer matrices."""
-    table = plan.pair_maps
+    pair_maps = pair_superoperator(plan.unitaries)
+    table = pair_maps
     if not isinstance(model, NoNoise):
         table = superoperator(model) @ table
     letters, frames = plan.letters, None
@@ -303,21 +311,23 @@ def product_chain(plan, model, seeds=None):
             m = cycle_maps[:, k] @ m
         segs.append(m)
     if frames is not None:
-        segs[-1] = plan.pair_maps[frames] @ segs[-1]
+        segs[-1] = pair_maps[frames] @ segs[-1]
     return np.stack(segs, axis=1)
 
 
 @pytest.mark.parametrize("rc", [False, True])
 @pytest.mark.parametrize("bench", ["qft_ct", "adder"])
 def test_compose_matches_complex_product_chain(bench, rc):
-    """The Pauli-transfer products, converted back, give the complex product
-    chain's maps under every noise model, with 5 twirl seeds or without RC."""
+    """The Pauli-transfer products are the transfer matrices of the complex
+    product chain's maps under every noise model, with 5 twirl seeds or
+    without RC."""
     circ = build_benchmark(bench)
     plan = compile_plan(interleave_idle(circ) if rc else circ, rc)
     seeds = range(5) if rc else None
     for model in MODELS:
         np.testing.assert_allclose(plan._compose(model, seeds),
-                                   product_chain(plan, model, seeds),
+                                   pauli_transfer(product_chain(plan, model,
+                                                                seeds)),
                                    rtol=0, atol=ATOL, err_msg=repr(model))
 
 
@@ -329,13 +339,15 @@ def test_pauli_transfer_matrices_are_real():
     inverse = PAULI_BASIS.conj().T / 2
     np.testing.assert_allclose(inverse @ PAULI_BASIS, np.eye(4), atol=1e-15)
     for model in MODELS:
-        for m in superoperator(model) @ plan.pair_maps:
+        for m in superoperator(model) @ pair_superoperator(plan.unitaries):
             assert np.abs((inverse @ m @ PAULI_BASIS).imag).max() <= 1e-15
 
 
 def test_idle_segment_map_stays_exact_identity(monkeypatch):
     """Noise-free, a qubit idle through a multi-cycle segment gets exactly
-    the identity from `_compose`, and `run` skips it (passes None)."""
+    the identity from `_compose`, and `run` skips it (passes None) in its
+    one segment pass, whose maps are real; the conversion passes of
+    `to_pauli` and `from_pauli` (complex B maps) are not counted."""
     circ = Circuit(2, (Cycle((Gate.h(0),)), Cycle((Gate.t(0),)),
                        Cycle((Gate.s(0),))))
     plan = compile_plan(circ)
@@ -345,13 +357,15 @@ def test_idle_segment_map_stays_exact_identity(monkeypatch):
     seen = []
 
     def recording(v, maps):
-        seen.append(list(maps))
+        if not any(np.iscomplexobj(m) for m in maps):
+            seen.append(list(maps))
         return apply_superoperators(v, maps)
 
     monkeypatch.setattr(circuits, "apply_superoperators", recording)
     rho = random_density(2, np.random.default_rng(7))
     got = plan.run(rho[None])[0]
-    assert len(seen) == 1 and seen[0][1] is None and seen[0][0] is not None
+    assert len(seen) == 1 and seen[0][1] is None
+    assert seen[0][0].dtype == np.float64
     u = circuit_unitary(circ)
     np.testing.assert_allclose(got, u @ rho @ u.conj().T, atol=ATOL)
 
@@ -402,6 +416,51 @@ def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
         plan.run(kets, NoNoise(), range(3))
     with pytest.raises(InvalidParams, match="rc"):
         compile_plan(circ).run(kets, NoNoise(), range(4))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_per_trial_toffoli_segment_matches_dense_oracle(model):
+    """A segment whose flips are a Toffoli in one trial and a CNOT in the
+    other (no signed Pauli gather exists for a Toffoli) permutes each
+    trial's matrix by its own ket order; each trial equals its circuit's
+    dense oracle."""
+    flips = ((2, 0, 1),), ((1, 0),)
+    letters = np.array([[[0, 0, 0], [1, 0, 2]], [[0, 0, 0], [2, 1, 0]]])
+    plan = CircuitPlan(3, letters, np.stack([I2, H, X]), ((0, 2, flips),))
+    rng = np.random.default_rng(17)
+    rhos = np.stack([random_density(3, rng) for _ in flips])
+    got = plan.run(rhos, model)
+    for t, ((*controls, target),) in enumerate(flips):
+        gate = Gate("toffoli" if controls[1:] else "cnot", (*controls, target))
+        singles = [Gate(("h", "x")[k - 1], (q,))
+                   for q, k in enumerate(letters[t, 1]) if k]
+        circ = Circuit(3, (Cycle((gate,)), Cycle(tuple(singles))))
+        np.testing.assert_allclose(got[t], dense_oracle(circ, rhos[t], model),
+                                   atol=ATOL)
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 64])
+def test_run_rejects_non_hermitian_density_matrices(monkeypatch, slice_bytes):
+    """A real Pauli vector cannot hold a non-Hermitian matrix, so `run` (in
+    any slice of the batch) and `simulate` raise NotHermitian for one that
+    deviates by more than HERMITICITY_TOL, or holds a NaN, instead of
+    dropping the difference; a deviation inside the tolerance runs."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
+    circ = Circuit(2, (Cycle((Gate.h(0), Gate.t(1))), Cycle((Gate.cnot(0, 1),))))
+    plan = compile_plan(circ)
+    rho = random_density(2, np.random.default_rng(3))
+    skewed, nan, near = rho.copy(), rho.copy(), rho.copy()
+    skewed[0, 1] += 1e-6
+    nan[1, 1] = np.nan
+    near[0, 1] += 1e-10
+    for state in (skewed, nan):
+        with pytest.raises(NotHermitian):
+            plan.run(np.stack([rho, state]))
+        with pytest.raises(NotHermitian):
+            simulate(circ, DensityMatrix(state), PauliNoise(0.01, 0.0, 0.0))
+    np.testing.assert_allclose(plan.run(near[None])[0],
+                               dense_oracle(circ, rho, NoNoise()), atol=1e-9)
 
 
 def test_every_state_update_runs_through_plan_run(monkeypatch):
