@@ -3,11 +3,16 @@
 A cycle applies at most one gate per qubit; all its gates act simultaneously.
 Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
 applied to every qubit, idle qubits included. `CircuitPlan.run` is the one
-code path that moves a state. It runs a batch of density matrices as real
-Pauli vectors (`to_pauli`), which never leave `run`: a CNOT is a signed gather
-of the entries, and each qubit's channel and gates one real 4x4 Pauli transfer
-matrix. Kets run under the 2x2 unitaries the same way. `apply_local_unitary`
+code path that moves a state. It runs a batch of density states as real
+Pauli vectors (`to_pauli`): a CNOT is a signed gather of the entries, and each
+qubit's channel and gates one real 4x4 Pauli transfer matrix. Pauli vectors
+go in and come out as they are; density matrices are converted on the way in
+and out. Kets run under the 2x2 unitaries the same way. `apply_local_unitary`
 and `apply_cycle` build one-cycle plans and run them.
+
+The Pauli-vector layout (digit x + 2z per qubit, qubit 0 most significant)
+is known only here: `product_pauli` builds product inputs in it, and
+`pauli_diagonals` and `pauli_fidelities` read the metrics off it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DuplicateIndex, InvalidParams, NotHermitian, WidthMismatch
+from .errors import (DuplicateIndex, InvalidParams, InvalidState, NotHermitian,
+                     WidthMismatch)
 from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, I2, TOFFOLI, Gate
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
@@ -187,29 +193,37 @@ class CircuitPlan:
 
     def run(self, states: np.ndarray, noise: NoiseModel = NoNoise(),
             seeds=None) -> np.ndarray:
-        """Density matrices (T, 2^n, 2^n) or kets (T, 2^n) through the plan,
-        under `noise` after every cycle, returned in the same shape: density
-        matrices as real Pauli vectors (`to_pauli`) under the maps of
-        `_compose`, kets noise-free. Any other shape raises WidthMismatch, a
-        non-Hermitian density matrix NotHermitian, and an empty batch or noisy
+        """A batch of states through the plan, under `noise` after every
+        cycle, returned in the same form as a fresh array. The batch is real Pauli vectors
+        (T, 4^n) float64 (`to_pauli`), density matrices (T, 2^n, 2^n) or kets
+        (T, 2^n). Density states run under the maps of `_compose`; a matrix
+        is converted to its Pauli vector on the way in and back on the way
+        out. Kets run noise-free. Any other shape or dtype raises
+        WidthMismatch, a non-Hermitian density matrix NotHermitian, a
+        non-finite Pauli vector InvalidState, and an empty batch or noisy
         kets InvalidParams. One trial for every state or one per state.
 
         Per segment, one gather and one kernel pass on a slice of the batch
         (at most _SLICE_BYTES, one state at least, so it stays in cache); a
         map that is exactly the identity for every trial is skipped."""
         n = self.n_qubits
-        if states.shape[1:] not in ((2 ** n,), (2 ** n, 2 ** n)):
+        ket = states.shape[1:] == (2 ** n,)
+        matrix = states.shape[1:] == (2 ** n, 2 ** n)
+        pauli = states.shape[1:] == (4 ** n,) and states.dtype == np.float64
+        if not (ket or matrix or pauli):
             raise WidthMismatch(
-                f"batch of shape {states.shape} is neither kets (T, {2 ** n}) "
-                f"nor density matrices (T, {2 ** n}, {2 ** n})")
+                f"batch of shape {states.shape} and dtype {states.dtype} is "
+                f"neither kets (T, {2 ** n}), density matrices (T, {2 ** n}, "
+                f"{2 ** n}) nor float64 Pauli vectors (T, {4 ** n})")
         if not len(states):
             raise InvalidParams("empty batch: run needs at least one state")
-        ket = states.ndim == 2
         noise = noise.validate()
         if ket and not isinstance(noise, NoNoise):
             raise InvalidParams(f"kets run noise-free, not under {noise!r}")
         if seeds is not None and self.twirl is None:
             raise InvalidParams("seeds draw twirls; compile the plan with rc")
+        if pauli and not np.isfinite(states).all():
+            raise InvalidState("a Pauli vector of the batch is not finite")
         maps = self._compose(noise, seeds, ket=ket)
         if len(maps) not in (1, len(states)):
             raise InvalidParams(
@@ -220,9 +234,10 @@ class CircuitPlan:
         for lo in range(0, len(states), step):
             trials = slice(lo, lo + step)
             w = states[trials]
-            if not (ket or is_hermitian(w)):  # a NaN fails too
-                raise NotHermitian("a state of the batch is not Hermitian")
-            w = w if ket else to_pauli(w, n)
+            if matrix:
+                if not is_hermitian(w):  # a NaN fails too
+                    raise NotHermitian("a state of the batch is not Hermitian")
+                w = to_pauli(w, n)
             for (_, _, flips), seg, skip in zip(self.segments,
                                                 maps.swapaxes(0, 1), idle):
                 flips = flips if len(flips) == 1 else flips[trials]
@@ -232,7 +247,13 @@ class CircuitPlan:
                     rho = from_pauli(w, n)
                     w = to_pauli(rho[np.arange(len(rho))[:, None, None],
                                      o[:, :, None], o[:, None, :]], n)
-                elif any(flips):  # one order for all, or each trial's own
+                elif len(flips) == 1:  # one order for every trial
+                    if flips[0]:
+                        order, sign = _flip_order(flips[0], n, not ket)
+                        w = w.take(order, axis=1)
+                        if not ket:
+                            w *= sign
+                elif any(flips):  # each trial's own order
                     order, sign = zip(*(_flip_order(f, n, not ket)
                                         for f in flips))
                     w = w.reshape(-1).take(np.stack(order) + np.arange(
@@ -242,8 +263,10 @@ class CircuitPlan:
                 w = apply_superoperators(
                     w, [None if s else m[trials] if len(m) > 1 else m
                         for m, s in zip(seg.swapaxes(0, 1), skip)])
-            out.append(w if ket else from_pauli(w, n))
-        return out[0] if len(out) == 1 else np.concatenate(out)
+            out.append(from_pauli(w, n) if matrix else w)
+        out = out[0] if len(out) == 1 else np.concatenate(out)
+        # A plan of skipped maps and no flips would hand back the input.
+        return out.copy() if np.may_share_memory(out, states) else out
 
 
 # A 32-state batch of 8-qubit Pauli vectors (16 MB) ran 1.7 times as slow as
@@ -370,6 +393,40 @@ def from_pauli(v: np.ndarray, n: int) -> np.ndarray:
     paired = apply_superoperators(v, [PAULI_BASIS] * n)
     return np.take(paired, _paired_order(n)[1], axis=-1).reshape(
         v.shape[:-1] + (2 ** n, 2 ** n))
+
+
+def product_pauli(factors: np.ndarray) -> np.ndarray:
+    """Pauli vectors (T, 4^n) of the product kets given qubit by qubit as
+    factors (T, n, 2), qubit 0 first: the Kronecker product of each qubit's
+    (1, x, z, y) / 2 for its Bloch vector (x, y, z), so `to_pauli` of the
+    kets' projectors without building them."""
+    a, b = factors[..., 0], factors[..., 1]
+    pa, pb, ab = np.abs(a) ** 2, np.abs(b) ** 2, a.conj() * b
+    qubits = np.stack([pa + pb, 2 * ab.real, pa - pb, 2 * ab.imag], axis=-1) / 2
+    v = qubits[:, 0]
+    for q in range(1, qubits.shape[1]):
+        v = (v[:, :, None] * qubits[:, q, None, :]).reshape(len(v), -1)
+    return v
+
+
+# Walsh-Hadamard step: (-1)^(z b) from a qubit's z bit to its basis bit b.
+_WALSH = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def pauli_diagonals(v: np.ndarray, n: int) -> np.ndarray:
+    """Diagonals (T, 2^n) of the density matrices with Pauli vectors v
+    (T, 4^n): rho_bb = sum_z r_z (-1)^(z . b) over the 2^n Z-type strings
+    (x bits all 0), one +-1 pass of the kernel."""
+    z_type = v.reshape((-1,) + (2, 2) * n)[(slice(None),) + (slice(None), 0) * n]
+    return apply_superoperators(z_type.reshape(-1, 2 ** n), [_WALSH] * n)
+
+
+def pauli_fidelities(v: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Re <psi| rho |psi> per trial, for Pauli vectors v (T, 4^n) and kets
+    (T, 2^n): 2^n sum_P r_P s_P, with s the kets' Pauli vectors."""
+    n = kets.shape[-1].bit_length() - 1
+    s = to_pauli(kets[:, :, None] * kets.conj()[:, None, :], n)
+    return 2 ** n * np.einsum("tp,tp->t", v, s)
 
 
 @functools.lru_cache(maxsize=8)

@@ -26,13 +26,15 @@ from .benchmarks import (
 # simulate, process_fidelity, ket_to_density and random_product_state are not
 # called here, but perfbench/tracer.py times their layers under this module's
 # names, so the names stay importable from it.
-from .circuits import CLIFFORD_T, compile_plan, simulate  # noqa: F401
+from .circuits import (CLIFFORD_T, compile_plan,  # noqa: F401
+                       pauli_diagonals, pauli_fidelities, product_pauli,
+                       simulate)
 from .compiling import interleave_idle
 from .errors import ConfigError, IoError, SimulationError
 from .metrics import process_fidelity  # noqa: F401
 from .noise import LEVEL_PARAMS, NOISE_KINDS, noise_model_for
 from .states import (check_norms, check_traces,  # noqa: F401
-                     ket_to_density, random_product_kets,
+                     ket_to_density, product_kets, random_product_factors,
                      random_product_state)
 
 CSV_HEADER = "benchmark,noise,param,depth,rc,metric,mean,stderr,trials,seed"
@@ -248,11 +250,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
                   fixed) -> np.ndarray:
     """Every trial's metric at one sweep point. The trials run TRIAL_CHUNK
-    at a time as one batch: noisy density matrices through the plan, and for
-    a fidelity the pure reference U psi, scored as Re <U psi| rho |U psi>.
-    A random trial with randomized compiling runs its own compiled plan. A
-    MaxCut point without randomized compiling has one fixed input and one set
-    of maps, so its trials are equal: it runs one state for all of them."""
+    at a time as one batch of real Pauli vectors through the plan: product
+    inputs built qubit by qubit, scored off the noisy vectors, a fidelity
+    against the pure reference U psi and MaxCut on the diagonal. A random
+    trial with randomized compiling runs its own compiled plan. A MaxCut
+    point without randomized compiling has one fixed input and one set of
+    maps, so its trials are equal: it runs one state for all of them."""
     spec = BENCHMARKS[cfg.benchmark]
     n = spec.n_qubits
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
@@ -265,12 +268,12 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
             np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(3)
             for t in range(lo, hi)))
         if graph is None:
-            psi = random_product_kets(n, input_seeds)
-            rho = psi[:, :, None] * psi.conj()[:, None, :]
+            factors = random_product_factors(n, input_seeds)
+            psi = product_kets(factors)
         else:
-            rho = np.zeros((1 if equal else hi - lo, 2 ** n, 2 ** n),
-                           dtype=np.complex128)
-            rho[:, 0, 0] = 1.0  # |0...0><0...0|
+            factors = np.zeros((1 if equal else hi - lo, n, 2))
+            factors[:, :, 0] = 1.0  # |0...0>
+        rho = product_pauli(factors)
         if fixed is not None:
             plan, ideal = fixed
             rho = plan.run(rho, noise, rc_seeds if cfg.rc else None)
@@ -286,14 +289,13 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
                     cfg.benchmark, depth=depth, seed=circ_seed)), rc=True)
                 rho[k] = plan.run(rho[k:k + 1], noise, [rc_seed])[0]
                 ref[k] = plan.run(psi[k:k + 1])[0]
-        check_traces(rho)
+        diagonals = pauli_diagonals(rho, n)
+        check_traces(diagonals.sum(axis=-1))
         if graph is not None:
-            values[lo:hi] = [maxcut_expectation(np.diagonal(r).real, graph)
-                             for r in rho]
+            values[lo:hi] = [maxcut_expectation(d, graph) for d in diagonals]
         else:
             check_norms(ref)
-            values[lo:hi] = (ref.conj()[:, None, :] @ rho
-                             @ ref[:, :, None])[:, 0, 0].real
+            values[lo:hi] = pauli_fidelities(rho, ref)
     return values
 
 

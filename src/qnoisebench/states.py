@@ -103,20 +103,31 @@ def random_product_state(n: int, seed=None) -> Ket:
 
 
 def random_product_kets(n: int, seeds) -> np.ndarray:
-    """`random_product_state` for each seed, as a (T, 2^n) batch. Each seed's
-    draws are one `uniform(lows, highs)` call, the same stream as the scalar
-    (phi, cos theta) pairs qubit by qubit. Raises NotNormalized if any ket's
-    norm is off by more than NORM_TOL."""
+    """`random_product_state` for each seed, as a (T, 2^n) batch: the
+    `product_kets` of `random_product_factors`."""
+    return product_kets(random_product_factors(n, seeds))
+
+
+def random_product_factors(n: int, seeds) -> np.ndarray:
+    """The qubit factors (T, n, 2) of `random_product_state` for each seed.
+    Each seed's draws are one `uniform(lows, highs)` call, the same stream as
+    the scalar (phi, cos theta) pairs qubit by qubit."""
     if n < 1:
         raise InvalidParams("need at least one qubit")
     lows, highs = np.tile([0.0, -1.0], n), np.tile([2.0 * np.pi, 1.0], n)
     draws = np.array([np.random.default_rng(s).uniform(lows, highs)
                       for s in seeds]).reshape(-1, n, 2)
     phi, theta = draws[..., 0], np.arccos(draws[..., 1])
-    factors = np.stack([np.cos(theta / 2.0),
-                        np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+    return np.stack([np.cos(theta / 2.0),
+                     np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+
+
+def product_kets(factors: np.ndarray) -> np.ndarray:
+    """Kets (T, 2^n) of the products of qubit factors (T, n, 2), qubit 0 most
+    significant. Raises NotNormalized if any ket's norm is off by more than
+    NORM_TOL."""
     amps = factors[:, 0]
-    for q in range(1, n):
+    for q in range(1, factors.shape[1]):
         amps = (amps[:, :, None] * factors[:, q, None, :]).reshape(len(amps), -1)
     check_norms(amps, NotNormalized)
     return amps
@@ -131,27 +142,30 @@ def check_count(name: str, value) -> None:
 
 def check_norms(kets: np.ndarray, error=InvalidState) -> None:
     """Raise `error` unless every ket of the batch (T, 2^n) has norm 1 within
-    NORM_TOL."""
+    NORM_TOL (a NaN fails)."""
     dev = np.abs(np.linalg.norm(kets, axis=-1) - 1.0)
-    if np.any(dev > NORM_TOL):
-        raise error(f"state norm off 1 by {dev.max():.3e}")
+    if not np.all(dev <= NORM_TOL):
+        raise error(f"state norm off 1 by {np.max(dev):.3e}")
 
 
-def check_traces(rhos: np.ndarray) -> None:
-    """Raise InvalidState unless every density matrix of the batch
-    (T, 2^n, 2^n) has trace 1 within TRACE_TOL."""
-    dev = np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0)
-    if np.any(dev > TRACE_TOL):
-        raise InvalidState(f"trace off 1 by {dev.max():.3e}")
+def check_traces(traces: np.ndarray) -> None:
+    """Raise InvalidState unless every trace of a batch of density states
+    is 1 within TRACE_TOL (a NaN fails)."""
+    dev = np.abs(traces - 1.0)
+    if not np.all(dev <= TRACE_TOL):
+        raise InvalidState(f"trace off 1 by {np.max(dev):.3e}")
 
 
 def measurement_distribution(dm: DensityMatrix) -> np.ndarray:
     """Computational-basis outcome probabilities from the diagonal.
 
     Diagonal entries in (DIAG_CLAMP, 0) are clamped to zero and the vector is
-    renormalized; anything below DIAG_CLAMP means the state is broken.
+    renormalized; anything below DIAG_CLAMP, or a NaN, means the state is
+    broken.
     """
     diag = np.real(np.diag(dm.matrix)).copy()
+    if not np.isfinite(diag).all():
+        raise InvalidState("diagonal holds a non-finite entry")
     if diag.min() < DIAG_CLAMP:
         raise InvalidState(f"diagonal entry {diag.min():.3e} below {DIAG_CLAMP}")
     np.clip(diag, 0.0, None, out=diag)

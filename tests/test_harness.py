@@ -371,6 +371,54 @@ def test_qaoa_point_without_rc_runs_one_state(monkeypatch, rc, trials, rows):
     assert sizes == [rows]
 
 
+def count_conversions(monkeypatch):
+    """Counters on the matrix conversions and Hermiticity checks, wherever a
+    module looks them up."""
+    from qnoisebench import circuits, linalg, states
+
+    calls = {"to_pauli": 0, "from_pauli": 0, "is_hermitian": 0}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for module in (circuits, linalg, states):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("rc", [False, True])
+def test_qaoa_point_runs_pauli_vectors_without_conversions(monkeypatch, rc):
+    """A qaoa_ct point builds its |0...0> input as a Pauli vector, runs it
+    and reads MaxCut off the vector's diagonal: no `to_pauli`, `from_pauli`
+    or `is_hermitian` call; the rows match a run without the counters."""
+    cfg = ExperimentConfig(benchmark="qaoa_ct", noise="amplitude_damping",
+                           levels=(3,), rc=rc, trials=2)
+    want = run_experiment(cfg)
+    calls = count_conversions(monkeypatch)
+    assert run_experiment(cfg) == want
+    assert calls == {"to_pauli": 0, "from_pauli": 0, "is_hermitian": 0}
+
+
+@pytest.mark.parametrize("bench,rc", [("qft_ct", True), ("random", False),
+                                      ("random", True)])
+def test_fidelity_points_convert_only_the_reference(monkeypatch, bench, rc):
+    """A fidelity point converts only its reference kets, one `to_pauli` for
+    the chunk: the noisy states stay Pauli vectors, with no `from_pauli` and
+    no Hermiticity check."""
+    depth = None if bench == "qft_ct" else (3, 3, 1)
+    cfg = ExperimentConfig(benchmark=bench, noise="pauli", levels=(1,), rc=rc,
+                           trials=3, depth_range=depth)
+    calls = count_conversions(monkeypatch)
+    run_experiment(cfg)
+    assert calls == {"to_pauli": 1, "from_pauli": 0, "is_hermitian": 0}
+
+
 def test_equal_trials_have_zero_stderr():
     """100 bit-identical qaoa_ct values (RC off) report a stderr of exactly 0,
     not the rounding of their mean."""

@@ -16,10 +16,13 @@ from qnoisebench.benchmarks import (build_benchmark, build_random,
 from qnoisebench.circuits import (CLIFFORD_T, Circuit, CircuitPlan, Cycle,
                                   apply_cycle, apply_local_unitary,
                                   apply_superoperators, circuit_unitary,
-                                  compile_plan, from_pauli, simulate, to_pauli)
+                                  compile_plan, from_pauli, pauli_diagonals,
+                                  pauli_fidelities, product_pauli, simulate,
+                                  to_pauli)
 from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
                                    randomized_compile)
-from qnoisebench.errors import InvalidParams, NotHermitian, WidthMismatch
+from qnoisebench.errors import (InvalidParams, InvalidState, NotHermitian,
+                                WidthMismatch)
 from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, I2, TOFFOLI,
                               H, X, Y, Z, Gate, embed_unitary, gate_matrix)
 from qnoisebench.metrics import average_gate_fidelity
@@ -394,11 +397,13 @@ def test_run_takes_kets_or_density_matrices_by_width(n):
 
 
 def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
-    """A batch neither (T, 2^n) nor (T, 2^n, 2^n) raises WidthMismatch,
-    paired vectors (T, 4^n) included. An empty batch of kets or density
-    matrices raises InvalidParams, and so do kets under a noise model, maps
-    for a different number of trials than the batch has states and seeds
-    for a plan without RC tables."""
+    """A batch neither kets (T, 2^n), density matrices (T, 2^n, 2^n) nor
+    float64 Pauli vectors (T, 4^n) raises WidthMismatch: a complex (T, 4^n)
+    batch included (float64 ones run, see
+    `test_pauli_batch_equals_converted_matrix_batch`). An empty batch of kets
+    or density matrices raises InvalidParams, and so do kets under a noise
+    model, maps for a different number of trials than the batch has states
+    and seeds for a plan without RC tables."""
     circ = interleave_idle(Circuit(2, (Cycle((Gate.h(0), Gate.t(1))),
                                        Cycle((Gate.cnot(0, 1),))), CLIFFORD_T))
     plan = compile_plan(circ, rc=True)
@@ -416,6 +421,107 @@ def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
         plan.run(kets, NoNoise(), range(3))
     with pytest.raises(InvalidParams, match="rc"):
         compile_plan(circ).run(kets, NoNoise(), range(4))
+
+
+def pauli_oracle_plans(rng):
+    """(plan, seeds or None, trials): a 3-qubit Clifford+T plan as written
+    and twirled, a 2-qubit one on one state (a (1, 16) batch), a plan whose
+    one segment opens with a Toffoli in one trial and a CNOT in the other,
+    and one idle cycle (noise-free, every map is skipped)."""
+    plan3 = compile_plan(random_clifford_t(3, 10, rng), rc=True)
+    plan2 = compile_plan(interleave_idle(Circuit(
+        2, (Cycle((Gate.h(0), Gate.t(1))), Cycle((Gate.cnot(0, 1),))),
+        CLIFFORD_T)), rc=True)
+    letters = np.array([[[0, 0, 0], [1, 0, 2]], [[0, 0, 0], [2, 1, 0]]])
+    toffoli = CircuitPlan(3, letters, np.stack([I2, H, X]),
+                          ((0, 2, (((2, 0, 1),), ((1, 0),))),))
+    return [(plan3, None, 3), (plan3, range(3), 3), (plan2, None, 1),
+            (plan2, [5], 1), (toffoli, None, 2),
+            (compile_plan(Circuit(3, (Cycle(()),))), None, 2)]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+@pytest.mark.parametrize("slice_bytes", [None, 64])
+def test_pauli_batch_equals_converted_matrix_batch(monkeypatch, model,
+                                                   slice_bytes):
+    """`run` on float64 Pauli vectors (T, 4^n) returns Pauli vectors, and
+    they are `to_pauli` of what `run` returns for the matrices: noisy, with
+    RC draws, at width 16 (a one-state (1, 16) batch at n = 2) and through a
+    per-trial Toffoli segment, whole and in one-state slices. The input is
+    left as it was, and the output is a fresh array even where no map
+    touched it."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
+    rng = np.random.default_rng(23)
+    for plan, seeds, trials in pauli_oracle_plans(rng):
+        n = plan.n_qubits
+        rhos = np.stack([random_density(n, rng) for _ in range(trials)])
+        v = to_pauli(rhos, n)
+        before = v.copy()
+        got = plan.run(v, model, seeds)
+        assert got.dtype == np.float64 and got.shape == (trials, 4 ** n)
+        np.testing.assert_array_equal(v, before)
+        assert not np.shares_memory(got, v)
+        np.testing.assert_allclose(got, to_pauli(plan.run(rhos, model, seeds), n),
+                                   rtol=0, atol=ATOL)
+
+
+def test_run_rejects_non_finite_and_non_float64_pauli_vectors():
+    """A Pauli-vector batch with a NaN or an infinity raises InvalidState
+    (no Hermiticity check sees it); one of another dtype raises
+    WidthMismatch."""
+    plan = compile_plan(Circuit(2, (Cycle((Gate.h(0),)),
+                                    Cycle((Gate.cnot(0, 1),)))))
+    v = to_pauli(random_density(2, np.random.default_rng(4))[None], 2)
+    for bad in (np.nan, np.inf):
+        broken = np.concatenate([v, v])
+        broken[1, 5] = bad
+        with pytest.raises(InvalidState):
+            plan.run(broken, AmplitudeDamping(0.1))
+    for dtype in (np.complex128, np.float32, np.int64):
+        with pytest.raises(WidthMismatch):
+            plan.run(v.astype(dtype))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_product_pauli_is_the_projector_pauli_vector(n):
+    """`product_pauli` of qubit factors equals `to_pauli` of the kron'd
+    projector, for random product kets and for |0...0>."""
+    rng = np.random.default_rng(60 + n)
+    factors = (rng.standard_normal((4, n, 2))
+               + 1j * rng.standard_normal((4, n, 2)))
+    factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
+    zero = np.zeros((1, n, 2))
+    zero[:, :, 0] = 1.0
+    for fs in (factors, zero):
+        kets = []
+        for f in fs:
+            ket = np.ones(1)
+            for q in range(n):
+                ket = np.kron(ket, f[q])
+            kets.append(ket)
+        kets = np.array(kets)
+        want = to_pauli(kets[:, :, None] * kets.conj()[:, None, :], n)
+        got = product_pauli(fs)
+        assert got.dtype == np.float64 and got.shape == (len(fs), 4 ** n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_diagonals_and_fidelities_read_the_matrices(n):
+    """`pauli_diagonals(v)` is the diagonal of `from_pauli(v)`, and
+    `pauli_fidelities(v, kets)` is Re <psi| rho |psi> per trial."""
+    rng = np.random.default_rng(70 + n)
+    rhos = np.stack([random_density(n, rng) for _ in range(3)])
+    v = to_pauli(rhos, n)
+    np.testing.assert_allclose(
+        pauli_diagonals(v, n),
+        np.diagonal(from_pauli(v, n), axis1=1, axis2=2).real, rtol=0, atol=ATOL)
+    kets = rng.standard_normal((3, 2 ** n)) + 1j * rng.standard_normal((3, 2 ** n))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    want = np.einsum("ti,tij,tj->t", kets.conj(), rhos, kets).real
+    np.testing.assert_allclose(pauli_fidelities(v, kets), want,
+                               rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)

@@ -9,6 +9,8 @@ from qnoisebench.states import (
     check_traces,
     ket_to_density,
     measurement_distribution,
+    product_kets,
+    random_product_factors,
     random_product_kets,
     random_product_state,
     sample_measurements,
@@ -119,12 +121,47 @@ def test_random_product_kets_match_the_qubit_by_qubit_kron():
 
 def test_batch_checks_reject_broken_states():
     rhos = np.stack([np.eye(2) / 2, np.diag([0.5, 0.5 + 1e-6])])
-    check_traces(rhos[:1])
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    check_traces(traces[:1])
     with pytest.raises(InvalidState):
-        check_traces(rhos)
+        check_traces(traces)
     kets = np.array([[1.0, 0.0], [0.6, 0.8], [0.6, 0.81]])
     check_norms(kets[:2])
     with pytest.raises(InvalidState):
         check_norms(kets)
     with pytest.raises(NotNormalized):
         check_norms(kets, NotNormalized)
+
+
+def test_nan_states_fail_every_check():
+    """A NaN compares False against any tolerance, so each check must ask
+    for a deviation within it rather than for one beyond it: an all-NaN
+    batch, or one NaN among good states, raises InvalidState."""
+    with pytest.raises(InvalidState):
+        check_traces(np.full(3, np.nan))
+    with pytest.raises(InvalidState):
+        check_traces(np.array([1.0, np.nan]))
+    with pytest.raises(InvalidState):
+        check_norms(np.full((2, 4), np.nan))
+    with pytest.raises(InvalidState):
+        check_norms(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+    with pytest.raises(NotNormalized):
+        Ket(np.array([np.nan, 0.0]))
+    with pytest.raises(InvalidState):
+        measurement_distribution(DensityMatrix(np.full((2, 2), np.nan)))
+    with pytest.raises(InvalidState):
+        measurement_distribution(DensityMatrix(np.diag([np.inf, 0.0])))
+
+
+def test_random_product_kets_are_the_products_of_their_factors():
+    """`random_product_kets` is `product_kets` of `random_product_factors`,
+    and each factor is a unit qubit ket."""
+    seeds = [np.random.SeedSequence((2, 1, t)) for t in range(5)]
+    factors = random_product_factors(3, seeds)
+    assert factors.shape == (5, 3, 2)
+    np.testing.assert_allclose(np.linalg.norm(factors, axis=-1), 1.0,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(product_kets(factors),
+                                  random_product_kets(3, seeds))
+    with pytest.raises(NotNormalized):
+        product_kets(2 * factors)
