@@ -5,10 +5,9 @@ Evolution per cycle is rho -> U_c rho U_c^dagger followed by the noise channel
 applied to every qubit, idle qubits included. `CircuitPlan.run` is the one
 code path that moves a state. It runs a batch of density states as real
 Pauli vectors (`to_pauli`): a CNOT is a signed gather of the entries, and each
-qubit's channel and gates one real 4x4 Pauli transfer matrix. Pauli vectors
-go in and come out as they are; density matrices are converted on the way in
-and out. Kets run under the 2x2 unitaries the same way. `apply_local_unitary`
-and `apply_cycle` build one-cycle plans and run them.
+qubit's channel and gates one real 4x4 Pauli transfer matrix. Kets run under
+the 2x2 unitaries the same way. A density matrix is converted only at the
+edge, by `simulate` (and `apply_local_unitary`, which builds a one-cycle plan).
 
 The Pauli-vector layout (digit x + 2z per qubit, qubit 0 most significant)
 is known only here: `product_pauli` builds product inputs in it, and
@@ -109,7 +108,7 @@ def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
         raise InvalidParams(
             f"operator of shape {u.shape} on {targets} is not a one-qubit "
             "gate, CNOT or Toffoli")
-    return plan.run(rho[None])[0]
+    return _run_matrix(plan, rho)
 
 
 def apply_cycle(dm: DensityMatrix, cycle: Cycle) -> DensityMatrix:
@@ -194,12 +193,9 @@ class CircuitPlan:
     def run(self, states: np.ndarray, noise: NoiseModel = NoNoise(),
             seeds=None) -> np.ndarray:
         """A batch of states through the plan, under `noise` after every
-        cycle, returned in the same form as a fresh array. The batch is real Pauli vectors
-        (T, 4^n) float64 (`to_pauli`), density matrices (T, 2^n, 2^n) or kets
-        (T, 2^n). Density states run under the maps of `_compose`; a matrix
-        is converted to its Pauli vector on the way in and back on the way
-        out. Kets run noise-free. Any other shape or dtype raises
-        WidthMismatch, a non-Hermitian density matrix NotHermitian, a
+        cycle, returned in the same form as a fresh array: real Pauli vectors
+        (T, 4^n) float64 (`to_pauli`) under the maps of `_compose`, or kets
+        (T, 2^n) noise-free. Any other shape or dtype raises WidthMismatch, a
         non-finite Pauli vector InvalidState, and an empty batch or noisy
         kets InvalidParams. One trial for every state or one per state.
 
@@ -208,13 +204,11 @@ class CircuitPlan:
         map that is exactly the identity for every trial is skipped."""
         n = self.n_qubits
         ket = states.shape[1:] == (2 ** n,)
-        matrix = states.shape[1:] == (2 ** n, 2 ** n)
         pauli = states.shape[1:] == (4 ** n,) and states.dtype == np.float64
-        if not (ket or matrix or pauli):
+        if not (ket or pauli):
             raise WidthMismatch(
-                f"batch of shape {states.shape} and dtype {states.dtype} is "
-                f"neither kets (T, {2 ** n}), density matrices (T, {2 ** n}, "
-                f"{2 ** n}) nor float64 Pauli vectors (T, {4 ** n})")
+                f"batch {states.shape} of {states.dtype} is neither kets "
+                f"(T, {2 ** n}) nor float64 Pauli vectors (T, {4 ** n})")
         if not len(states):
             raise InvalidParams("empty batch: run needs at least one state")
         noise = noise.validate()
@@ -229,19 +223,15 @@ class CircuitPlan:
             raise InvalidParams(
                 f"{len(maps)} trials of maps for a batch of {len(states)} states")
         idle = (maps == np.eye(maps.shape[-1])).all(axis=(0, -2, -1)).tolist()
-        step = max(1, _SLICE_BYTES // (states[0].nbytes if ket else 8 * 4 ** n))
+        step = max(1, _SLICE_BYTES // states[0].nbytes)
         out = []
         for lo in range(0, len(states), step):
             trials = slice(lo, lo + step)
             w = states[trials]
-            if matrix:
-                if not is_hermitian(w):  # a NaN fails too
-                    raise NotHermitian("a state of the batch is not Hermitian")
-                w = to_pauli(w, n)
             for (_, _, flips), seg, skip in zip(self.segments,
                                                 maps.swapaxes(0, 1), idle):
                 flips = flips if len(flips) == 1 else flips[trials]
-                if not ket and any(len(g) > 2 for f in flips for g in f):
+                if pauli and any(len(g) > 2 for f in flips for g in f):
                     # A Toffoli has no signed gather: permute the matrices.
                     o = np.stack([_flip_order(f, n, False)[0] for f in flips])
                     rho = from_pauli(w, n)
@@ -249,21 +239,21 @@ class CircuitPlan:
                                      o[:, :, None], o[:, None, :]], n)
                 elif len(flips) == 1:  # one order for every trial
                     if flips[0]:
-                        order, sign = _flip_order(flips[0], n, not ket)
+                        order, sign = _flip_order(flips[0], n, pauli)
                         w = w.take(order, axis=1)
-                        if not ket:
+                        if pauli:
                             w *= sign
                 elif any(flips):  # each trial's own order
-                    order, sign = zip(*(_flip_order(f, n, not ket)
+                    order, sign = zip(*(_flip_order(f, n, pauli)
                                         for f in flips))
                     w = w.reshape(-1).take(np.stack(order) + np.arange(
                         0, w.size, w.shape[1])[:, None])
-                    if not ket:
+                    if pauli:
                         w *= np.stack(sign)
                 w = apply_superoperators(
                     w, [None if s else m[trials] if len(m) > 1 else m
                         for m, s in zip(seg.swapaxes(0, 1), skip)])
-            out.append(from_pauli(w, n) if matrix else w)
+            out.append(w)
         out = out[0] if len(out) == 1 else np.concatenate(out)
         # A plan of skipped maps and no flips would hand back the input.
         return out.copy() if np.may_share_memory(out, states) else out
@@ -312,8 +302,22 @@ def simulate(circ: Circuit, state: DensityMatrix,
     same correction a hardware run folds into measurement relabeling.
     """
     plan = compile_plan(circ, rc)
-    rho = plan.run(state.matrix[None], noise, [seed] if rc else None)
-    return DensityMatrix(rho[0])
+    return DensityMatrix(_run_matrix(plan, state.matrix, noise,
+                                     [seed] if rc else None))
+
+
+def _run_matrix(plan: CircuitPlan, rho: np.ndarray,
+                noise: NoiseModel = NoNoise(), seeds=None) -> np.ndarray:
+    """One density matrix through `plan.run` as its Pauli vector, the only
+    place a matrix enters or leaves the simulator. One of another width
+    raises WidthMismatch; one not Hermitian within HERMITICITY_TOL, or with a
+    NaN, raises NotHermitian: a real Pauli vector cannot hold it."""
+    n = plan.n_qubits
+    if rho.shape != (2 ** n, 2 ** n):
+        raise WidthMismatch(f"matrix of shape {rho.shape} on {n} qubits")
+    if not is_hermitian(rho):  # a NaN fails too
+        raise NotHermitian("density matrix is not Hermitian")
+    return from_pauli(plan.run(to_pauli(rho[None], n), noise, seeds)[0], n)
 
 
 def toffoli_decomposition(c1: int, c2: int, target: int,
@@ -341,7 +345,7 @@ def toffoli_decomposition(c1: int, c2: int, target: int,
 
 
 # ---------------------------------------------------------------------------
-# The Pauli vectors `run` holds density matrices as, and its two kernels.
+# The Pauli vectors `run` moves density states as, and its two kernels.
 
 # CNOT sign on the output's (control, target) digits: -1 at x_c z_t (1^x_t^z_c).
 _X, _Z = np.arange(4) & 1, np.arange(4) >> 1

@@ -6,26 +6,18 @@ import warnings
 
 import numpy as np
 
-from .circuits import CircuitPlan
+from .circuits import CircuitPlan, product_pauli
 from .errors import DimMismatch, NotADistribution, OutOfRange
 from .gates import I2
 from .linalg import hermitian_eigenvalues
 from .noise import NoiseModel
-from .states import DensityMatrix, Ket, ket_to_density
+from .states import DensityMatrix
 
 PURITY_WARN = 1.0 - 1e-6
 
-_AXIS_KETS = (
-    np.array([1.0, 0.0]),
-    np.array([0.0, 1.0]),
-    np.array([1.0, 1.0]) / np.sqrt(2.0),
-    np.array([1.0, -1.0]) / np.sqrt(2.0),
-    np.array([1.0, 1.0j]) / np.sqrt(2.0),
-    np.array([1.0, -1.0j]) / np.sqrt(2.0),
-)
-
-# |0>, |1>, |+>, |->, |+i>, |-i> as density matrices.
-AXIS_STATES = tuple(ket_to_density(Ket(k)) for k in _AXIS_KETS)
+# |0>, |1>, |+>, |->, |+i>, |-i>.
+_AXIS_KETS = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]]
+                      ) / np.sqrt([1.0, 1.0, 2.0, 2.0, 2.0, 2.0])[:, None]
 
 
 def process_fidelity(ideal: DensityMatrix, noisy: DensityMatrix) -> float:
@@ -42,16 +34,17 @@ def process_fidelity(ideal: DensityMatrix, noisy: DensityMatrix) -> float:
 
 def average_gate_fidelity(u: np.ndarray, noise: NoiseModel) -> float:
     """Mean process fidelity of a noisy single-qubit gate over the six axis
-    states, where noise acts after the gate: the states run as one batch
-    through a one-qubit plan of u, noise-free for the ideal outputs."""
+    states, where noise acts after the gate: they run through a one-qubit
+    plan of u as kets for the ideal outputs and as Pauli vectors under noise,
+    and Tr(ideal noisy) is 2 sum_P r_P s_P over the two Pauli vectors."""
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise DimMismatch(f"expected a 2x2 unitary, got {u.shape}")
     plan = CircuitPlan(1, np.ones((1, 1, 1), dtype=np.intp),
                        np.stack([I2, u]), ((0, 1, ((),)),))
-    states = np.stack([s.matrix for s in AXIS_STATES])
-    ideal, noisy = plan.run(states), plan.run(states, noise)
-    return float(np.einsum("tij,tji->", ideal, noisy).real) / len(states)
+    ideal = product_pauli(plan.run(_AXIS_KETS)[:, None])
+    noisy = plan.run(product_pauli(_AXIS_KETS[:, None]), noise)
+    return 2 * float(np.einsum("tp,tp->", ideal, noisy)) / len(_AXIS_KETS)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -48,7 +48,9 @@ class PauliNoise(NoiseModel):
 
     def validate(self):
         probs = (self.ex, self.ey, self.ez)
-        if any(p < -_PROB_TOL for p in probs) or sum(probs) > 1.0 + _PROB_TOL:
+        # Asked as "inside" so that a NaN, which fails every comparison, fails.
+        if not (all(p >= -_PROB_TOL for p in probs)
+                and sum(probs) <= 1.0 + _PROB_TOL):
             raise InvalidParams(f"Pauli probabilities {probs} outside [0, 1]")
         return self
 

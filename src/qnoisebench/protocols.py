@@ -10,12 +10,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import (PARAM_ROTATIONS, Circuit, CircuitPlan, Cycle,
-                       compile_plan)
-from .errors import FitDiverged, InvalidParams, ZeroIdealProbability
+                       compile_plan, pauli_diagonals, product_pauli)
+from .errors import (FitDiverged, InvalidParams, NotADistribution,
+                     ZeroIdealProbability)
 from .gates import FIXED_MATRICES, Gate, H, SDG, WordTable, word_table
 from .linalg import phase_canonical_keys
 from .noise import NoNoise, NoiseModel
-from .states import DensityMatrix, check_count, measurement_distribution
+from .states import DensityMatrix, check_count, diagonal_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +145,9 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
 
     Each sequence is m uniform Cliffords plus the group inverse of their
     product; the noise channel fires once after every Clifford. The
-    sequences of one length run as one batch through a one-qubit
-    `CircuitPlan`: its letters are the drawn Clifford indices, its table the
-    24 Clifford unitaries, and its one segment all m + 1 cycles.
+    sequences of one length run as one batch of |0> Pauli vectors through a
+    one-qubit `CircuitPlan`: its letters are the drawn Clifford indices, its
+    table the 24 Clifford unitaries, and its one segment all m + 1 cycles.
     """
     for m in lengths:
         check_count("sequence length", m)
@@ -154,15 +155,14 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
     noise = noise if noise is not None else NoNoise()
     cliffords = _clifford_table().mats
     rng = np.random.default_rng(seed)
-    start = np.zeros((sequences_per_length, 2, 2), dtype=np.complex128)
-    start[:, 0, 0] = 1.0  # |0><0|
+    start = product_pauli(np.tile([1.0, 0.0], (sequences_per_length, 1, 1)))
     means = []
     for m in lengths:
         letters = np.array([rb_sequence_indices(m, rng)
                             for _ in range(sequences_per_length)])
         plan = CircuitPlan(1, letters[:, :, None], cliffords,
                            ((0, m + 1, ((),)),))
-        means.append(plan.run(start, noise)[:, 0, 0].real.mean())
+        means.append(pauli_diagonals(plan.run(start, noise), 1)[:, 0].mean())
     return np.asarray(means)
 
 
@@ -177,6 +177,11 @@ def rb_fit(lengths: Sequence[int], survivals: Sequence[float],
     """
     lengths = tuple(int(m) for m in lengths)
     survivals = tuple(float(f) for f in survivals)
+    if len(survivals) != len(lengths):
+        raise InvalidParams(
+            f"{len(lengths)} sequence lengths but {len(survivals)} survivals")
+    if not np.isfinite(survivals).all():
+        raise InvalidParams(f"survivals {survivals} are not all finite")
     if len(set(lengths)) < 3:
         raise InvalidParams("need at least 3 distinct sequence lengths")
     ms = np.asarray(lengths, dtype=np.float64)
@@ -266,6 +271,7 @@ def xeb_score(ideal_probs: np.ndarray,
     h0 = float(np.log(n) + EULER_GAMMA)
     arr = np.asarray(samples_or_dist)
     if np.issubdtype(arr.dtype, np.integer):
+        _check_outcomes(arr, n)
         picked = p_u[arr]
         if np.any(picked < PROB_FLOOR):
             raise ZeroIdealProbability("sampled outcome has zero ideal probability")
@@ -302,11 +308,22 @@ def heavy_output_test(ideal_probs: np.ndarray,
     heavy = np.nonzero(p_u > np.median(p_u))[0]
     arr = np.asarray(test)
     if np.issubdtype(arr.dtype, np.integer):
+        _check_outcomes(arr, p_u.size)
         prob = float(np.isin(arr, heavy).mean()) if arr.size else 0.0
     else:
+        if arr.shape != p_u.shape:
+            raise NotADistribution(
+                f"test distribution of shape {arr.shape}, not {p_u.shape}")
         prob = float(np.asarray(arr, dtype=np.float64)[heavy].sum())
     return HeavyOutputResult(tuple(int(i) for i in heavy), prob,
                              prob > 2.0 / 3.0)
+
+
+def _check_outcomes(samples: np.ndarray, n: int) -> None:
+    """Raise NotADistribution unless every sample is an outcome in [0, n),
+    which a negative index would otherwise wrap into."""
+    if samples.size and not 0 <= samples.min() <= samples.max() < n:
+        raise NotADistribution(f"samples outside the outcomes 0..{n - 1}")
 
 
 def random_model_circuit(n_qubits: int, depth: int,
@@ -338,7 +355,8 @@ def quantum_volume(noise: NoiseModel, max_m: int = 4,
                    seed: int | None = None) -> int:
     """Largest 2^m (m in 2..max_m, else 1) over square model circuits where
     the majority pass the heavy-output test under the given noise. Each
-    circuit is compiled once, and its ket pass gives the ideal distribution."""
+    circuit is compiled once; its ket pass gives the ideal distribution and
+    its Pauli-vector pass the noisy one."""
     check_count("max_m", max_m)
     if not 2 <= max_m <= 8:
         raise InvalidParams(f"max_m: {max_m} outside 2..8, the desk scale")
@@ -347,13 +365,13 @@ def quantum_volume(noise: NoiseModel, max_m: int = 4,
     best = 0
     for m in range(2, max_m + 1):
         ket = np.eye(1, 2 ** m, dtype=np.complex128)  # |0...0>
-        start = DensityMatrix.basis(m, 0).matrix[None]
+        start = product_pauli(np.tile([1.0, 0.0], (1, m, 1)))
         passes = 0
         for _ in range(circuits_per_size):
             plan = compile_plan(random_model_circuit(m, m, rng))
             ideal = np.abs(plan.run(ket)[0]) ** 2
-            noisy = measurement_distribution(
-                DensityMatrix(plan.run(start, noise)[0]))
+            noisy = diagonal_distribution(
+                pauli_diagonals(plan.run(start, noise), m)[0])
             if heavy_output_test(ideal, noisy).passed:
                 passes += 1
         if passes > circuits_per_size // 2:

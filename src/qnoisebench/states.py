@@ -157,18 +157,19 @@ def check_traces(traces: np.ndarray) -> None:
 
 
 def measurement_distribution(dm: DensityMatrix) -> np.ndarray:
-    """Computational-basis outcome probabilities from the diagonal.
+    """Computational-basis outcome probabilities from the diagonal."""
+    return diagonal_distribution(np.real(np.diag(dm.matrix)))
 
-    Diagonal entries in (DIAG_CLAMP, 0) are clamped to zero and the vector is
-    renormalized; anything below DIAG_CLAMP, or a NaN, means the state is
-    broken.
-    """
-    diag = np.real(np.diag(dm.matrix)).copy()
+
+def diagonal_distribution(diag: np.ndarray) -> np.ndarray:
+    """Outcome probabilities from a density matrix's real diagonal: entries
+    in (DIAG_CLAMP, 0) are clamped to zero and the vector renormalized;
+    anything below DIAG_CLAMP, or a NaN, means the state is broken."""
     if not np.isfinite(diag).all():
         raise InvalidState("diagonal holds a non-finite entry")
     if diag.min() < DIAG_CLAMP:
         raise InvalidState(f"diagonal entry {diag.min():.3e} below {DIAG_CLAMP}")
-    np.clip(diag, 0.0, None, out=diag)
+    diag = np.clip(diag, 0.0, None)
     total = diag.sum()
     if total <= 0.0:
         raise InvalidState("measurement distribution has no mass")

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qnoisebench import circuits
+from qnoisebench import circuits, linalg, states
 from qnoisebench.benchmarks import (build_benchmark, build_random,
                                     optimize_qaoa_angles, random_plan)
 from qnoisebench.circuits import (CLIFFORD_T, Circuit, CircuitPlan, Cycle,
@@ -42,6 +42,7 @@ from qnoisebench.noise import (
     pauli_transfer,
     superoperator,
 )
+from qnoisebench.protocols import quantum_volume, rb_experiment
 from qnoisebench.states import DensityMatrix
 
 MODELS = [
@@ -162,9 +163,9 @@ def test_ket_pass_matches_circuit_unitary(n):
 @pytest.mark.parametrize("model", MODELS, ids=repr)
 def test_drawn_batch_matches_dense_oracle(monkeypatch, model, slice_bytes):
     """Random circuits drawn into one plan, each trial with its own letters
-    and CNOTs, run as one batch of density matrices and one of kets (whole,
-    or in slices of one density matrix and two kets); each trial equals its
-    own circuit's dense oracle."""
+    and CNOTs, run as one batch of Pauli vectors and one of kets (whole, or
+    in slices of one Pauli vector and two kets); each trial equals its own
+    circuit's dense oracle."""
     if slice_bytes is not None:
         monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
     rng = np.random.default_rng(11)
@@ -173,7 +174,7 @@ def test_drawn_batch_matches_dense_oracle(monkeypatch, model, slice_bytes):
     rhos = np.stack([random_density(4, rng) for _ in seeds])
     kets = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-    got = plan.run(rhos, model)
+    got = from_pauli(plan.run(to_pauli(rhos, 4), model), 4)
     got_kets = plan.run(kets)
     for t, seed in enumerate(seeds):
         circ = build_random(4, depth, seed=seed)
@@ -366,7 +367,7 @@ def test_idle_segment_map_stays_exact_identity(monkeypatch):
 
     monkeypatch.setattr(circuits, "apply_superoperators", recording)
     rho = random_density(2, np.random.default_rng(7))
-    got = plan.run(rho[None])[0]
+    got = from_pauli(plan.run(to_pauli(rho[None], 2))[0], 2)
     assert len(seen) == 1 and seen[0][1] is None
     assert seen[0][0].dtype == np.float64
     u = circuit_unitary(circ)
@@ -375,16 +376,16 @@ def test_idle_segment_map_stays_exact_identity(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_run_takes_kets_or_density_matrices_by_width(n):
-    """A batch (T, 2^n, 2^n) is density matrices, run under each model's
-    maps; one (T, 2^n) is kets, run under the unitaries. Each matches its
-    dense oracle, and twirled kets with their closing frames undone are the
-    plain circuit up to a global phase."""
+    """A float64 batch (T, 4^n) is Pauli vectors (here of density
+    matrices), run under each model's maps; one (T, 2^n) is kets, run under
+    the unitaries. Each matches its dense oracle, and twirled kets with their
+    closing frames undone are the plain circuit up to a global phase."""
     rng = np.random.default_rng(900 + n)
     circ = random_clifford_t(n, 8, rng)
     plan = compile_plan(circ, rc=True)
     rhos = np.stack([random_density(n, rng) for _ in range(3)])
     for model in MODELS:
-        got = plan.run(rhos, model)
+        got = from_pauli(plan.run(to_pauli(rhos, n), model), n)
         for rho, g in zip(rhos, got):
             np.testing.assert_allclose(g, dense_oracle(circ, rho, model),
                                        atol=ATOL, err_msg=repr(model))
@@ -397,23 +398,23 @@ def test_run_takes_kets_or_density_matrices_by_width(n):
 
 
 def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
-    """A batch neither kets (T, 2^n), density matrices (T, 2^n, 2^n) nor
-    float64 Pauli vectors (T, 4^n) raises WidthMismatch: a complex (T, 4^n)
-    batch included (float64 ones run, see
+    """A batch neither kets (T, 2^n) nor float64 Pauli vectors (T, 4^n)
+    raises WidthMismatch: density matrices (T, 2^n, 2^n) and a complex
+    (T, 4^n) batch included (float64 ones run, see
     `test_pauli_batch_equals_converted_matrix_batch`). An empty batch of kets
-    or density matrices raises InvalidParams, and so do kets under a noise
+    or Pauli vectors raises InvalidParams, and so do kets under a noise
     model, maps for a different number of trials than the batch has states
     and seeds for a plan without RC tables."""
     circ = interleave_idle(Circuit(2, (Cycle((Gate.h(0), Gate.t(1))),
                                        Cycle((Gate.cnot(0, 1),))), CLIFFORD_T))
     plan = compile_plan(circ, rc=True)
     for shape in [(1, 2), (1, 8), (1, 64), (16,), (1, 16), (1, 2, 2),
-                  (1, 4, 8)]:
+                  (1, 4, 8), (1, 4, 4)]:
         with pytest.raises(WidthMismatch):
             plan.run(np.zeros(shape, dtype=np.complex128))
-    for shape in [(0, 4), (0, 4, 4)]:
+    for empty in [np.zeros((0, 4), dtype=np.complex128), np.zeros((0, 16))]:
         with pytest.raises(InvalidParams, match="empty"):
-            plan.run(np.zeros(shape, dtype=np.complex128))
+            plan.run(empty)
     kets = np.eye(4, dtype=np.complex128)
     with pytest.raises(InvalidParams, match="noise-free"):
         plan.run(kets, PauliNoise(0.01, 0.0, 0.0))
@@ -423,21 +424,51 @@ def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
         compile_plan(circ).run(kets, NoNoise(), range(4))
 
 
-def pauli_oracle_plans(rng):
-    """(plan, seeds or None, trials): a 3-qubit Clifford+T plan as written
-    and twirled, a 2-qubit one on one state (a (1, 16) batch), a plan whose
-    one segment opens with a Toffoli in one trial and a CNOT in the other,
-    and one idle cycle (noise-free, every map is skipped)."""
-    plan3 = compile_plan(random_clifford_t(3, 10, rng), rc=True)
-    plan2 = compile_plan(interleave_idle(Circuit(
-        2, (Cycle((Gate.h(0), Gate.t(1))), Cycle((Gate.cnot(0, 1),))),
-        CLIFFORD_T)), rc=True)
+def per_trial_toffoli_plan():
+    """A 3-qubit plan of one segment whose flips are a Toffoli in trial 0 and
+    a CNOT in trial 1, then h and x letters, with each trial's circuit."""
+    flips = ((2, 0, 1),), ((1, 0),)
     letters = np.array([[[0, 0, 0], [1, 0, 2]], [[0, 0, 0], [2, 1, 0]]])
-    toffoli = CircuitPlan(3, letters, np.stack([I2, H, X]),
-                          ((0, 2, (((2, 0, 1),), ((1, 0),))),))
-    return [(plan3, None, 3), (plan3, range(3), 3), (plan2, None, 1),
-            (plan2, [5], 1), (toffoli, None, 2),
-            (compile_plan(Circuit(3, (Cycle(()),))), None, 2)]
+    plan = CircuitPlan(3, letters, np.stack([I2, H, X]), ((0, 2, flips),))
+    circs = []
+    for t, ((*controls, target),) in enumerate(flips):
+        gate = Gate("toffoli" if controls[1:] else "cnot", (*controls, target))
+        singles = [Gate(("h", "x")[k - 1], (q,))
+                   for q, k in enumerate(letters[t, 1]) if k]
+        circs.append(Circuit(3, (Cycle((gate,)), Cycle(tuple(singles)))))
+    return plan, circs
+
+
+def pauli_oracle_plans(rng):
+    """(plan, seeds or None, [(circuit, closing frame or None)] per trial):
+    a 3-qubit Clifford+T plan as written and twirled, a 2-qubit one on one
+    state (a (1, 16) batch), a plan whose one segment opens with a Toffoli in
+    one trial and a CNOT in the other, and one idle cycle (noise-free, every
+    map is skipped). A twirled trial is the circuit `randomized_compile`
+    writes out from its seed."""
+    circ3 = random_clifford_t(3, 10, rng)
+    circ2 = interleave_idle(Circuit(
+        2, (Cycle((Gate.h(0), Gate.t(1))), Cycle((Gate.cnot(0, 1),))),
+        CLIFFORD_T))
+    plan3, plan2 = compile_plan(circ3, rc=True), compile_plan(circ2, rc=True)
+    toffoli, circs = per_trial_toffoli_plan()
+    idle = Circuit(3, (Cycle(()),))
+    return [(plan3, None, [(circ3, None)] * 3),
+            (plan3, range(3), [randomized_compile(circ3, s) for s in range(3)]),
+            (plan2, None, [(circ2, None)]),
+            (plan2, [5], [randomized_compile(circ2, 5)]),
+            (toffoli, None, [(c, None) for c in circs]),
+            (compile_plan(idle), None, [(idle, None)] * 2)]
+
+
+def framed_oracle(circ, frame, rho, model):
+    """The dense oracle, then the closing Pauli frame noise-free."""
+    rho = dense_oracle(circ, rho, model)
+    if frame is None:
+        return rho
+    f = circuit_unitary(Circuit(circ.n_qubits, (
+        Cycle(tuple(Gate(p, (q,)) for q, p in enumerate(frame))),)))
+    return f @ rho @ f.conj().T
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)
@@ -445,24 +476,26 @@ def pauli_oracle_plans(rng):
 def test_pauli_batch_equals_converted_matrix_batch(monkeypatch, model,
                                                    slice_bytes):
     """`run` on float64 Pauli vectors (T, 4^n) returns Pauli vectors, and
-    they are `to_pauli` of what `run` returns for the matrices: noisy, with
-    RC draws, at width 16 (a one-state (1, 16) batch at n = 2) and through a
-    per-trial Toffoli segment, whole and in one-state slices. The input is
-    left as it was, and the output is a fresh array even where no map
-    touched it."""
+    they are `to_pauli` of each trial's dense oracle: noisy, with RC draws
+    (the circuit `randomized_compile` writes, then its closing frame), at
+    width 16 (a one-state (1, 16) batch at n = 2) and through a per-trial
+    Toffoli segment, whole and in one-state slices. The input is left as it
+    was, and the output is a fresh array even where no map touched it."""
     if slice_bytes is not None:
         monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
     rng = np.random.default_rng(23)
-    for plan, seeds, trials in pauli_oracle_plans(rng):
+    for plan, seeds, cases in pauli_oracle_plans(rng):
         n = plan.n_qubits
-        rhos = np.stack([random_density(n, rng) for _ in range(trials)])
+        rhos = np.stack([random_density(n, rng) for _ in cases])
         v = to_pauli(rhos, n)
         before = v.copy()
         got = plan.run(v, model, seeds)
-        assert got.dtype == np.float64 and got.shape == (trials, 4 ** n)
+        assert got.dtype == np.float64 and got.shape == (len(cases), 4 ** n)
         np.testing.assert_array_equal(v, before)
         assert not np.shares_memory(got, v)
-        np.testing.assert_allclose(got, to_pauli(plan.run(rhos, model, seeds), n),
+        want = [framed_oracle(circ, frame, rho, model)
+                for (circ, frame), rho in zip(cases, rhos)]
+        np.testing.assert_allclose(got, to_pauli(np.stack(want), n),
                                    rtol=0, atol=ATOL)
 
 
@@ -530,31 +563,25 @@ def test_per_trial_toffoli_segment_matches_dense_oracle(model):
     other (no signed Pauli gather exists for a Toffoli) permutes each
     trial's matrix by its own ket order; each trial equals its circuit's
     dense oracle."""
-    flips = ((2, 0, 1),), ((1, 0),)
-    letters = np.array([[[0, 0, 0], [1, 0, 2]], [[0, 0, 0], [2, 1, 0]]])
-    plan = CircuitPlan(3, letters, np.stack([I2, H, X]), ((0, 2, flips),))
+    plan, circs = per_trial_toffoli_plan()
     rng = np.random.default_rng(17)
-    rhos = np.stack([random_density(3, rng) for _ in flips])
-    got = plan.run(rhos, model)
-    for t, ((*controls, target),) in enumerate(flips):
-        gate = Gate("toffoli" if controls[1:] else "cnot", (*controls, target))
-        singles = [Gate(("h", "x")[k - 1], (q,))
-                   for q, k in enumerate(letters[t, 1]) if k]
-        circ = Circuit(3, (Cycle((gate,)), Cycle(tuple(singles))))
+    rhos = np.stack([random_density(3, rng) for _ in circs])
+    got = from_pauli(plan.run(to_pauli(rhos, 3), model), 3)
+    for t, circ in enumerate(circs):
         np.testing.assert_allclose(got[t], dense_oracle(circ, rhos[t], model),
                                    atol=ATOL)
 
 
 @pytest.mark.parametrize("slice_bytes", [None, 64])
 def test_run_rejects_non_hermitian_density_matrices(monkeypatch, slice_bytes):
-    """A real Pauli vector cannot hold a non-Hermitian matrix, so `run` (in
-    any slice of the batch) and `simulate` raise NotHermitian for one that
-    deviates by more than HERMITICITY_TOL, or holds a NaN, instead of
-    dropping the difference; a deviation inside the tolerance runs."""
+    """A real Pauli vector cannot hold a non-Hermitian matrix, so the matrix
+    edge (`simulate` and `apply_local_unitary`) raises NotHermitian for one
+    that deviates by more than HERMITICITY_TOL, or holds a NaN, instead of
+    dropping the difference; a deviation inside the tolerance runs. The
+    check comes before `run` slices anything, so no slice size skips it."""
     if slice_bytes is not None:
         monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
     circ = Circuit(2, (Cycle((Gate.h(0), Gate.t(1))), Cycle((Gate.cnot(0, 1),))))
-    plan = compile_plan(circ)
     rho = random_density(2, np.random.default_rng(3))
     skewed, nan, near = rho.copy(), rho.copy(), rho.copy()
     skewed[0, 1] += 1e-6
@@ -562,11 +589,14 @@ def test_run_rejects_non_hermitian_density_matrices(monkeypatch, slice_bytes):
     near[0, 1] += 1e-10
     for state in (skewed, nan):
         with pytest.raises(NotHermitian):
-            plan.run(np.stack([rho, state]))
-        with pytest.raises(NotHermitian):
             simulate(circ, DensityMatrix(state), PauliNoise(0.01, 0.0, 0.0))
-    np.testing.assert_allclose(plan.run(near[None])[0],
+        with pytest.raises(NotHermitian):
+            apply_local_unitary(state, H, (0,), 2)
+    np.testing.assert_allclose(simulate(circ, DensityMatrix(near)).matrix,
                                dense_oracle(circ, rho, NoNoise()), atol=1e-9)
+    h = embed_unitary(H, (0,), 2)
+    np.testing.assert_allclose(apply_local_unitary(near, H, (0,), 2),
+                               h @ rho @ h, atol=1e-9)
 
 
 def test_every_state_update_runs_through_plan_run(monkeypatch):
@@ -602,3 +632,36 @@ def test_every_state_update_runs_through_plan_run(monkeypatch):
         calls.clear()
         call()
         assert calls, f"{name} never reached run"
+
+
+def test_protocols_and_gate_fidelity_make_no_matrix_conversions(monkeypatch):
+    """RB, quantum volume and the average gate fidelity start from
+    `product_pauli` inputs and read the Pauli vectors back without a
+    `to_pauli`, `from_pauli` or `is_hermitian` call, wherever a module looks
+    them up, and give the numbers they give without the counters; the
+    counters do see the one conversion each way at `simulate`'s edge."""
+    def protocols():
+        return (rb_experiment((1, 4, 9), 5, AmplitudeDamping(0.1), seed=3),
+                quantum_volume(PauliNoise(0.01, 0.01, 0.01), 3, 3, seed=2),
+                average_gate_fidelity(H, AmplitudeDamping(0.1)))
+
+    want = protocols()
+    calls = dict.fromkeys(("to_pauli", "from_pauli", "is_hermitian"), 0)
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for module in (circuits, linalg, states):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    rb, qv, fidelity = protocols()
+    np.testing.assert_array_equal(rb, want[0])
+    assert (qv, fidelity) == want[1:]
+    assert calls == {"to_pauli": 0, "from_pauli": 0, "is_hermitian": 0}
+    simulate(Circuit(1, (Cycle((Gate.h(0),)),)), DensityMatrix.basis(1, 0))
+    assert calls == {"to_pauli": 1, "from_pauli": 1, "is_hermitian": 1}

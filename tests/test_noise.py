@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from qnoisebench.circuits import Circuit, Cycle, simulate
 from qnoisebench.errors import InvalidParams, UnknownLevel
-from qnoisebench.gates import I2, embed_unitary
+from qnoisebench.gates import I2, H, Gate, embed_unitary
+from qnoisebench.metrics import average_gate_fidelity
 from qnoisebench.noise import (
     NOISE_KINDS,
     AmplitudeDamping,
@@ -18,6 +20,8 @@ from qnoisebench.noise import (
     noise_level_table,
     noise_model_for,
 )
+from qnoisebench.protocols import rb_experiment
+from qnoisebench.states import DensityMatrix
 
 rng = np.random.default_rng(2024)
 
@@ -191,6 +195,28 @@ def test_pauli_probabilities_must_fit():
         PauliNoise(0.5, 0.5, 0.5).validate()
     with pytest.raises(InvalidParams):
         PauliNoise(-0.1, 0.0, 0.0).validate()
+
+
+def test_non_finite_parameters_rejected():
+    """A NaN probability fails validation in every model, so it never
+    reaches the simulator, where it would come out as an all-NaN state, a
+    NaN gate fidelity and NaN RB survivals."""
+    nan = float("nan")
+    models = [PauliNoise(nan, 0.0, 0.0), PauliNoise(0.0, nan, 0.0),
+              PauliNoise(0.0, 0.0, nan), PauliNoise(float("inf"), 0.0, 0.0),
+              PauliPlusCoherent(nan, 0.1), PauliPlusCoherent(0.1, nan),
+              CoherentNoise("x", nan), AmplitudeDamping(nan),
+              PhaseDamping(nan)]
+    for model in models:
+        with pytest.raises(InvalidParams):
+            model.validate()
+    bad = PauliNoise(nan, 0.0, 0.0)
+    circ = Circuit(1, (Cycle((Gate.h(0),)),))
+    for call in (lambda: simulate(circ, DensityMatrix.basis(1, 0), bad),
+                 lambda: average_gate_fidelity(H, bad),
+                 lambda: rb_experiment((1, 2), 2, bad, seed=0)):
+        with pytest.raises(InvalidParams):
+            call()
 
 
 def test_coherent_axis_restricted():

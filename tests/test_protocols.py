@@ -8,6 +8,7 @@ import pytest
 from qnoisebench.errors import (
     FitDiverged,
     InvalidParams,
+    NotADistribution,
     ZeroIdealProbability,
 )
 from qnoisebench.gates import FIXED_MATRICES, I2
@@ -226,6 +227,10 @@ def test_rb_fit_rejects_garbage():
         rb_fit((1, 2, 3, 4), (1.0, 0.0, 1.0, 0.0))
     with pytest.raises(InvalidParams):
         rb_experiment((0, 2), sequences_per_length=1)
+    with pytest.raises(InvalidParams, match="3 sequence lengths but 4"):
+        rb_fit((1, 2, 4), (1.0, 0.9, 0.8, 0.7))
+    with pytest.raises(InvalidParams, match="finite"):
+        rb_fit((1, 2, 4, 8), (1.0, 0.9, float("nan"), 0.7))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +269,10 @@ def test_xeb_rejects_zero_ideal_mass():
         xeb_score(p, np.array([0.0, 0.5, 0.5, 0.0]))
     with pytest.raises(ZeroIdealProbability):
         xeb_score(p, np.array([0.5, 0.5, 0.0]))  # length mismatch
+    # Sampled outcomes outside 0..3: -1 would index the last outcome.
+    for samples in ([-1, -1], [0, 4]):
+        with pytest.raises(NotADistribution):
+            xeb_score(p, np.array(samples, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +285,8 @@ def test_heavy_output_hand_case():
     assert res.heavy_set == (0, 1)
     assert res.heavy_prob == pytest.approx(0.7)
     assert res.passed
+    with pytest.raises(NotADistribution):  # one entry too many to sum
+        heavy_output_test(p, np.array([0.4, 0.3, 0.2, 0.1, 0.5]))
 
 
 def test_heavy_output_sample_route():
@@ -283,6 +294,10 @@ def test_heavy_output_sample_route():
     res = heavy_output_test(p, np.array([0, 1, 1, 2, 3], dtype=np.int64))
     assert res.heavy_prob == pytest.approx(0.6)
     assert not res.passed
+    # Outcomes outside 0..3 would count as light samples.
+    for samples in ([0, 4], [0, -1]):
+        with pytest.raises(NotADistribution):
+            heavy_output_test(p, np.array(samples, dtype=np.int64))
 
 
 def test_heavy_set_is_at_most_half():
