@@ -8,6 +8,7 @@ A cycle counts as hard if any of its gates is hard.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,20 @@ def _table() -> WordTable:
     return word_table(_LETTERS)
 
 
+def _check_synthesis_args(depth, *reals) -> None:
+    """Raise InvalidParams unless every real (theta, eps) is a finite number
+    and depth an integer in 0..DEFAULT_DEPTH_BUDGET: the table grows about
+    1.2-1.6x per level, so a deeper search would exhaust memory first."""
+    for x in reals:
+        if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+                or not np.isfinite(x)):
+            raise InvalidParams(f"{x!r} is not a finite number")
+    if (isinstance(depth, bool) or not isinstance(depth, numbers.Integral)
+            or not 0 <= depth <= DEFAULT_DEPTH_BUDGET):
+        raise InvalidParams(
+            f"depth {depth!r} must be an integer in 0..{DEFAULT_DEPTH_BUDGET}")
+
+
 def _distances_to(mats: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Phase-aligned max-abs distance of each matrix to the diagonal target.
 
@@ -66,6 +81,7 @@ def approx_rz(theta: float, eps: float = DEFAULT_SYNTH_EPS,
     equal length and equal error break lexicographically (h < s < sdg < t < tdg).
     Raises SearchExhausted when the depth budget runs out.
     """
+    _check_synthesis_args(max_depth, theta, eps)
     if eps < 1e-4:
         raise InvalidParams("eps below 1e-4 is outside the supported range")
     target = rz_matrix(theta)
@@ -80,8 +96,7 @@ def approx_rz(theta: float, eps: float = DEFAULT_SYNTH_EPS,
         if hits.size:
             rounded = np.round(errs[hits], 12)
             best = rounded.min()
-            words = [table.words[sl.start + int(i)]
-                     for i in hits[rounded == best]]
+            words = [table.word(sl.start + i) for i in hits[rounded == best]]
             return list(min(words))
     raise SearchExhausted(
         f"no word within {eps} of Rz({theta}) at depth {max_depth}"
@@ -90,6 +105,7 @@ def approx_rz(theta: float, eps: float = DEFAULT_SYNTH_EPS,
 
 def best_rz_error(theta: float, depth: int) -> float:
     """Best achievable synthesis error using words of length <= depth."""
+    _check_synthesis_args(depth, theta)
     target = rz_matrix(theta)
     table = _table()
     table.extend_to(depth)

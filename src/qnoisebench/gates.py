@@ -176,21 +176,56 @@ class WordTable:
 
     Level L holds the words of length L whose matrices no shorter word reaches
     up to global phase. Children run parent first, then letter in alphabet
-    order, and the first word to reach a key keeps it. `index` maps each
-    `phase_canonical_keys` key to its word index. Grown lazily.
+    order, and the first word to reach a key keeps it. Word i is stored as
+    `parent[i]` and `letter[i]` (an index into `letters`) and spelled only on
+    request by `word(i)`; `find` looks `phase_canonical_keys` keys up in the
+    sorted keys of the whole table. Grown lazily.
     """
 
     def __init__(self, letters: tuple[str, ...]):
         self.letters = letters
         self._letter_mats = np.stack([FIXED_MATRICES[name] for name in letters])
-        self.mats = np.eye(2, dtype=np.complex128)[None]
-        self.words: list[tuple[str, ...]] = [()]
+        # Preallocated buffers, grown geometrically; the first
+        # level_bounds[-1] rows are the table.
+        self._mats = np.eye(2, dtype=np.complex128)[None]
+        self._parent = np.full(1, -1, dtype=np.int32)
+        self._letter = np.full(1, -1, dtype=np.int8)
         self.level_bounds = [0, 1]  # level L occupies [bounds[L], bounds[L+1])
-        self.index = {phase_canonical_keys(self.mats)[0]: 0}
+        self._keys = phase_canonical_keys(self._mats)  # sorted
+        self._key_word = np.zeros(1, dtype=np.int32)  # word index of each key
+
+    def __len__(self) -> int:
+        return self.level_bounds[-1]
 
     @property
     def depth(self) -> int:
         return len(self.level_bounds) - 2
+
+    @property
+    def mats(self) -> np.ndarray:
+        return self._mats[:len(self)]
+
+    @property
+    def parent(self) -> np.ndarray:
+        return self._parent[:len(self)]
+
+    @property
+    def letter(self) -> np.ndarray:
+        return self._letter[:len(self)]
+
+    def word(self, i: int) -> tuple[str, ...]:
+        """Word i, spelled by walking its parents back to the empty word."""
+        out = []
+        i = int(i)
+        while i > 0:
+            out.append(self.letters[self._letter[i]])
+            i = int(self._parent[i])
+        return tuple(reversed(out))
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Word index of each key, -1 where the table has none."""
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, self._key_word[pos], -1)
 
     def extend_to(self, depth: int) -> None:
         while self.depth < depth:
@@ -201,18 +236,36 @@ class WordTable:
             children = np.einsum("gij,pjk->pgik", self._letter_mats,
                                  self.mats[lo:hi])
             children = children.reshape(-1, 2, 2)
-            fresh_idx = []
-            for idx, key in enumerate(phase_canonical_keys(children)):
-                if key not in self.index:
-                    self.index[key] = len(self.words) + len(fresh_idx)
-                    fresh_idx.append(idx)
-            if fresh_idx:
-                self.mats = np.concatenate([self.mats, children[fresh_idx]])
-                for idx in fresh_idx:
-                    parent, letter = divmod(idx, len(self.letters))
-                    self.words.append(self.words[lo + parent]
-                                      + (self.letters[letter],))
-            self.level_bounds.append(len(self.words))
+            # First occurrence of each key in child order, then only the keys
+            # no earlier level holds.
+            keys, first = np.unique(phase_canonical_keys(children),
+                                    return_index=True)
+            pos = np.searchsorted(self._keys, keys)
+            fresh = self._keys[np.minimum(pos, len(self._keys) - 1)] != keys
+            keys, first, pos = keys[fresh], first[fresh], pos[fresh]
+            order = np.argsort(first)
+            fresh_idx = first[order]
+            end = hi + len(fresh_idx)
+            self._reserve(end)
+            self._mats[hi:end] = children[fresh_idx]
+            self._parent[hi:end] = lo + fresh_idx // len(self.letters)
+            self._letter[hi:end] = fresh_idx % len(self.letters)
+            word_of_key = np.empty(len(keys), dtype=np.int32)
+            word_of_key[order] = np.arange(hi, end, dtype=np.int32)
+            self._keys = np.insert(self._keys, pos, keys)
+            self._key_word = np.insert(self._key_word, pos, word_of_key)
+            self.level_bounds.append(end)
+
+    def _reserve(self, size: int) -> None:
+        cap = len(self._mats)
+        if size <= cap:
+            return
+        cap = max(size, 2 * cap)
+        for name in ("_mats", "_parent", "_letter"):
+            old = getattr(self, name)
+            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+            new[:len(self)] = old[:len(self)]
+            setattr(self, name, new)
 
     def closure(self) -> "WordTable":
         """Grow until a level adds nothing; the alphabet must generate a

@@ -56,16 +56,22 @@ def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
     return phase_aligned_distance(u, v) <= tol
 
 
-def phase_canonical_keys(mats: np.ndarray) -> list[bytes]:
-    """Byte keys equal for matrices differing only by a global phase.
+def phase_canonical_keys(mats: np.ndarray) -> np.ndarray:
+    """Packed keys, one per matrix, equal for matrices differing only by a
+    global phase.
 
     The phase anchor is the first entry of (rounded) maximal magnitude, so
-    float drift below the rounding scale cannot flip the anchor choice.
+    float drift below the rounding scale cannot flip the anchor choice. A key
+    is the int32 row rint(1e6 * x) of the canonical float64 entries (the
+    same equality as rounding to 6 decimals; entries must be at most ~2e3 in
+    magnitude), viewed as one fixed-width void scalar so that keys sort and
+    compare bytewise. `.tolist()` gives hashable `bytes` keys.
     """
     flat = mats.reshape(len(mats), -1)
-    mags = np.round(np.abs(flat), 9)
-    pick = np.argmax(mags, axis=1)
+    mags = np.abs(flat)
+    pick = np.argmax(np.round(mags, 9, out=mags), axis=1)
     anchor = flat[np.arange(len(flat)), pick]
-    canon = flat / (anchor / np.abs(anchor))[:, None]
-    parts = np.round(canon.view(np.float64), 6) + 0.0
-    return [row.tobytes() for row in parts]
+    parts = (flat / (anchor / np.abs(anchor))[:, None]).view(np.float64)
+    parts *= 1e6
+    parts = np.rint(parts, out=parts).astype(np.int32)
+    return parts.view(np.dtype((np.void, parts.shape[1] * 4)))[:, 0]

@@ -7,11 +7,11 @@ import warnings
 import numpy as np
 
 from .circuits import CircuitPlan, product_pauli
-from .errors import DimMismatch, NotADistribution, OutOfRange
+from .errors import DimMismatch, OutOfRange
 from .gates import I2
 from .linalg import hermitian_eigenvalues
 from .noise import NoiseModel
-from .states import DensityMatrix
+from .states import DensityMatrix, check_distribution
 
 PURITY_WARN = 1.0 - 1e-6
 
@@ -65,15 +65,10 @@ def fidelity_trace_bounds(f: float) -> tuple[float, float]:
 
 def hellinger(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     """Hellinger distance between two distributions and 1 - distance."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p = check_distribution("p", p)
+    q = check_distribution("q", q)
     if p.shape != q.shape:
         raise DimMismatch(f"length mismatch: {p.shape} vs {q.shape}")
-    for name, vec in (("p", p), ("q", q)):
-        if np.any(vec < -1e-12):
-            raise NotADistribution(f"{name} has negative entries")
-        if abs(vec.sum() - 1.0) > 1e-8:
-            raise NotADistribution(f"{name} sums to {vec.sum()}, not 1")
     diff = np.sqrt(np.clip(p, 0.0, None)) - np.sqrt(np.clip(q, 0.0, None))
     distance = float(np.sqrt(0.5 * np.sum(diff * diff)))
     return distance, 1.0 - distance

@@ -16,7 +16,8 @@ from .errors import (FitDiverged, InvalidParams, NotADistribution,
 from .gates import FIXED_MATRICES, Gate, H, SDG, WordTable, word_table
 from .linalg import phase_canonical_keys
 from .noise import NoNoise, NoiseModel
-from .states import DensityMatrix, check_count, diagonal_distribution
+from .states import (DensityMatrix, check_count, check_distribution,
+                     diagonal_distribution)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +87,16 @@ def state_tomography_1q(prepare: Callable[[], DensityMatrix],
 
 def _clifford_table() -> WordTable:
     table = word_table(("h", "s")).closure()
-    if len(table.words) != 24:
-        raise InvalidParams(f"clifford closure has {len(table.words)} elements")
+    if len(table) != 24:
+        raise InvalidParams(f"clifford closure has {len(table)} elements")
     return table
 
 
 def clifford_group() -> tuple[tuple[np.ndarray, ...], tuple[str, ...]]:
     """The 24 single-qubit Cliffords and their {h, s} words."""
     table = _clifford_table()
-    return tuple(table.mats), tuple("".join(w) for w in table.words)
+    return (tuple(table.mats),
+            tuple("".join(table.word(i)) for i in range(len(table))))
 
 
 @functools.cache
@@ -104,8 +106,7 @@ def _clifford_cayley() -> tuple[list[list[int]], list[int]]:
     that RB multiplies exact indices, not floats."""
     table = _clifford_table()
     products = (table.mats[:, None] @ table.mats[None]).reshape(-1, 2, 2)
-    product = np.array([table.index.get(key, -1)
-                        for key in phase_canonical_keys(products)])
+    product = table.find(phase_canonical_keys(products))
     if (product < 0).any():
         raise InvalidParams("clifford closure is not closed under products")
     product = product.reshape(len(table.mats), -1)
@@ -266,7 +267,7 @@ def xeb_score(ideal_probs: np.ndarray,
     H0 = ln N + Euler gamma. A float array is a full distribution; an integer
     array is outcome samples scored with the alpha estimator.
     """
-    p_u = np.asarray(ideal_probs, dtype=np.float64)
+    p_u = check_distribution("ideal_probs", ideal_probs)
     n = p_u.size
     h0 = float(np.log(n) + EULER_GAMMA)
     arr = np.asarray(samples_or_dist)
@@ -277,10 +278,10 @@ def xeb_score(ideal_probs: np.ndarray,
             raise ZeroIdealProbability("sampled outcome has zero ideal probability")
         cross = float(-np.mean(np.log(picked)))
     else:
-        p_a = np.asarray(arr, dtype=np.float64)
-        if p_a.shape != p_u.shape:
+        if arr.shape != p_u.shape:
             raise ZeroIdealProbability(
-                f"distribution length {p_a.size} does not match {n}")
+                f"distribution length {arr.size} does not match {n}")
+        p_a = check_distribution("test distribution", arr)
         mask = p_a > 0.0
         if np.any(p_u[mask] < PROB_FLOOR):
             raise ZeroIdealProbability("test mass on zero ideal probability")
@@ -304,7 +305,7 @@ def heavy_output_test(ideal_probs: np.ndarray,
                       test: np.ndarray) -> HeavyOutputResult:
     """Mass of a test distribution (or samples) on outcomes strictly above
     the median ideal probability; passes above 2/3."""
-    p_u = np.asarray(ideal_probs, dtype=np.float64)
+    p_u = check_distribution("ideal_probs", ideal_probs)
     heavy = np.nonzero(p_u > np.median(p_u))[0]
     arr = np.asarray(test)
     if np.issubdtype(arr.dtype, np.integer):
@@ -314,7 +315,7 @@ def heavy_output_test(ideal_probs: np.ndarray,
         if arr.shape != p_u.shape:
             raise NotADistribution(
                 f"test distribution of shape {arr.shape}, not {p_u.shape}")
-        prob = float(np.asarray(arr, dtype=np.float64)[heavy].sum())
+        prob = float(check_distribution("test distribution", arr)[heavy].sum())
     return HeavyOutputResult(tuple(int(i) for i in heavy), prob,
                              prob > 2.0 / 3.0)
 

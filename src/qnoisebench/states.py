@@ -7,12 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidState, NotNormalized
+from .errors import InvalidParams, InvalidState, NotADistribution, NotNormalized
 from .linalg import as_complex, is_hermitian
 
 NORM_TOL = 1e-9
 TRACE_TOL = 1e-9
 DIAG_CLAMP = -1e-8  # diagonal mass below this is an error, above it is noise
+DIST_NEG_TOL = 1e-12  # a distribution entry may dip this far below zero
+DIST_SUM_TOL = 1e-8  # and its entries must sum to 1 within this
 
 
 def _check_power_of_two(dim: int) -> int:
@@ -138,6 +140,19 @@ def check_count(name: str, value) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < 1):
         raise InvalidParams(f"{name}: {value!r} must be an integer >= 1")
+
+
+def check_distribution(name: str, p) -> np.ndarray:
+    """p as float64; NotADistribution unless every entry is finite and at
+    least -DIST_NEG_TOL and the entries sum to 1 within DIST_SUM_TOL."""
+    p = np.asarray(p, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise NotADistribution(f"{name} has a non-finite entry")
+    if np.any(p < -DIST_NEG_TOL):
+        raise NotADistribution(f"{name} has negative entries")
+    if abs(p.sum() - 1.0) > DIST_SUM_TOL:
+        raise NotADistribution(f"{name} sums to {p.sum()}, not 1")
+    return p
 
 
 def check_norms(kets: np.ndarray, error=InvalidState) -> None:

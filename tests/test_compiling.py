@@ -16,6 +16,8 @@ from qnoisebench.circuits import (
     simulate,
 )
 from qnoisebench.compiling import (
+    DEFAULT_DEPTH_BUDGET,
+    _table,
     apply_pauli_frame,
     approx_rz,
     best_rz_error,
@@ -76,6 +78,30 @@ def test_best_rz_error_monotone_in_depth():
 def test_approx_rz_rejects_tiny_eps():
     with pytest.raises(InvalidParams):
         approx_rz(0.3, 1e-9)
+
+
+def test_synthesis_rejects_bad_arguments():
+    """theta and eps must be finite and the depth an integer in
+    0..DEFAULT_DEPTH_BUDGET, checked before the table grows."""
+    size = len(_table())
+    cap = DEFAULT_DEPTH_BUDGET + 1
+    for call in (
+        lambda: best_rz_error(0.3, -3),
+        lambda: best_rz_error(0.3, 2.5),
+        lambda: best_rz_error(0.3, True),
+        lambda: best_rz_error(0.3, cap),
+        lambda: best_rz_error(np.nan, 3),
+        lambda: best_rz_error(np.inf, 3),
+        lambda: approx_rz(np.inf),
+        lambda: approx_rz(0.3, np.nan),
+        lambda: approx_rz(0.3, np.inf),
+        lambda: approx_rz(0.3, 0.05, -1),
+        lambda: approx_rz(0.3, 0.05, 2.5),
+        lambda: approx_rz(0.3, 0.05, cap),
+    ):
+        with pytest.raises(InvalidParams):
+            call()
+    assert len(_table()) == size
 
 
 def test_approx_rz_exhausts_on_hard_angle():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,19 @@ from qnoisebench.errors import (
     InvalidParams,
     WidthMismatch,
 )
-from qnoisebench.gates import CNOT, H, S, T, Gate, gate_matrix, rx_matrix, rz_matrix
+from qnoisebench.gates import (
+    CNOT,
+    FIXED_MATRICES,
+    H,
+    S,
+    T,
+    Gate,
+    gate_matrix,
+    rx_matrix,
+    rz_matrix,
+    word_table,
+)
+from qnoisebench.linalg import phase_canonical_keys
 from qnoisebench.noise import PauliNoise
 from qnoisebench.states import DensityMatrix, Ket, ket_to_density
 
@@ -174,3 +188,43 @@ def test_apply_cycle_is_noiseless():
     rho = DensityMatrix.basis(1, 0)
     out = apply_cycle(rho, Cycle((Gate.x(0),)))
     assert np.allclose(out.matrix, [[0, 0], [0, 1]])
+
+
+# ---------------------------------------------------------------------------
+# Word tables.
+
+
+def check_parent_letter_products(table):
+    """Each word's matrix is its last letter times its parent's matrix."""
+    assert table.parent[0] == -1
+    letters = np.stack([FIXED_MATRICES[name] for name in table.letters])
+    built = letters[table.letter[1:]] @ table.mats[table.parent[1:]]
+    assert np.abs(built - table.mats[1:]).max() < 1e-12
+
+
+def test_rz_word_table_pinned_to_depth_25():
+    table = word_table(("h", "s", "sdg", "t", "tdg"))
+    table.extend_to(25)
+    assert np.diff(table.level_bounds[:27]).tolist() == [
+        1, 5, 11, 24, 43, 71, 89, 132, 160, 248, 336, 528, 640, 992, 1344,
+        2112, 2560, 3968, 5376, 8448, 10240, 15872, 21504, 33792, 40960,
+        63488]
+    words = [()]
+    for parent, letter in zip(table.parent[1:].tolist(),
+                              table.letter[1:].tolist()):
+        words.append(words[parent] + (table.letters[letter],))
+    assert all(table.word(i) == words[i] for i in range(0, len(words), 97))
+    spelled = "\n".join(" ".join(w) for w in words)
+    assert hashlib.sha256(spelled.encode()).hexdigest() == (
+        "fc7ae444c83dfd747e2e85de898d7815c6b84b416d5bf1acd2f661816f17fe25")
+    check_parent_letter_products(table)
+
+
+def test_clifford_word_table_pinned():
+    table = word_table(("h", "s")).closure()
+    assert table.level_bounds == [0, 1, 3, 6, 11, 16, 21, 24, 24]
+    check_parent_letter_products(table)
+    # Every word's key finds that word; a key outside the table finds -1.
+    keys = phase_canonical_keys(table.mats)
+    assert table.find(keys).tolist() == list(range(24))
+    assert table.find(phase_canonical_keys(T[None])).tolist() == [-1]

@@ -141,3 +141,5 @@ def test_hellinger_rejects_bad_input():
         hellinger(ok, np.array([-0.2, 1.2]))
     with pytest.raises(NotADistribution):
         hellinger(ok, np.array([0.5, 0.6]))
+    with pytest.raises(NotADistribution):  # NaN slips past < and > checks
+        hellinger(np.array([np.nan, 1.0]), ok)

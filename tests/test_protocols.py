@@ -94,7 +94,7 @@ def test_project_psd_clips_and_renormalizes():
 def test_clifford_group_has_24_distinct_elements():
     mats, words = clifford_group()
     assert len(mats) == len(words) == 24
-    assert len(set(phase_canonical_keys(np.stack(mats)))) == 24
+    assert len(set(phase_canonical_keys(np.stack(mats)).tolist())) == 24
 
 
 def test_clifford_words_rebuild_their_matrices():
@@ -106,9 +106,9 @@ def test_clifford_words_rebuild_their_matrices():
 
 def test_clifford_group_closed_under_adjoint():
     mats, _ = clifford_group()
-    keys = set(phase_canonical_keys(np.stack(mats)))
+    keys = set(phase_canonical_keys(np.stack(mats)).tolist())
     for u in mats:
-        assert phase_canonical_keys(u.conj().T[None])[0] in keys
+        assert phase_canonical_keys(u.conj().T[None]).tolist()[0] in keys
 
 
 def test_rb_sequences_compose_to_identity():
@@ -274,6 +274,15 @@ def test_xeb_rejects_zero_ideal_mass():
         with pytest.raises(NotADistribution):
             xeb_score(p, np.array(samples, dtype=np.int64))
 
+    # Float vectors that are not distributions, as test or as ideal.
+    q = np.array([0.4, 0.3, 0.2, 0.1])
+    for ideal, test in ((q, [2.0, -1.0, 0.0, 0.0]),
+                        (q, [np.nan, 0.0, 0.0, 1.0]),
+                        (-q, q),
+                        ([np.nan, 0.5, 0.25, 0.25], q)):
+        with pytest.raises(NotADistribution):
+            xeb_score(np.array(ideal), np.array(test))
+
 
 # ---------------------------------------------------------------------------
 # Heavy outputs and quantum volume.
@@ -287,6 +296,14 @@ def test_heavy_output_hand_case():
     assert res.passed
     with pytest.raises(NotADistribution):  # one entry too many to sum
         heavy_output_test(p, np.array([0.4, 0.3, 0.2, 0.1, 0.5]))
+    # A NaN test entry passed with heavy_prob 1.0; a NaN ideal entry
+    # emptied the heavy set.
+    for ideal, test in ((p, [np.nan, 0.0, 0.0, 1.0]),
+                        (p, [2.0, 0.0, 0.0, 0.0]),
+                        (p, [0.6, 0.6, -0.2, 0.0]),
+                        ([np.nan, 0.5, 0.25, 0.25], p)):
+        with pytest.raises(NotADistribution):
+            heavy_output_test(np.array(ideal), np.array(test))
 
 
 def test_heavy_output_sample_route():
