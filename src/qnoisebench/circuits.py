@@ -266,9 +266,9 @@ _SLICE_BYTES = 2 ** 21
 
 def compile_plan(circ: Circuit, rc: bool = False) -> CircuitPlan:
     """Read the circuit into a one-trial `CircuitPlan`, with its
-    randomized-compiling tables if rc (then it must be idle-interleaved; see
-    `interleave_idle`)."""
-    from .compiling import twirl_plan  # compiling imports this module
+    randomized-compiling tables read off the plan's letters if rc (then it
+    must be Clifford+T and idle-interleaved; see `interleave_idle`)."""
+    from .compiling import Twirl  # compiling imports this module
 
     n = circ.n_qubits
     index = {(name, None): k for k, name in enumerate(PLAN_LETTERS)}
@@ -288,7 +288,7 @@ def compile_plan(circ: Circuit, rc: bool = False) -> CircuitPlan:
                  else Gate(name, (0,), angle).matrix() for name, angle in index]
     letters = np.array(letters, dtype=np.intp).reshape(1, circ.depth, n)
     return CircuitPlan(n, letters, np.stack(unitaries), segments,
-                       twirl_plan(circ) if rc else None)
+                       Twirl.of_plan(letters[0], segments, index) if rc else None)
 
 
 def simulate(circ: Circuit, state: DensityMatrix,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
-                       Cycle, identity_cycle)
+                       Cycle, compile_plan, identity_cycle)
 from .errors import (
     DuplicateIndex,
     InvalidParams,
@@ -228,34 +228,34 @@ def interleave_idle(circ: Circuit) -> Circuit:
 
 
 # Twirl Paulis are codes x-bit + 2 * z-bit (PLAN_LETTERS[:4]); a product up to
-# phase is an XOR. Options run i, x, y, z, or i, z for _X_FREE or ahead of t.
-_X_FREE = {"s": (0, 2), "sdg": (0, 2)}
+# phase is an XOR. A qubit's role in a cycle: 0 an idle or Pauli, 1 h, 2 s or
+# sdg, 3 and 4 a CNOT's control and target, 5 t or tdg.
+_ROLE = {"h": 1, "s": 2, "sdg": 2, "t": 5, "tdg": 5}
 _A, _B = np.divmod(np.arange(16), 4)
-# _CROSS[kind, 4 * a + b]: a qubit's frame after its gate in a hard cycle, from
-# frame a on it (or a CNOT's control) and b on a CNOT's target. Kinds: 0 keeps
-# it (i, Paulis, t, tdg), 1 h, 2 s or sdg, 3 and 4 a CNOT's control and target.
+# _CROSS[role, 4 * a + b]: a qubit's frame after its gate in a hard cycle, from
+# frame a on it (or a CNOT's control) and b on a CNOT's target; t keeps it.
 _CROSS = np.array([_A, (_A & 1) << 1 | _A >> 1, _A ^ (_A & 1) << 1,
-                   _A & 1 | (_A ^ _B) & 2, (_A ^ _B) & 1 | _B & 2])
-_KIND = {"h": 1, "s": 2, "sdg": 2}
+                   _A & 1 | (_A ^ _B) & 2, (_A ^ _B) & 1 | _B & 2, _A])
 
 
-@functools.cache
-def _lone_options(gate: str, mid: str, landing: str) -> tuple:
-    """(p, p) per fresh Pauli p of a qubit with easy gate `gate` that crosses
-    `mid` (next hard gate, i if none) into a Pauli `landing` absorbs."""
-    return tuple((p, p) for p in _X_FREE.get(gate, (0, 1, 3, 2))
-                 if not (mid in ("t", "tdg") and p & 1)
-                 and not (landing in _X_FREE
-                          and _CROSS[_KIND.get(mid, 0), 5 * p] & 1))
-
-
-@functools.cache
-def _pair_options(gate_c: str, gate_t: str, land_c: str, land_t: str) -> tuple:
-    """Fresh (control, target) Paulis ahead of a CNOT, as for one qubit."""
-    return tuple((pc, pt) for pc in _X_FREE.get(gate_c, (0, 1, 3, 2))
-                 for pt in _X_FREE.get(gate_t, (0, 1, 3, 2))
-                 if not (land_c in _X_FREE and _CROSS[3, 4 * pc + pt] & 1)
-                 and not (land_t in _X_FREE and _CROSS[4, 4 * pc + pt] & 1))
+# Each slot's fresh Paulis (in the order i, x, y, z, padded to 16) by its code.
+# Phase flags are 1 for s or sdg. No fresh x sits on an s or sdg (whose letter
+# it joins) or ahead of t, or leaves an x for a landing s or sdg to absorb. A
+# lone qubit's code is 12 * its easy gate's flag + 2 * the role it crosses +
+# its landing flag; a CNOT's, 24 + 8 * its control's easy-gate flag + 4 * its
+# target's + 2 * its control's landing flag + its target's.
+_SLOT_OPTIONS = [
+    [(p, p) for p in (0, 1, 3, 2) if not (p & 1 and (g or mid == 5))
+     and not (land and _CROSS[mid, 5 * p] & 1)]
+    for g in (0, 1) for mid in range(6) for land in (0, 1)] + [
+    [(pc, pt) for pc in (0, 1, 3, 2) for pt in (0, 1, 3, 2)
+     if not (gc and pc & 1 or gt and pt & 1)
+     and not (lc and _CROSS[3, 4 * pc + pt] & 1)
+     and not (lt and _CROSS[4, 4 * pc + pt] & 1)]
+    for gc in (0, 1) for gt in (0, 1) for lc in (0, 1) for lt in (0, 1)]
+_COUNTS = np.array([len(o) for o in _SLOT_OPTIONS], dtype=np.int64)
+_OPTS = np.array([o + [(0, 0)] * (16 - len(o)) for o in _SLOT_OPTIONS],
+                 dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +272,67 @@ class Twirl:
     first: np.ndarray    # start of each slot's options in `opts`
     cells: np.ndarray    # (slot, 2) flat easy cycle * n + qubit it sets
     opts: np.ndarray     # (option, 2) Pauli codes for those cells
-    cross: np.ndarray    # (easy + 1, n, 3) _CROSS kind, qubits of a and b
+    cross: np.ndarray    # (easy + 1, n, 3) _CROSS row, qubits of a and b
+
+    @classmethod
+    def of_plan(cls, letters: np.ndarray, segments, keys) -> "Twirl":
+        """Tables of a compiled trial's `letters` (cycle, qubit), segments and
+        letter keys (name, angle). Its circuit must be Clifford+T and idle-
+        interleaved: an easy cycle has only PLAN_LETTERS and no flips."""
+        flips = [(a, *g) for a, _, (f,) in segments for g in f]
+        bad = sorted({name for name, angle in keys if angle is not None})
+        bad += ["toffoli"] * any(len(f) > 3 for f in flips)
+        if bad:
+            raise InvalidParams("randomized compiling needs a Clifford+T "
+                                f"circuit; found {', '.join(bad)}")
+        depth, n = letters.shape
+        at, c, t = np.array(flips, dtype=np.intp).reshape(-1, 3).T
+        # Two idle cycles past the end, for the last easy cycle to cross and
+        # land on; index -1 reads the second.
+        hard = np.append((letters >= len(PLAN_LETTERS)).any(axis=1), [False] * 2)
+        hard[at] = True
+        if (hard[1:] & hard[:-1]).any():
+            raise NotInterleaved("adjacent hard cycles; interleave idles first")
+        role = np.zeros((depth + 2, n), dtype=np.intp)
+        role[:depth] = np.array([_ROLE.get(name, 0) for name, _ in keys])[letters]
+        role[at, c], role[at, t] = 3, 4
+        easy = np.flatnonzero(~hard[:depth])
+        mid = hard[easy + 1]
+        # Flat over the (easy, n) grid, cell e * n + q: the role each qubit
+        # crosses (0 if no hard cycle follows) and the phase flags of its easy
+        # gate and of the gate it lands on.
+        crossed = role[np.where(mid, easy + 1, depth)].ravel()
+        gate, land = role[easy].ravel() == 2, role[easy + 1 + mid].ravel() == 2
+
+        # Slots: easy cycle e's CNOT pairs in gate order, then the qubits they
+        # leave alone, ascending; a stable sort by e keeps that order. A CNOT
+        # in cycle 0 has no slot.
+        pair = (at > 0) & ~hard[at - 1]
+        e = (np.cumsum(~hard) - 1)[at[pair] - 1]
+        pc, pt = e * n + c[pair], e * n + t[pair]
+        lone = np.flatnonzero((crossed != 3) & (crossed != 4))
+        code = np.concatenate([
+            24 + 8 * gate[pc] + 4 * gate[pt] + 2 * land[pc] + land[pt],
+            (12 * gate + 2 * crossed + land)[lone]])
+        cells = np.stack([np.concatenate([pc, lone]),
+                          np.concatenate([pt, lone])], axis=1)
+        order = np.argsort(cells[:, 0] // n, kind="stable")
+        cells, code = cells[order], code[order]
+        counts = _COUNTS[code]
+        first = np.cumsum(counts) - counts
+        slot = np.repeat(np.arange(len(code)), counts)
+
+        # Row e crosses the hard cycle before easy cycle e; the last, the one
+        # after. A row with no hard cycle there crosses the idle cycle `depth`.
+        before = np.append(easy - 1, easy[-1] + 1 if easy.size else -1)
+        before[~hard[before]] = depth
+        cross = np.empty((depth + 1, n, 3), dtype=np.intp)
+        cross[..., 0] = np.where(role[:-1] == 5, 0, role[:-1])  # t's row is 0's
+        cross[..., 1:] = np.arange(n)[:, None]
+        cross[at, t, 1], cross[at, c, 2] = c, t
+        return cls(easy, letters[easy], counts, first, cells,
+                   _OPTS[code[slot], np.arange(len(slot)) - first[slot]],
+                   cross[before])
 
     def draw(self, seed) -> np.ndarray:
         """One trial's picks: one `integers` call, one scalar draw per slot."""
@@ -297,69 +357,6 @@ class Twirl:
                          self.base ^ (fresh ^ into) >> 1), frame[:, e])
 
 
-def twirl_plan(circ: Circuit) -> Twirl:
-    """Randomized-compiling tables of an idle-interleaved Clifford+T circuit:
-    per easy cycle, the fresh Paulis whose conjugation through the next hard
-    cycle the landing easy cycle can absorb."""
-    n, cycles = circ.n_qubits, circ.cycles
-    for c in cycles:
-        for g in c.gates:
-            if g.name in ("rz", "rx", "toffoli"):
-                raise InvalidParams(
-                    "randomized compiling needs a Clifford+T circuit; "
-                    f"found {g.name}"
-                )
-    hard = [not is_easy_cycle(c) for c in cycles]
-    for a, b in zip(hard, hard[1:]):
-        if a and b:
-            raise NotInterleaved("adjacent hard cycles; interleave idles first")
-    on = [["i"] * n for _ in range(len(cycles) + 2)]  # gate name per qubit
-    for k, c in enumerate(cycles):
-        for g in c.gates:
-            for q in g.qubits:
-                on[k][q] = g.name
-    easy = [k for k, h in enumerate(hard) if not h]
-
-    cells, options = [], []
-    for e, k in enumerate(easy):
-        mid = k + 1 < len(cycles) and hard[k + 1]
-        land = on[k + 2] if mid else on[k + 1]
-        for g in cycles[k + 1].gates if mid else ():
-            if g.name == "cnot":
-                c, t = g.qubits
-                cells.append((e * n + c, e * n + t))
-                options.append(_pair_options(on[k][c], on[k][t],
-                                             land[c], land[t]))
-        for q in range(n):
-            if not (mid and on[k + 1][q] == "cnot"):
-                cells.append((e * n + q,) * 2)
-                options.append(_lone_options(
-                    on[k][q], on[k + 1][q] if mid else "i", land[q]))
-
-    # Row e crosses the hard cycle before easy cycle e; the last, the one after.
-    before = [k - 1 for k in easy] + [easy[-1] + 1 if easy else -1]
-    cross = [[(0, q, q) for q in range(n)] for _ in before]
-    for row, j in enumerate(before):
-        for g in cycles[j].gates if 0 <= j < len(cycles) and hard[j] else ():
-            if g.name == "cnot":
-                c, t = g.qubits
-                cross[row][c], cross[row][t] = (3, c, t), (4, c, t)
-            else:
-                cross[row][g.qubits[0]] = (_KIND.get(g.name, 0), *g.qubits * 2)
-    counts = np.array([len(o) for o in options], dtype=np.int64)
-    return Twirl(
-        easy=np.array(easy, dtype=np.intp),
-        base=np.array([[PLAN_LETTERS.index(name) for name in on[k]]
-                       for k in easy], dtype=np.intp).reshape(len(easy), n),
-        counts=counts,
-        first=np.cumsum(counts) - counts,
-        cells=np.array(cells, dtype=np.intp).reshape(-1, 2),
-        opts=np.array([pair for o in options for pair in o],
-                      dtype=np.intp).reshape(-1, 2),
-        cross=np.array(cross, dtype=np.intp),
-    )
-
-
 def randomized_compile(circ: Circuit, seed=None) -> tuple[Circuit, tuple[str, ...]]:
     """Dress easy cycles with fresh random Paulis, folding each correction into
     the next easy cycle. Returns the rewritten circuit and the closing Pauli
@@ -374,7 +371,7 @@ def randomized_compile(circ: Circuit, seed=None) -> tuple[Circuit, tuple[str, ..
     is preserved: twirls merge into existing easy gates. Built from the same
     `Twirl` draws that `simulate(..., rc=True, seed=seed)` runs.
     """
-    twirl = twirl_plan(circ)
+    twirl = compile_plan(circ, rc=True).twirl
     merged, frame = twirl.sample([twirl.draw(seed)])
     cycles = list(circ.cycles)
     for k, row in zip(twirl.easy, merged[0].tolist()):

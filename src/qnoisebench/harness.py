@@ -43,6 +43,7 @@ _FIELDS = tuple(CSV_HEADER.split(","))
 DEFAULT_TRIALS = 100
 DEFAULT_LEVELS = (0, 1, 2, 3)
 MAX_SWEEP_POINTS = 1000  # more is a mistyped step, not an experiment
+MAX_TRIAL_RUNS = 10 ** 7  # trials x points x depths: days of runs at 8 qubits
 # Trials run as one batch: TRIAL_CHUNK states and their maps at once.
 TRIAL_CHUNK = 32
 
@@ -156,6 +157,10 @@ class ExperimentConfig:
             )
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"fmt: {self.fmt!r} is not csv or json")
+        points, depths = len(_sweep_params(self)), len(_depths(self))
+        if self.trials * points * depths > MAX_TRIAL_RUNS:
+            raise ConfigError(f"trials: {self.trials} x {points} sweep points x "
+                              f"{depths} depths is over {MAX_TRIAL_RUNS} runs")
         return self
 
 

@@ -278,10 +278,7 @@ def xeb_score(ideal_probs: np.ndarray,
             raise ZeroIdealProbability("sampled outcome has zero ideal probability")
         cross = float(-np.mean(np.log(picked)))
     else:
-        if arr.shape != p_u.shape:
-            raise ZeroIdealProbability(
-                f"distribution length {arr.size} does not match {n}")
-        p_a = check_distribution("test distribution", arr)
+        p_a = check_distribution("test distribution", arr, p_u.shape)
         mask = p_a > 0.0
         if np.any(p_u[mask] < PROB_FLOOR):
             raise ZeroIdealProbability("test mass on zero ideal probability")
@@ -312,10 +309,8 @@ def heavy_output_test(ideal_probs: np.ndarray,
         _check_outcomes(arr, p_u.size)
         prob = float(np.isin(arr, heavy).mean()) if arr.size else 0.0
     else:
-        if arr.shape != p_u.shape:
-            raise NotADistribution(
-                f"test distribution of shape {arr.shape}, not {p_u.shape}")
-        prob = float(check_distribution("test distribution", arr)[heavy].sum())
+        prob = float(check_distribution("test distribution", arr,
+                                        p_u.shape)[heavy].sum())
     return HeavyOutputResult(tuple(int(i) for i in heavy), prob,
                              prob > 2.0 / 3.0)
 

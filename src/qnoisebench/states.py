@@ -142,10 +142,12 @@ def check_count(name: str, value) -> None:
         raise InvalidParams(f"{name}: {value!r} must be an integer >= 1")
 
 
-def check_distribution(name: str, p) -> np.ndarray:
-    """p as float64; NotADistribution unless every entry is finite and at
-    least -DIST_NEG_TOL and the entries sum to 1 within DIST_SUM_TOL."""
+def check_distribution(name: str, p, shape=None) -> np.ndarray:
+    """p as float64; NotADistribution unless it has `shape` (if given), and
+    its entries are finite, at least -DIST_NEG_TOL and sum to 1 ± DIST_SUM_TOL."""
     p = np.asarray(p, dtype=np.float64)
+    if shape is not None and p.shape != shape:
+        raise NotADistribution(f"{name} of shape {p.shape}, not {shape}")
     if not np.isfinite(p).all():
         raise NotADistribution(f"{name} has a non-finite entry")
     if np.any(p < -DIST_NEG_TOL):

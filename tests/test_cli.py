@@ -97,6 +97,7 @@ def test_flags_alone_suffice(capsys, tmp_path):
     dict(benchmark="qft", noise="pauli", sweep=[0.0, 0.03, 1e-15]),  # 3e13 points
     dict(benchmark="qft", noise="none", levels=[1]),   # no strength to pick
     dict(benchmark="qft", noise="none", sweep=[0, 0.1, 0.05]),  # nor to sweep
+    dict(benchmark="qft", noise="none", trials=10 ** 13),  # over MAX_TRIAL_RUNS
 ])
 def test_bad_configs_exit_2(capsys, tmp_path, fields):
     cfg = write_config(tmp_path, **fields)

@@ -5,13 +5,15 @@ import functools
 import numpy as np
 import pytest
 
-from qnoisebench.benchmarks import QAOA_BETA_STAR, QAOA_GAMMA_STAR, build_random
+from qnoisebench.benchmarks import (QAOA_BETA_STAR, QAOA_GAMMA_STAR,
+                                    build_benchmark, build_random)
 from qnoisebench.circuits import (
     CLIFFORD_T,
     PARAM_ROTATIONS,
     Circuit,
     Cycle,
     circuit_unitary,
+    compile_plan,
     identity_cycle,
     simulate,
 )
@@ -34,7 +36,7 @@ from qnoisebench.errors import (
     NotInterleaved,
     SearchExhausted,
 )
-from qnoisebench.gates import FIXED_MATRICES, Gate
+from qnoisebench.gates import CLIFFORD_T_NAMES, FIXED_MATRICES, Gate
 from qnoisebench.linalg import equal_up_to_phase, phase_aligned_distance
 from qnoisebench.noise import PauliNoise
 from qnoisebench.states import ket_to_density, random_product_state
@@ -355,6 +357,155 @@ def test_rc_rejects_rotations_and_adjacent_hard_cycles():
     packed = Circuit(2, (Cycle((G.h(0),)), Cycle((G.cnot(0, 1),))), CLIFFORD_T)
     with pytest.raises(NotInterleaved):
         randomized_compile(packed)
+    # The plan's letters and segments alone reject the same circuits, naming
+    # the gate; the rotation and Toffoli sit between easy cycles.
+    for gate in (G.rz(1, 0.3), G.rx(0, -1.1), G.toffoli(0, 1, 2)):
+        circ = Circuit(3, (Cycle((G.x(0),)), Cycle((gate,)), Cycle()))
+        with pytest.raises(InvalidParams, match=f"found {gate.name}"):
+            compile_plan(circ, rc=True)
+    both = Circuit(2, (Cycle((G.h(0), G.s(1))), Cycle((G.t(0),))), CLIFFORD_T)
+    cnots = Circuit(3, (Cycle(), Cycle((G.cnot(0, 1),)),
+                        Cycle((G.cnot(2, 1),)), Cycle()), CLIFFORD_T)
+    late = Circuit(2, (Cycle(), Cycle((G.t(1),)), Cycle((G.x(0),)),
+                       Cycle((G.cnot(1, 0),)), Cycle((G.h(0), G.z(1)))),
+                   CLIFFORD_T)
+    for circ in (packed, both, cnots, late):
+        with pytest.raises(NotInterleaved):
+            compile_plan(circ, rc=True)
+        compile_plan(circ)  # without rc the same circuit compiles
+
+
+# The per-gate reading of a circuit into `Twirl` tables that the plan-letter
+# builder must reproduce field for field: gate names per qubit and cycle, and
+# the fresh-Pauli options of each slot from those names.
+_X_FREE = {"s": (0, 2), "sdg": (0, 2)}
+_A, _B = np.divmod(np.arange(16), 4)
+_REF_CROSS = np.array([_A, (_A & 1) << 1 | _A >> 1, _A ^ (_A & 1) << 1,
+                       _A & 1 | (_A ^ _B) & 2, (_A ^ _B) & 1 | _B & 2])
+_KIND = {"h": 1, "s": 2, "sdg": 2}
+_PLAN_LETTERS = ("i", "x", "z", "y", "s", "sdg")
+
+
+def _lone_options(gate, mid, landing):
+    return tuple((p, p) for p in _X_FREE.get(gate, (0, 1, 3, 2))
+                 if not (mid in ("t", "tdg") and p & 1)
+                 and not (landing in _X_FREE
+                          and _REF_CROSS[_KIND.get(mid, 0), 5 * p] & 1))
+
+
+def _pair_options(gate_c, gate_t, land_c, land_t):
+    return tuple((pc, pt) for pc in _X_FREE.get(gate_c, (0, 1, 3, 2))
+                 for pt in _X_FREE.get(gate_t, (0, 1, 3, 2))
+                 if not (land_c in _X_FREE and _REF_CROSS[3, 4 * pc + pt] & 1)
+                 and not (land_t in _X_FREE and _REF_CROSS[4, 4 * pc + pt] & 1))
+
+
+def reference_twirl(circ):
+    """Twirl fields of an idle-interleaved Clifford+T circuit, gate by gate."""
+    n, cycles = circ.n_qubits, circ.cycles
+    hard = [not is_easy_cycle(c) for c in cycles]
+    on = [["i"] * n for _ in range(len(cycles) + 2)]  # gate name per qubit
+    for k, c in enumerate(cycles):
+        for g in c.gates:
+            for q in g.qubits:
+                on[k][q] = g.name
+    easy = [k for k, h in enumerate(hard) if not h]
+
+    cells, options = [], []
+    for e, k in enumerate(easy):
+        mid = k + 1 < len(cycles) and hard[k + 1]
+        land = on[k + 2] if mid else on[k + 1]
+        for g in cycles[k + 1].gates if mid else ():
+            if g.name == "cnot":
+                c, t = g.qubits
+                cells.append((e * n + c, e * n + t))
+                options.append(_pair_options(on[k][c], on[k][t],
+                                             land[c], land[t]))
+        for q in range(n):
+            if not (mid and on[k + 1][q] == "cnot"):
+                cells.append((e * n + q,) * 2)
+                options.append(_lone_options(
+                    on[k][q], on[k + 1][q] if mid else "i", land[q]))
+
+    # Row e crosses the hard cycle before easy cycle e; the last, the one after.
+    before = [k - 1 for k in easy] + [easy[-1] + 1 if easy else -1]
+    cross = [[(0, q, q) for q in range(n)] for _ in before]
+    for row, j in enumerate(before):
+        for g in cycles[j].gates if 0 <= j < len(cycles) and hard[j] else ():
+            if g.name == "cnot":
+                c, t = g.qubits
+                cross[row][c], cross[row][t] = (3, c, t), (4, c, t)
+            else:
+                cross[row][g.qubits[0]] = (_KIND.get(g.name, 0), *g.qubits * 2)
+    counts = np.array([len(o) for o in options], dtype=np.int64)
+    return dict(
+        easy=np.array(easy, dtype=np.intp),
+        base=np.array([[_PLAN_LETTERS.index(name) for name in on[k]]
+                       for k in easy], dtype=np.intp).reshape(len(easy), n),
+        counts=counts,
+        first=np.cumsum(counts) - counts,
+        cells=np.array(cells, dtype=np.intp).reshape(-1, 2),
+        opts=np.array([pair for o in options for pair in o],
+                      dtype=np.intp).reshape(-1, 2),
+        cross=np.array(cross, dtype=np.intp),
+    )
+
+
+def assert_twirl_matches_reference(circ):
+    twirl = compile_plan(circ, rc=True).twirl
+    for name, want in reference_twirl(circ).items():
+        got = getattr(twirl, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def random_clifford_t(n, depth, rng):
+    """Cycles over every Clifford+T gate, a CNOT in about a third of them."""
+    cycles = []
+    for _ in range(depth):
+        qubits = [int(q) for q in rng.permutation(n)]
+        gates = []
+        if n > 1 and rng.random() < 0.35:
+            gates.append(G.cnot(qubits.pop(), qubits.pop()))
+        for q in qubits:
+            name = sorted(CLIFFORD_T_NAMES - {"cnot"})[rng.integers(9)]
+            if rng.random() < 0.7:
+                gates.append(G(name, (q,)))
+        cycles.append(Cycle(tuple(gates)))
+    return interleave_idle(Circuit(n, tuple(cycles), CLIFFORD_T))
+
+
+def test_twirl_tables_match_per_gate_reference():
+    """The plan-letter `Twirl` equals the per-gate reading in every field,
+    dtype and shape: idle at every allowed depth, the fixed Clifford+T
+    benchmarks, 138 interleaved random circuits (two at each allowed depth)
+    and 60 over the whole Clifford+T set."""
+    for depth in range(2, 71):
+        assert_twirl_matches_reference(build_benchmark("idle", depth=depth))
+    for bench in ("adder", "qft_ct", "qaoa_ct"):
+        assert_twirl_matches_reference(build_benchmark(bench))
+    for k, depth in enumerate(2 * list(range(2, 71))):
+        assert_twirl_matches_reference(
+            interleave_idle(build_random(4, depth, seed=500 + k)))
+    rng = np.random.default_rng(17)
+    for k in range(60):
+        assert_twirl_matches_reference(
+            random_clifford_t(int(rng.integers(1, 6)), int(rng.integers(1, 16)),
+                              rng))
+
+
+@pytest.mark.parametrize("cycles", [
+    [[G.cnot(0, 1)], [G.x(0)], [G.h(1)]],                  # a CNOT in cycle 0
+    [[G.cnot(1, 0), G.h(2)]],                              # all hard
+    [],                                                    # no cycles
+    [[G.s(0), G.sdg(1)], [G.cnot(0, 1)], [G.s(0), G.sdg(1), G.z(2)],
+     [G.h(0), G.t(1)], [G.sdg(0), G.s(1)]],                # s/sdg landings
+    [[G.y(0), G.s(1)], [G.t(0), G.tdg(1), G.h(2)], [G.z(1)],
+     [G.tdg(2), G.s(0)]],                                  # t/tdg after easy
+], ids=["cnot-first", "all-hard", "empty", "phase-landings", "t-after-easy"])
+def test_twirl_tables_edge_cases(cycles):
+    circ = Circuit(3, tuple(Cycle(tuple(c)) for c in cycles), CLIFFORD_T)
+    assert_twirl_matches_reference(circ)
 
 
 def test_rc_all_hard_circuit_returns_identity_frame():

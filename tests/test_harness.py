@@ -1,11 +1,15 @@
 """Experiment harness: config validation, determinism, file round trips."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qnoisebench.errors import ConfigError, IoError
 from qnoisebench.harness import (
     CSV_HEADER,
+    MAX_TRIAL_RUNS,
     ExperimentConfig,
     ResultRow,
     emit,
@@ -46,6 +50,7 @@ def test_validate_accepts_good_config():
     (dict(depth_range=(1, 10, 2)), "depth_range"),
     (dict(depth_range=(10, 80, 10)), "depth_range"),
     (dict(fmt="xml"), "fmt"),
+    (dict(trials=10 ** 13), "trials"),
 ])
 def test_validate_rejects_bad_fields(kw, field):
     with pytest.raises(ConfigError, match=field):
@@ -67,6 +72,33 @@ def test_validate_rc_requires_clifford_t():
         cfg.validate()
     ok = ExperimentConfig(benchmark="qaoa_ct", noise="pauli", rc=True, trials=1)
     assert ok.validate() is ok
+
+
+def test_validate_caps_total_trial_runs():
+    """Trials x sweep points x depths may reach MAX_TRIAL_RUNS, not pass it;
+    the error names the product. The perfbench workloads and the README's
+    example config fit well inside."""
+    trials = MAX_TRIAL_RUNS // 6  # 2 levels x 3 depths
+    at_cap = idle_cfg(levels=(0, 1), depth_range=(10, 14, 2), trials=trials)
+    assert at_cap.validate() is at_cap
+    over = idle_cfg(levels=(0, 1), depth_range=(10, 14, 2), trials=trials + 1)
+    with pytest.raises(ConfigError, match=(
+            rf"{trials + 1} x 2 sweep points x 3 depths is over "
+            rf"{MAX_TRIAL_RUNS} runs")):
+        over.validate()
+    sweep = ExperimentConfig(benchmark="qft", noise="pauli",
+                             sweep=(0.0, 0.0998, 0.0001), trials=20_000)
+    with pytest.raises(ConfigError, match="999 sweep points"):
+        sweep.validate()
+    readme = dict(benchmark="random", noise="pauli", levels=(0, 1, 2, 3),
+                  trials=100, depth_range=(2, 30, 4), seed=7)
+    workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+    for fields in [readme] + [json.loads(p.read_text())
+                              for p in sorted(workloads.glob("*.json"))]:
+        fields = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in fields.items()}
+        cfg = ExperimentConfig(**fields)
+        assert cfg.validate() is cfg
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def test_xeb_rejects_zero_ideal_mass():
         xeb_score(p, np.array([2, 3], dtype=np.int64))
     with pytest.raises(ZeroIdealProbability):
         xeb_score(p, np.array([0.0, 0.5, 0.5, 0.0]))
-    with pytest.raises(ZeroIdealProbability):
+    with pytest.raises(NotADistribution):
         xeb_score(p, np.array([0.5, 0.5, 0.0]))  # length mismatch
     # Sampled outcomes outside 0..3: -1 would index the last outcome.
     for samples in ([-1, -1], [0, 4]):
