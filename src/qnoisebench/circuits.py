@@ -163,8 +163,16 @@ class CircuitPlan:
         """Each segment's map per qubit, (trial, segment, qubit, d, d): real
         4x4 Pauli transfer matrices R(N) R(u (x) conj(u)), or with `ket` the
         2x2 unitaries (noise-free). One trial per row of `letters`, or a
-        twirled trial per seed with its closing frame composed in. A segment
-        of several cycles multiplies its maps, one batched product a cycle."""
+        twirled trial per seed with its closing frame composed in.
+
+        A segment of several cycles multiplies its maps as two-cycle words:
+        cycles start + 2i and start + 2i + 1, with letters (a, b), are the
+        one map T[b] T[a], and an odd segment's last cycle is its own word
+        T[a]. Each letter pair that occurs in the batch is multiplied once,
+        in one batched product over the codes a U + b present (U letters);
+        a batch with fewer words than the U^2 codes multiplies each word as
+        it stands, so no array outgrows the words. The words then compose
+        with one batched product per word."""
         letters, frames = self.letters, None
         if seeds is not None:
             merged, frames = self.twirl.sample([self.twirl.draw(s) for s in seeds])
@@ -176,17 +184,43 @@ class CircuitPlan:
             table = pauli_transfer(superoperator(noise)) @ frame_maps
         if frames is None and all(b - a == 1 for a, b, _ in self.segments):
             return table[letters]  # segment k is cycle k
-        # (cycle, trial, qubit, d, d): each cycle's maps are contiguous.
-        cycle_maps = table[letters.swapaxes(0, 1)]
-        segs = []
+        # Cycles k and k + 1 of a segment pair up into one word, T[b] T[a]
+        # for letters (a, b); an odd segment's last cycle stands alone.
+        u, d = len(table), table.shape[-1]
+        first, lone, lengths = [], [], []
         for start, stop, _ in self.segments:
-            m = cycle_maps[start]
-            for k in range(start + 1, stop):
-                m = cycle_maps[k] @ m
+            odd = (stop - start) % 2
+            first += range(start, stop - odd, 2)
+            lone += [stop - 1] * odd
+            lengths.append(((stop - start) // 2, odd))
+        # Letters (cycle, trial, qubit) of each word's first cycle, then of
+        # each word's second cycle, then of the lone cycles.
+        nw = len(first)
+        picked = letters.swapaxes(0, 1)[np.array(
+            first + [k + 1 for k in first] + lone, dtype=np.intp)]
+        a, b = picked[:nw], picked[nw:2 * nw]
+        if a.size < u * u:
+            maps = table[picked]
+            word_maps, lone_maps = maps[nw:2 * nw] @ maps[:nw], maps[2 * nw:]
+        else:
+            codes = a * u + b
+            slot = np.zeros(u * u, dtype=np.intp)
+            slot[codes] = 1  # marks the codes present, then holds their slots
+            (pairs,) = slot.nonzero()
+            slot[pairs] = np.arange(len(pairs))
+            a, b = np.divmod(pairs, u)
+            word_maps = (table[b] @ table[a])[slot[codes]]
+            lone_maps = table[picked[2 * nw:]]
+        segs, w, k = [], 0, 0
+        for n_words, odd in lengths:
+            chain = [*word_maps[w:w + n_words], *lone_maps[k:k + odd]]
+            m = chain[0]
+            for x in chain[1:]:
+                m = x @ m
             segs.append(m)
+            w, k = w + n_words, k + odd
         if frames is not None and segs:
             segs[-1] = frame_maps[frames] @ segs[-1]
-        d = table.shape[-1]
         segs = np.array(segs).reshape(len(segs), len(letters), self.n_qubits, d, d)
         return segs.swapaxes(0, 1)
 

@@ -4,6 +4,7 @@ scoring, heavy-output testing and quantum volume."""
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,8 +17,12 @@ from .errors import (FitDiverged, InvalidParams, NotADistribution,
 from .gates import FIXED_MATRICES, Gate, H, SDG, WordTable, word_table
 from .linalg import phase_canonical_keys
 from .noise import NoNoise, NoiseModel
-from .states import (DensityMatrix, check_count, check_distribution,
-                     diagonal_distribution)
+from .states import (MAX_SHOTS, DensityMatrix, check_count,
+                     check_distribution, diagonal_distribution)
+
+# Work bounds, checked before anything is allocated or run.
+MAX_RB_CYCLES = 10 ** 7  # sequences x sum of (m + 1) over the lengths
+MAX_QV_CIRCUITS = 10 ** 4  # circuits_per_size, at every size 2..max_m
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +69,8 @@ def state_tomography_1q(prepare: Callable[[], DensityMatrix],
     raw keeps the linear inversion, reconstructed is its PSD projection.
     """
     if shots_per_basis is not None:
-        check_count("shots_per_basis", shots_per_basis)
+        check_count("shots_per_basis", shots_per_basis, MAX_SHOTS,
+                    "states.MAX_SHOTS")
     rng = np.random.default_rng(seed)
     expectations = []
     for rotation in (None, H, H @ SDG):
@@ -149,10 +155,15 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
     sequences of one length run as one batch of |0> Pauli vectors through a
     one-qubit `CircuitPlan`: its letters are the drawn Clifford indices, its
     table the 24 Clifford unitaries, and its one segment all m + 1 cycles.
+    Lengths that are not a sequence of integers >= 1, or more than
+    MAX_RB_CYCLES cycles in all, raise InvalidParams.
     """
-    for m in lengths:
-        check_count("sequence length", m)
+    lengths = _rb_lengths(lengths)
     check_count("sequences_per_length", sequences_per_length)
+    cycles = sequences_per_length * sum(m + 1 for m in lengths)
+    if cycles > MAX_RB_CYCLES:
+        raise InvalidParams(f"{cycles} RB cycles is over "
+                            f"protocols.MAX_RB_CYCLES = {MAX_RB_CYCLES}")
     noise = noise if noise is not None else NoNoise()
     cliffords = _clifford_table().mats
     rng = np.random.default_rng(seed)
@@ -174,9 +185,14 @@ def rb_fit(lengths: Sequence[int], survivals: Sequence[float],
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973):
     for each r the best (A, B) is a two-column least-squares problem with a
     closed form, so only r is searched, on a grid over [0, 0.5] and then by
-    golden section around the best grid point.
+    golden section around the best grid point. Lengths must be integers
+    >= 1 and survivals reals, else InvalidParams.
     """
-    lengths = tuple(int(m) for m in lengths)
+    lengths = _rb_lengths(lengths)
+    survivals = _as_tuple("survivals", survivals)
+    if not all(isinstance(f, numbers.Real) and not isinstance(f, bool)
+               for f in survivals):
+        raise InvalidParams(f"survivals {survivals} are not all reals")
     survivals = tuple(float(f) for f in survivals)
     if len(survivals) != len(lengths):
         raise InvalidParams(
@@ -213,6 +229,23 @@ def rb_fit(lengths: Sequence[int], survivals: Sequence[float],
     if residual > max_residual:
         raise FitDiverged(f"rb fit residual {residual} exceeds {max_residual}")
     return RBResult(lengths, survivals, a, b, float(r), residual)
+
+
+def _as_tuple(name: str, values) -> tuple:
+    """values as a tuple; InvalidParams if they are not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidParams(f"{name}: {values!r} is not a sequence") from None
+
+
+def _rb_lengths(lengths) -> tuple[int, ...]:
+    """RB sequence lengths as ints; InvalidParams unless a sequence of
+    integers >= 1."""
+    lengths = _as_tuple("lengths", lengths)
+    for m in lengths:
+        check_count("sequence length", m)
+    return tuple(int(m) for m in lengths)
 
 
 _RB_GRID = 501
@@ -352,11 +385,13 @@ def quantum_volume(noise: NoiseModel, max_m: int = 4,
     """Largest 2^m (m in 2..max_m, else 1) over square model circuits where
     the majority pass the heavy-output test under the given noise. Each
     circuit is compiled once; its ket pass gives the ideal distribution and
-    its Pauli-vector pass the noisy one."""
+    its Pauli-vector pass the noisy one. circuits_per_size is at most
+    MAX_QV_CIRCUITS."""
     check_count("max_m", max_m)
     if not 2 <= max_m <= 8:
         raise InvalidParams(f"max_m: {max_m} outside 2..8, the desk scale")
-    check_count("circuits_per_size", circuits_per_size)
+    check_count("circuits_per_size", circuits_per_size, MAX_QV_CIRCUITS,
+                "protocols.MAX_QV_CIRCUITS")
     rng = np.random.default_rng(seed)
     best = 0
     for m in range(2, max_m + 1):

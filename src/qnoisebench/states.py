@@ -15,6 +15,7 @@ TRACE_TOL = 1e-9
 DIAG_CLAMP = -1e-8  # diagonal mass below this is an error, above it is noise
 DIST_NEG_TOL = 1e-12  # a distribution entry may dip this far below zero
 DIST_SUM_TOL = 1e-8  # and its entries must sum to 1 within this
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # multinomial counts are int64
 
 
 def _check_power_of_two(dim: int) -> int:
@@ -135,17 +136,25 @@ def product_kets(factors: np.ndarray) -> np.ndarray:
     return amps
 
 
-def check_count(name: str, value) -> None:
-    """Raise InvalidParams unless a count is an integer >= 1, not a bool."""
+def check_count(name: str, value, cap: int | None = None,
+                cap_name: str = "") -> None:
+    """Raise InvalidParams unless a count is an integer >= 1, not a bool,
+    and at most `cap` (the bound `cap_name`) if one is given."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < 1):
         raise InvalidParams(f"{name}: {value!r} must be an integer >= 1")
+    if cap is not None and value > cap:
+        raise InvalidParams(f"{name}: {value} is over {cap_name} = {cap}")
 
 
 def check_distribution(name: str, p, shape=None) -> np.ndarray:
-    """p as float64; NotADistribution unless it has `shape` (if given), and
-    its entries are finite, at least -DIST_NEG_TOL and sum to 1 ± DIST_SUM_TOL."""
-    p = np.asarray(p, dtype=np.float64)
+    """p as float64; NotADistribution unless it converts to float64, has
+    `shape` (if given), and its entries are finite, at least -DIST_NEG_TOL
+    and sum to 1 ± DIST_SUM_TOL."""
+    try:
+        p = np.asarray(p, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise NotADistribution(f"{name} is not an array of reals") from None
     if shape is not None and p.shape != shape:
         raise NotADistribution(f"{name} of shape {p.shape}, not {shape}")
     if not np.isfinite(p).all():
@@ -195,7 +204,7 @@ def diagonal_distribution(diag: np.ndarray) -> np.ndarray:
 
 def sample_measurements(dm: DensityMatrix, shots: int, seed=None) -> np.ndarray:
     """Multinomial counts over basis outcomes; deterministic for a fixed seed."""
-    check_count("shots", shots)
+    check_count("shots", shots, MAX_SHOTS, "states.MAX_SHOTS")
     probs = measurement_distribution(dm)
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs)

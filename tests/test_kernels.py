@@ -5,7 +5,9 @@ The oracle conjugates the full 2^n x 2^n density matrix by each gate's
 embedded Kraus operators. Seeded loops, no property-testing library.
 """
 
+import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +44,9 @@ from qnoisebench.noise import (
     pauli_transfer,
     superoperator,
 )
-from qnoisebench.protocols import quantum_volume, rb_experiment
+from qnoisebench.protocols import (clifford_group, quantum_volume,
+                                   random_model_circuit, rb_experiment,
+                                   rb_sequence_indices)
 from qnoisebench.states import DensityMatrix
 
 MODELS = [
@@ -333,6 +337,127 @@ def test_compose_matches_complex_product_chain(bench, rc):
                                    pauli_transfer(product_chain(plan, model,
                                                                 seeds)),
                                    rtol=0, atol=ATOL, err_msg=repr(model))
+
+
+def segment_lengths_circuit():
+    """Three qubits, CNOT cycles at 0, 1 and 3: segments of 1, 2 and 3
+    cycles, the last of odd length, so it ends in a lone word."""
+    G = Gate
+    return Circuit(3, (Cycle((G.cnot(0, 1), G.t(2))),
+                       Cycle((G.cnot(1, 2), G.h(0))),
+                       Cycle((G.s(0), G.t(1), G.h(2))),
+                       Cycle((G.cnot(2, 0), G.h(1))),
+                       Cycle((G.t(0), G.sdg(1))),
+                       Cycle((G.h(0), G.x(2), G.tdg(1)))), CLIFFORD_T)
+
+
+def assert_compose_matches_chain(plan, seeds=None):
+    for model in MODELS:
+        np.testing.assert_allclose(
+            plan._compose(model, seeds),
+            pauli_transfer(product_chain(plan, model, seeds)),
+            rtol=0, atol=ATOL, err_msg=repr(model))
+
+
+def test_word_compose_over_segments_of_one_two_and_three_cycles():
+    """Two-cycle words give the per-cycle chain's maps on segments of 1, 2
+    and 3 cycles, for the compiled trial and for five trials of random
+    letters over the same table."""
+    plan = compile_plan(segment_lengths_circuit())
+    assert [b - a for a, b, _ in plan.segments] == [1, 2, 3]
+    assert_compose_matches_chain(plan)
+    letters = np.random.default_rng(3).integers(
+        0, len(plan.unitaries), (5,) + plan.letters.shape[1:])
+    assert_compose_matches_chain(CircuitPlan(3, letters, plan.unitaries,
+                                             plan.segments))
+
+
+def test_word_compose_puts_the_frame_on_a_one_cycle_last_segment():
+    """A twirled circuit that ends in a CNOT cycle: its closing frame lands
+    on a one-cycle segment after segments of several cycles."""
+    G = Gate
+    circ = Circuit(2, (Cycle((G.h(0), G.t(1))), Cycle((G.s(0),)),
+                       Cycle((G.x(1),)), Cycle((G.cnot(0, 1),)),
+                       Cycle((G.sdg(0), G.z(1))), Cycle((G.cnot(1, 0),))),
+                   CLIFFORD_T)
+    plan = compile_plan(circ, rc=True)
+    assert [b - a for a, b, _ in plan.segments] == [3, 2, 1]
+    assert_compose_matches_chain(plan, range(5))
+
+
+def test_word_compose_of_a_plan_without_cycles():
+    """No cycles, no segments: an empty map stack per trial, with or
+    without twirl seeds, as Pauli or ket maps."""
+    plan = compile_plan(Circuit(2, (), CLIFFORD_T), rc=True)
+    for model in MODELS:
+        assert plan._compose(model).shape == (1, 0, 2, 4, 4)
+        assert plan._compose(model, range(3)).shape == (3, 0, 2, 4, 4)
+    assert plan._compose(ket=True).shape == (1, 0, 2, 2, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64])
+def test_word_compose_of_rb_sequences(m):
+    """RB's one-segment plan over the 24 Cliffords, one trial of letters
+    per sequence: m + 1 cycles, odd or even. 30 sequences of one word are
+    fewer than the 24^2 pair codes, so each word is multiplied as it
+    stands; 30 of 32 words are more, so each pair present is multiplied
+    once."""
+    rng = np.random.default_rng(m)
+    cliffords = clifford_group()[0]
+    letters = np.array([rb_sequence_indices(m, rng) for _ in range(30)])
+    plan = CircuitPlan(1, letters[:, :, None], np.stack(cliffords),
+                       ((0, m + 1, ((),)),))
+    assert_compose_matches_chain(plan)
+
+
+def test_word_compose_of_quantum_volume_circuits():
+    """A QV model circuit at m = 8 has a letter per rotation, so few letter
+    pairs recur. With its CNOT cycles its segments are single cycles; with
+    them dropped it is one 8-cycle segment over 32 rotation letters."""
+    circ = random_model_circuit(8, 8, np.random.default_rng(8))
+    one_qubit = circ.with_cycles(
+        Cycle(tuple(g for g in c.gates if len(g.qubits) == 1))
+        for c in circ.cycles)
+    for c in (circ, one_qubit):
+        assert_compose_matches_chain(compile_plan(c))
+    assert len(compile_plan(one_qubit).unitaries) == 6 + 32
+
+
+def test_word_compose_of_many_letters_allocates_no_pair_code_table():
+    """A one-qubit segment of 3000 distinct rotations has 3006^2 pair codes
+    but 1500 words: the words are multiplied as they stand, and composing
+    stays within a few MB (a table over the codes would take 72 MB)."""
+    angles = np.random.default_rng(4).uniform(0, 2 * np.pi, 3000)
+    plan = compile_plan(Circuit(1, [Cycle((Gate.rz(0, a),)) for a in angles]))
+    assert len(plan.unitaries) == 6 + 3000
+    tracemalloc.start()
+    try:
+        maps = plan._compose(PauliNoise(0.02, 0.01, 0.03))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    np.testing.assert_allclose(
+        maps, pauli_transfer(product_chain(plan, PauliNoise(0.02, 0.01, 0.03))),
+        rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("bench", ["segments", "qft_ct", "adder"])
+def test_ket_word_compose_is_the_circuit_unitary(bench):
+    """The 2x2 ket maps of each segment, tensored over the qubits after the
+    segment's flips, multiply to `circuit_unitary` exactly up to rounding."""
+    circ = (segment_lengths_circuit() if bench == "segments"
+            else build_benchmark(bench))
+    n = circ.n_qubits
+    plan = compile_plan(circ)
+    maps = plan._compose(ket=True)[0]
+    u = np.eye(2 ** n, dtype=np.complex128)
+    for (_, _, (flips,)), seg in zip(plan.segments, maps):
+        flip = circuit_unitary(Circuit(n, (Cycle(tuple(
+            Gate.cnot(*f) if len(f) == 2 else Gate.toffoli(*f)
+            for f in flips)),)))
+        u = functools.reduce(np.kron, seg) @ flip @ u
+    np.testing.assert_allclose(u, circuit_unitary(circ), rtol=0, atol=ATOL)
 
 
 def test_pauli_transfer_matrices_are_real():

@@ -24,6 +24,7 @@ from qnoisebench.noise import (
     pair_superoperator,
     superoperator,
 )
+from qnoisebench import protocols
 from qnoisebench.protocols import (
     EULER_GAMMA,
     clifford_group,
@@ -36,7 +37,8 @@ from qnoisebench.protocols import (
     state_tomography_1q,
     xeb_score,
 )
-from qnoisebench.states import DensityMatrix, Ket, ket_to_density
+from qnoisebench.states import (MAX_SHOTS, DensityMatrix, Ket, ket_to_density,
+                                sample_measurements)
 
 rng = np.random.default_rng(91)
 
@@ -368,3 +370,41 @@ def test_zero_sample_counts_raise():
         rb_experiment((2.5, 3), sequences_per_length=1)
     with pytest.raises(InvalidParams, match="circuits_per_size"):
         quantum_volume(NoNoise(), max_m=2, circuits_per_size=0)
+
+
+def test_protocol_inputs_end_typed_within_work_bounds(monkeypatch):
+    """Inputs that are not numbers, and work past a bound, end typed before
+    anything is allocated or run: no numpy ValueError, TypeError,
+    MemoryError or OverflowError, and no long run."""
+    uniform = np.full(4, 0.25)
+    for score in (xeb_score, heavy_output_test):
+        with pytest.raises(NotADistribution, match="not an array of reals"):
+            score(uniform, "a")
+    with pytest.raises(InvalidParams, match="lengths: 3 is not a sequence"):
+        rb_experiment(3, 2)
+    for survivals in ("a", [[1]]):
+        with pytest.raises(InvalidParams, match="not all reals"):
+            rb_fit([1, 2, 4], survivals)
+    with pytest.raises(InvalidParams, match="sequence length"):
+        rb_fit([1, 2.5, 4], [1.0, 0.9, 0.8])
+    with pytest.raises(InvalidParams, match="MAX_RB_CYCLES = 10000000"):
+        rb_experiment([1], 10 ** 12)
+    with pytest.raises(InvalidParams, match="MAX_RB_CYCLES"):
+        rb_experiment([10 ** 9], 1)
+    with pytest.raises(InvalidParams, match="MAX_QV_CIRCUITS = 10000"):
+        quantum_volume(NoNoise(), 2, 10 ** 12)
+    dm = DensityMatrix.basis(1, 0)
+    with pytest.raises(InvalidParams, match="MAX_SHOTS"):
+        sample_measurements(dm, 10 ** 30)
+    with pytest.raises(InvalidParams, match="MAX_SHOTS"):
+        state_tomography_1q(lambda: dm, 10 ** 30, seed=0)
+    # The bounds are inclusive.
+    assert sample_measurements(dm, MAX_SHOTS, seed=0).tolist() == [MAX_SHOTS, 0]
+    monkeypatch.setattr(protocols, "MAX_RB_CYCLES", 2 * (2 + 5))
+    assert rb_experiment((1, 4), 2, seed=0).shape == (2,)
+    with pytest.raises(InvalidParams, match="21 RB cycles"):
+        rb_experiment((1, 4), 3, seed=0)
+    monkeypatch.setattr(protocols, "MAX_QV_CIRCUITS", 3)
+    assert quantum_volume(NoNoise(), 2, 3, seed=0) == 4
+    with pytest.raises(InvalidParams, match="circuits_per_size: 4"):
+        quantum_volume(NoNoise(), 2, 4, seed=0)
