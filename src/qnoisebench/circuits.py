@@ -167,12 +167,12 @@ class CircuitPlan:
 
         A segment of several cycles multiplies its maps as two-cycle words:
         cycles start + 2i and start + 2i + 1, with letters (a, b), are the
-        one map T[b] T[a], and an odd segment's last cycle is its own word
-        T[a]. Each letter pair that occurs in the batch is multiplied once,
-        in one batched product over the codes a U + b present (U letters);
-        a batch with fewer words than the U^2 codes multiplies each word as
-        it stands, so no array outgrows the words. The words then compose
-        with one batched product per word."""
+        one map T[b] T[a], and an odd segment's last cycle stands alone as
+        T[a]. A batch of at least 2 U^2 words (U letters) multiplies each
+        letter pair that occurs once, over the codes a U + b marked in a
+        U^2-long table; a smaller batch multiplies each word as it stands,
+        so no array outgrows the words. The words then compose with one
+        batched product per word."""
         letters, frames = self.letters, None
         if seeds is not None:
             merged, frames = self.twirl.sample([self.twirl.draw(s) for s in seeds])
@@ -187,38 +187,41 @@ class CircuitPlan:
         # Cycles k and k + 1 of a segment pair up into one word, T[b] T[a]
         # for letters (a, b); an odd segment's last cycle stands alone.
         u, d = len(table), table.shape[-1]
-        first, lone, lengths = [], [], []
+        first, lone, spans = [], [], []
         for start, stop, _ in self.segments:
             odd = (stop - start) % 2
+            spans.append((len(first), (stop - start) // 2,
+                          len(lone) if odd else None))
             first += range(start, stop - odd, 2)
             lone += [stop - 1] * odd
-            lengths.append(((stop - start) // 2, odd))
         # Letters (cycle, trial, qubit) of each word's first cycle, then of
         # each word's second cycle, then of the lone cycles.
         nw = len(first)
-        picked = letters.swapaxes(0, 1)[np.array(
-            first + [k + 1 for k in first] + lone, dtype=np.intp)]
-        a, b = picked[:nw], picked[nw:2 * nw]
-        if a.size < u * u:
-            maps = table[picked]
+        picked = letters.swapaxes(0, 1).take(
+            first + [k + 1 for k in first] + lone, axis=0)
+        # RB's random letters ran faster word by word up to about 2 U^2
+        # words; the RC batches, which repeat 97-99.8% of their pairs, have
+        # far more.
+        if nw * letters[0].size < 2 * u * u:
+            maps = table.take(picked, axis=0)
             word_maps, lone_maps = maps[nw:2 * nw] @ maps[:nw], maps[2 * nw:]
         else:
-            codes = a * u + b
+            codes = picked[:nw] * u + picked[nw:2 * nw]
             slot = np.zeros(u * u, dtype=np.intp)
             slot[codes] = 1  # marks the codes present, then holds their slots
             (pairs,) = slot.nonzero()
             slot[pairs] = np.arange(len(pairs))
             a, b = np.divmod(pairs, u)
-            word_maps = (table[b] @ table[a])[slot[codes]]
-            lone_maps = table[picked[2 * nw:]]
-        segs, w, k = [], 0, 0
-        for n_words, odd in lengths:
-            chain = [*word_maps[w:w + n_words], *lone_maps[k:k + odd]]
-            m = chain[0]
-            for x in chain[1:]:
-                m = x @ m
+            word_maps = (table[b] @ table[a]).take(slot.take(codes), axis=0)
+            lone_maps = table.take(picked[2 * nw:], axis=0)
+        segs = []
+        for w, n_words, k in spans:
+            m = word_maps[w] if n_words else lone_maps[k]
+            for i in range(w + 1, w + n_words):
+                m = word_maps[i] @ m
+            if n_words and k is not None:
+                m = lone_maps[k] @ m
             segs.append(m)
-            w, k = w + n_words, k + odd
         if frames is not None and segs:
             segs[-1] = frame_maps[frames] @ segs[-1]
         segs = np.array(segs).reshape(len(segs), len(letters), self.n_qubits, d, d)

@@ -398,13 +398,13 @@ def test_word_compose_of_a_plan_without_cycles():
 @pytest.mark.parametrize("m", [1, 2, 63, 64])
 def test_word_compose_of_rb_sequences(m):
     """RB's one-segment plan over the 24 Cliffords, one trial of letters
-    per sequence: m + 1 cycles, odd or even. 30 sequences of one word are
-    fewer than the 24^2 pair codes, so each word is multiplied as it
-    stands; 30 of 32 words are more, so each pair present is multiplied
+    per sequence: m + 1 cycles, odd or even. 50 sequences of one word are
+    fewer than twice the 24^2 pair codes, so each word is multiplied as it
+    stands; 50 of 32 words are more, so each pair present is multiplied
     once."""
     rng = np.random.default_rng(m)
     cliffords = clifford_group()[0]
-    letters = np.array([rb_sequence_indices(m, rng) for _ in range(30)])
+    letters = np.array([rb_sequence_indices(m, rng) for _ in range(50)])
     plan = CircuitPlan(1, letters[:, :, None], np.stack(cliffords),
                        ((0, m + 1, ((),)),))
     assert_compose_matches_chain(plan)
