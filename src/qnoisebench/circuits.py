@@ -29,7 +29,7 @@ from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, I2, TOFFOLI, Gate
 from .linalg import is_hermitian
 from .noise import (PAULI_BASIS, PAULI_INV, NoNoise, NoiseModel,
                     apply_channel_all, pair_superoperator,  # noqa: F401
-                    pauli_transfer, superoperator)
+                    pauli_transfer)
 from .states import DensityMatrix
 
 PARAM_ROTATIONS = "param_rotations"
@@ -145,7 +145,14 @@ class CircuitPlan:
     a whole batch shares. Segment (start, stop, flips) runs the controlled-X
     flips of cycle `start`, flips[t] for trial t or flips[0] for every trial,
     then per qubit one map composed over cycles start..stop-1. `twirl` is a
-    `compiling.Twirl` if compiled for randomized compiling."""
+    `compiling.Twirl` if compiled for randomized compiling.
+
+    Each distinct set of flips is coded once: `flip_sets[0]` is (), the sets
+    of per-trial segments come next (the first `gathered` codes, 0 if there
+    are none) and the shared ones last. `flip_codes[k]` holds segment k's
+    codes, one per trial or one for every trial, and `toffoli[c]` whether
+    set c holds a Toffoli. A segment whose count of flips is neither 1 nor
+    len(letters) raises InvalidParams."""
 
     n_qubits: int
     letters: np.ndarray
@@ -153,10 +160,39 @@ class CircuitPlan:
     segments: tuple
     twirl: object = None
     ptms: np.ndarray = field(init=False)  # R(u (x) conj(u)) per letter
+    flip_sets: tuple = field(init=False)
+    flip_codes: tuple = field(init=False)
+    toffoli: np.ndarray = field(init=False)
+    gathered: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ptms",
                            pauli_transfer(pair_superoperator(self.unitaries)))
+        trials = len(self.letters)
+        for start, _, flips in self.segments:
+            if len(flips) not in (1, trials):
+                raise InvalidParams(
+                    f"segment at cycle {start} has {len(flips)} flips for "
+                    f"{trials} trials of letters")
+        # Codes go in order of first use, per-trial segments read first, so
+        # their sets hold codes 0..gathered-1, the table `run` stacks.
+        segs = sorted(range(len(self.segments)),
+                      key=lambda k: len(self.segments[k][2]) == 1)
+        index = {(): 0}
+        flat = np.array([index.setdefault(f, len(index))
+                         for k in segs for f in self.segments[k][2]],
+                        dtype=np.intp)
+        codes, lo = [None] * len(segs), 0
+        for k in segs:
+            codes[k] = flat[lo:lo + len(self.segments[k][2])]
+            lo += len(codes[k])
+        each = sum(len(c) for c in codes if len(c) > 1)
+        object.__setattr__(self, "flip_sets", tuple(index))
+        object.__setattr__(self, "flip_codes", tuple(codes))
+        object.__setattr__(self, "toffoli", np.array(
+            [any(len(g) > 2 for g in f) for f in index], dtype=bool))
+        object.__setattr__(self, "gathered", int(flat[:each].max()) + 1
+                           if each else 0)
 
     def _compose(self, noise: NoiseModel = NoNoise(), seeds=None,
                  ket: bool = False) -> np.ndarray:
@@ -181,7 +217,7 @@ class CircuitPlan:
         frame_maps = self.unitaries if ket else self.ptms
         table = frame_maps
         if not isinstance(noise, NoNoise):
-            table = pauli_transfer(superoperator(noise)) @ frame_maps
+            table = noise.ptm @ frame_maps
         if frames is None and all(b - a == 1 for a, b, _ in self.segments):
             return table[letters]  # segment k is cycle k
         # Cycles k and k + 1 of a segment pair up into one word, T[b] T[a]
@@ -238,7 +274,10 @@ class CircuitPlan:
 
         Per segment, one gather and one kernel pass on a slice of the batch
         (at most _SLICE_BYTES, one state at least, so it stays in cache); a
-        map that is exactly the identity for every trial is skipped."""
+        map that is exactly the identity for every trial is skipped. Flips
+        shared by the slice gather by their one cached order; per-trial flips
+        gather the slice in one flat take through a table of the orders (and
+        Pauli signs) of the plan's `gathered` sets, stacked once per call."""
         n = self.n_qubits
         ket = states.shape[1:] == (2 ** n,)
         pauli = states.shape[1:] == (4 ** n,) and states.dtype == np.float64
@@ -260,33 +299,41 @@ class CircuitPlan:
             raise InvalidParams(
                 f"{len(maps)} trials of maps for a batch of {len(states)} states")
         idle = (maps == np.eye(maps.shape[-1])).all(axis=(0, -2, -1)).tolist()
+        sets, toffoli = self.flip_sets, self.toffoli
+        # A Toffoli has no signed gather: its Pauli slices permute matrices,
+        # so its rows of the Pauli table hold the identity and are not read.
+        permute = pauli and toffoli.any()
+        if self.gathered:
+            orders, signs = zip(*(_flip_order(() if pauli and t else f, n, pauli)
+                                  for f, t in zip(sets[:self.gathered], toffoli)))
+            orders = np.stack(orders)
+            signs = np.stack(signs) if pauli else None
         step = max(1, _SLICE_BYTES // states[0].nbytes)
         out = []
         for lo in range(0, len(states), step):
             trials = slice(lo, lo + step)
             w = states[trials]
-            for (_, _, flips), seg, skip in zip(self.segments,
-                                                maps.swapaxes(0, 1), idle):
-                flips = flips if len(flips) == 1 else flips[trials]
-                if pauli and any(len(g) > 2 for f in flips for g in f):
-                    # A Toffoli has no signed gather: permute the matrices.
-                    o = np.stack([_flip_order(f, n, False)[0] for f in flips])
+            if self.gathered:
+                offsets = np.arange(0, w.size, w.shape[1])[:, None]
+            for codes, seg, skip in zip(self.flip_codes,
+                                        maps.swapaxes(0, 1), idle):
+                codes = codes if len(codes) == 1 else codes[trials]
+                if permute and toffoli.take(codes).any():
+                    o = np.stack([_flip_order(sets[c], n, False)[0]
+                                  for c in codes])
                     rho = from_pauli(w, n)
                     w = to_pauli(rho[np.arange(len(rho))[:, None, None],
                                      o[:, :, None], o[:, None, :]], n)
-                elif len(flips) == 1:  # one order for every trial
-                    if flips[0]:
-                        order, sign = _flip_order(flips[0], n, pauli)
+                elif len(codes) == 1:  # one order for every trial
+                    if codes[0]:
+                        order, sign = _flip_order(sets[codes[0]], n, pauli)
                         w = w.take(order, axis=1)
                         if pauli:
                             w *= sign
-                elif any(flips):  # each trial's own order
-                    order, sign = zip(*(_flip_order(f, n, pauli)
-                                        for f in flips))
-                    w = w.reshape(-1).take(np.stack(order) + np.arange(
-                        0, w.size, w.shape[1])[:, None])
+                else:  # each trial's own order (code 0: the identity)
+                    w = w.reshape(-1).take(orders.take(codes, axis=0) + offsets)
                     if pauli:
-                        w *= np.stack(sign)
+                        w *= signs.take(codes, axis=0)
                 w = apply_superoperators(
                     w, [None if s else m[trials] if len(m) > 1 else m
                         for m, s in zip(seg.swapaxes(0, 1), skip)])

@@ -17,6 +17,7 @@ cycle as R(N) R(u (x) conj(u)), so one cycle is one real 4x4 map per qubit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ class NoiseModel:
 
     def validate(self) -> "NoiseModel":
         return self
+
+    @functools.cached_property
+    def ptm(self) -> np.ndarray:
+        """The channel's real Pauli transfer matrix, read-only, built once
+        per model object: a protocol runs one model over many plans."""
+        ptm = pauli_transfer(superoperator(self))
+        ptm.flags.writeable = False
+        return ptm
 
 
 @dataclass(frozen=True)

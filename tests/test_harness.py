@@ -316,11 +316,11 @@ def test_random_trials_compile_at_most_once(monkeypatch, rc):
 def test_non_trace_preserving_map_raises(monkeypatch, bench, rc):
     """A channel that adds 1% weight per cycle leaves the simulator with a
     trace off 1, and the harness stops with InvalidState."""
-    from qnoisebench import circuits
+    from qnoisebench import noise
     from qnoisebench.errors import InvalidState
 
-    real = circuits.superoperator
-    monkeypatch.setattr(circuits, "superoperator",
+    real = noise.superoperator
+    monkeypatch.setattr(noise, "superoperator",
                         lambda model: 1.01 * real(model))
     depth = (6, 6, 1) if bench == "random" else None
     cfg = ExperimentConfig(benchmark=bench, noise="pauli", levels=(1,), rc=rc,

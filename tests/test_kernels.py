@@ -697,6 +697,100 @@ def test_per_trial_toffoli_segment_matches_dense_oracle(model):
                                    atol=ATOL)
 
 
+# Per trial of a 4-qubit plan, the flips opening each of its three per-trial
+# segments: sets repeat across trials and segments, some hold two CNOTs, some
+# trials flip nothing, and trial 4 alone opens segment 0 with a Toffoli. The
+# last segment's one CNOT is shared by every trial.
+FLIP_TABLE_FLIPS = (
+    (((0, 1),), ((0, 1), (2, 3)), (), ((0, 1),), ((2, 1, 3),)),
+    (((2, 3), (1, 0)), (), ((0, 1), (2, 3)), (), ()),
+    ((), ((3, 2),), ((0, 1),), ((0, 1), (2, 3)), ((3, 2),)),
+)
+FLIP_TABLE_STARTS = (0, 2, 3, 6, 7)  # segments of 2, 1, 3 and 1 cycles
+FLIP_TABLE_NAMES = ("i", "h", "s", "t", "x")
+
+
+def flip_table_plan():
+    """The plan of FLIP_TABLE_FLIPS with random letters (idle on a flip's
+    qubits in its segment's first cycle), and each trial's circuit."""
+    rng = np.random.default_rng(29)
+    trials, depth, n = 5, FLIP_TABLE_STARTS[-1], 4
+    letters = rng.integers(len(FLIP_TABLE_NAMES), size=(trials, depth, n))
+    segments = tuple(zip(FLIP_TABLE_STARTS, FLIP_TABLE_STARTS[1:],
+                         (*FLIP_TABLE_FLIPS, (((1, 2),),))))
+    circs = []
+    for t in range(trials):
+        cycles = []
+        for start, stop, flips in segments:
+            (flips_t,) = flips if len(flips) == 1 else (flips[t],)
+            for q in {q for f in flips_t for q in f}:
+                letters[t, start, q] = 0
+            for k in range(start, stop):
+                gates = [Gate("cnot" if len(f) == 2 else "toffoli", f)
+                         for f in (flips_t if k == start else ())]
+                gates += [Gate(FLIP_TABLE_NAMES[a], (q,))
+                          for q, a in enumerate(letters[t, k]) if a]
+                cycles.append(Cycle(tuple(gates)))
+        circs.append(Circuit(n, tuple(cycles)))
+    unitaries = np.stack([gate_matrix(Gate(name, (0,)), 1)
+                          for name in FLIP_TABLE_NAMES])
+    return CircuitPlan(n, letters, unitaries, segments), circs
+
+
+def test_flip_table_codes_each_distinct_set_once():
+    """() is code 0, the per-trial segments' sets come next (the `gathered`
+    sets `run` tabulates), then the shared one; a repeated set has one code,
+    and only the Toffoli's set is flagged. A compiled plan shares every
+    segment's flips, so it tabulates nothing."""
+    plan, _ = flip_table_plan()
+    per_trial = {f for flips in FLIP_TABLE_FLIPS for f in flips} - {()}
+    assert plan.flip_sets[0] == ()
+    assert set(plan.flip_sets[1:plan.gathered]) == per_trial
+    assert plan.flip_sets[plan.gathered:] == (((1, 2),),)
+    for codes, (_, _, flips) in zip(plan.flip_codes, plan.segments):
+        assert [plan.flip_sets[c] for c in codes] == list(flips)
+    assert plan.toffoli.tolist() == [f == ((2, 1, 3),) for f in plan.flip_sets]
+    circ = random_clifford_t(4, 12, np.random.default_rng(37))
+    for compiled in (compile_plan(circ), compile_plan(circ, rc=True)):
+        assert compiled.gathered == 0
+        assert all(len(codes) == 1 for codes in compiled.flip_codes)
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 512])
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_flip_table_matches_dense_oracle(monkeypatch, model, slice_bytes):
+    """Per-trial flips gathered through the plan's code table, as Pauli
+    vectors and as kets, whole and with the code arrays sliced (one Pauli
+    vector, two kets a slice): each trial equals its circuit's dense oracle
+    and `circuit_unitary`. The Toffoli trial sends its slice, or the whole
+    Pauli batch, through the matrix route; kets gather it like a CNOT."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
+    plan, circs = flip_table_plan()
+    rng = np.random.default_rng(31)
+    rhos = np.stack([random_density(4, rng) for _ in circs])
+    kets = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    got = from_pauli(plan.run(to_pauli(rhos, 4), model), 4)
+    got_kets = plan.run(kets)
+    for t, circ in enumerate(circs):
+        np.testing.assert_allclose(got[t], dense_oracle(circ, rhos[t], model),
+                                   atol=ATOL)
+        np.testing.assert_allclose(got_kets[t], circuit_unitary(circ) @ kets[t],
+                                   atol=ATOL)
+
+
+def test_plan_rejects_flips_for_another_number_of_trials():
+    """A segment's flips are one set for every trial or one per trial of
+    letters; any other count raises InvalidParams when the plan is built."""
+    letters = np.zeros((3, 2, 2), dtype=np.intp)
+    with pytest.raises(InvalidParams, match="2 flips for 3 trials"):
+        CircuitPlan(2, letters, I2[None],
+                    ((0, 1, (((0, 1),), ())), (1, 2, ((),))))
+    with pytest.raises(InvalidParams, match="0 flips for 3 trials"):
+        CircuitPlan(2, letters, I2[None], ((0, 2, ()),))
+
+
 @pytest.mark.parametrize("slice_bytes", [None, 64])
 def test_run_rejects_non_hermitian_density_matrices(monkeypatch, slice_bytes):
     """A real Pauli vector cannot hold a non-Hermitian matrix, so the matrix

@@ -201,6 +201,26 @@ def test_rb_experiment_matches_per_step_reference(noise):
                                rtol=0, atol=1e-12)
 
 
+def test_rb_experiment_builds_the_noise_table_once(monkeypatch):
+    """One model object over four lengths builds its superoperator once,
+    and the survivals are the ones it gave when each plan rebuilt it."""
+    from qnoisebench import noise as noise_module
+
+    calls = []
+    real = noise_module.superoperator
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(noise_module, "superoperator", counting)
+    noise = PauliPlusCoherent(0.02, 0.05)
+    got = rb_experiment((1, 4, 16, 64), 10, noise=noise, seed=5)
+    assert calls == [noise]
+    np.testing.assert_array_equal(got, [0.9609455375409253, 0.9085570815938773,
+                                        0.8009469783470902, 0.5706656467636987])
+
+
 def test_rb_fit_recovers_synthetic_decay():
     a, b, r = 0.6, 0.35, 0.015
     lengths = (1, 2, 4, 8, 16, 32, 64)
