@@ -17,13 +17,14 @@ is known only here: `product_pauli` builds product inputs in it, and
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DuplicateIndex, InvalidParams, InvalidState, NotHermitian,
                      WidthMismatch)
-from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, I2, TOFFOLI, Gate
+from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, I2, Gate
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
 from .linalg import is_hermitian
@@ -93,7 +94,7 @@ def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
                         targets: tuple[int, ...], n: int) -> np.ndarray:
     """Conjugate rho by a gate's unitary on `targets`: U rho U^dagger, as a
     one-cycle plan. A 2x2 u is letter 1 of the table [I, u] on its qubit; a
-    multi-qubit u must be the CNOT or Toffoli matrix, the cycle's flips."""
+    multi-qubit u must be the CNOT matrix, the cycle's flip."""
     targets = tuple(targets)
     if any(q >= n for q in targets):
         raise WidthMismatch(f"targets {targets} exceed width {n}")
@@ -101,13 +102,12 @@ def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
     if u.shape == (2, 2) and len(targets) == 1:
         letters[0, 0, targets[0]] = 1
         plan = CircuitPlan(n, letters, np.stack([I2, u]), ((0, 1, ((),)),))
-    elif u.shape == (2 ** len(targets),) * 2 and (
-            np.array_equal(u, CNOT) or np.array_equal(u, TOFFOLI)):
+    elif np.array_equal(u, CNOT):
         plan = CircuitPlan(n, letters, I2[None], ((0, 1, ((targets,),)),))
     else:
         raise InvalidParams(
             f"operator of shape {u.shape} on {targets} is not a one-qubit "
-            "gate, CNOT or Toffoli")
+            "gate or CNOT")
     return _run_matrix(plan, rho)
 
 
@@ -142,17 +142,17 @@ class CircuitPlan:
     """Circuits read once for simulation. `letters[t, k, q]` indexes
     `unitaries`, the 2x2 of each distinct one-qubit gate (0: idle, CNOT
     qubits too), for cycle k of trial t; a compiled circuit is one trial that
-    a whole batch shares. Segment (start, stop, flips) runs the controlled-X
-    flips of cycle `start`, flips[t] for trial t or flips[0] for every trial,
-    then per qubit one map composed over cycles start..stop-1. `twirl` is a
-    `compiling.Twirl` if compiled for randomized compiling.
+    a whole batch shares. Segment (start, stop, flips) runs the CNOTs
+    (control, target) of cycle `start`, flips[t] for trial t or flips[0] for
+    every trial, then per qubit one map composed over cycles start..stop-1.
+    `twirl` is a `compiling.Twirl` if compiled for randomized compiling.
 
     Each distinct set of flips is coded once: `flip_sets[0]` is (), the sets
     of per-trial segments come next (the first `gathered` codes, 0 if there
     are none) and the shared ones last. `flip_codes[k]` holds segment k's
-    codes, one per trial or one for every trial, and `toffoli[c]` whether
-    set c holds a Toffoli. A segment whose count of flips is neither 1 nor
-    len(letters) raises InvalidParams."""
+    codes, one per trial or one for every trial. A segment whose count of
+    flips is neither 1 nor len(letters), or a flip that is not two distinct
+    qubits below n_qubits, raises InvalidParams."""
 
     n_qubits: int
     letters: np.ndarray
@@ -162,7 +162,6 @@ class CircuitPlan:
     ptms: np.ndarray = field(init=False)  # R(u (x) conj(u)) per letter
     flip_sets: tuple = field(init=False)
     flip_codes: tuple = field(init=False)
-    toffoli: np.ndarray = field(init=False)
     gathered: int = field(init=False)
 
     def __post_init__(self):
@@ -189,8 +188,11 @@ class CircuitPlan:
         each = sum(len(c) for c in codes if len(c) > 1)
         object.__setattr__(self, "flip_sets", tuple(index))
         object.__setattr__(self, "flip_codes", tuple(codes))
-        object.__setattr__(self, "toffoli", np.array(
-            [any(len(g) > 2 for g in f) for f in index], dtype=bool))
+        bad = {g for f in index for g in f} - set(
+            itertools.permutations(range(self.n_qubits), 2))
+        if bad:
+            raise InvalidParams(f"flip {next(iter(bad))} is not a CNOT on "
+                                f"two of {self.n_qubits} qubits")
         object.__setattr__(self, "gathered", int(flat[:each].max()) + 1
                            if each else 0)
 
@@ -204,7 +206,8 @@ class CircuitPlan:
         A segment of several cycles multiplies its maps as two-cycle words:
         cycles start + 2i and start + 2i + 1, with letters (a, b), are the
         one map T[b] T[a], and an odd segment's last cycle stands alone as
-        T[a]. A batch of at least 2 U^2 words (U letters) multiplies each
+        T[a]. A batch of at least 2 U^2 words, counted over every trial and
+        qubit (U letters), multiplies each
         letter pair that occurs once, over the codes a U + b marked in a
         U^2-long table; a smaller batch multiplies each word as it stands,
         so no array outgrows the words. The words then compose with one
@@ -238,7 +241,7 @@ class CircuitPlan:
         # RB's random letters ran faster word by word up to about 2 U^2
         # words; the RC batches, which repeat 97-99.8% of their pairs, have
         # far more.
-        if nw * letters[0].size < 2 * u * u:
+        if nw * len(letters) * self.n_qubits < 2 * u * u:
             maps = table.take(picked, axis=0)
             word_maps, lone_maps = maps[nw:2 * nw] @ maps[:nw], maps[2 * nw:]
         else:
@@ -299,13 +302,10 @@ class CircuitPlan:
             raise InvalidParams(
                 f"{len(maps)} trials of maps for a batch of {len(states)} states")
         idle = (maps == np.eye(maps.shape[-1])).all(axis=(0, -2, -1)).tolist()
-        sets, toffoli = self.flip_sets, self.toffoli
-        # A Toffoli has no signed gather: its Pauli slices permute matrices,
-        # so its rows of the Pauli table hold the identity and are not read.
-        permute = pauli and toffoli.any()
+        sets = self.flip_sets
         if self.gathered:
-            orders, signs = zip(*(_flip_order(() if pauli and t else f, n, pauli)
-                                  for f, t in zip(sets[:self.gathered], toffoli)))
+            orders, signs = zip(*(_flip_order(f, n, pauli)
+                                  for f in sets[:self.gathered]))
             orders = np.stack(orders)
             signs = np.stack(signs) if pauli else None
         step = max(1, _SLICE_BYTES // states[0].nbytes)
@@ -318,13 +318,7 @@ class CircuitPlan:
             for codes, seg, skip in zip(self.flip_codes,
                                         maps.swapaxes(0, 1), idle):
                 codes = codes if len(codes) == 1 else codes[trials]
-                if permute and toffoli.take(codes).any():
-                    o = np.stack([_flip_order(sets[c], n, False)[0]
-                                  for c in codes])
-                    rho = from_pauli(w, n)
-                    w = to_pauli(rho[np.arange(len(rho))[:, None, None],
-                                     o[:, :, None], o[:, None, :]], n)
-                elif len(codes) == 1:  # one order for every trial
+                if len(codes) == 1:  # one order for every trial
                     if codes[0]:
                         order, sign = _flip_order(sets[codes[0]], n, pauli)
                         w = w.take(order, axis=1)
@@ -438,26 +432,24 @@ _CNOT_SIGN = 1.0 - 2 * (_X[:, None] * _Z * (1 ^ _X ^ _Z[:, None]))
 
 @functools.lru_cache(maxsize=64)
 def _flip_order(flips: tuple, n: int, pauli: bool) -> tuple:
-    """(order, sign): sign * v[order] is v after the controlled-X gates
-    `flips`. On a ket (sign None) the last qubit flips where all the others
-    are 1. On a Pauli vector (CNOTs only, which map Pauli strings to signed
+    """(order, sign): sign * v[order] is v after the CNOTs `flips`, each a
+    (control, target) pair. On a ket (sign None) the target flips where the
+    control is 1. On a Pauli vector (a CNOT maps Pauli strings to signed
     ones: Gottesman, quant-ph/9807006) the target's x flips where the
     control's x is 1, and the control's z where the target's z is 1."""
     bits = 2 * n if pauli else n
     order = np.arange(2 ** bits, dtype=np.int32)
     t = order.reshape((2,) * bits)
     sign = np.ones(4 ** n) if pauli else None
-    for *controls, target in flips:
-        moves = [(controls, target)]
+    for c, target in flips:
+        moves = [(c, target)]
         if pauli:  # bits (z, x) per qubit: digit x + 2z
-            (c,) = controls
-            moves = [([2 * c + 1], 2 * target + 1), ([2 * target], 2 * c)]
+            moves = [(2 * c + 1, 2 * target + 1), (2 * target, 2 * c)]
             np.moveaxis(sign.reshape((4,) * n), (c, target), (0, 1))[...] *= (
                 _CNOT_SIGN.reshape((4, 4) + (1,) * (n - 2)))
-        for where, axis in moves:  # flip bit `axis` where bits `where` are 1
+        for where, axis in moves:  # flip bit `axis` where bit `where` is 1
             idx = [slice(None)] * bits
-            for b in where:
-                idx[b] = slice(1, 2)
+            idx[where] = slice(1, 2)
             w = t[tuple(idx)]
             w[...] = np.flip(w, axis=axis)
     order.flags.writeable = False

@@ -194,8 +194,6 @@ def to_clifford_t(circ: Circuit, eps: float = DEFAULT_SYNTH_EPS) -> Circuit:
         for g in cycle.gates:
             if g.name in ("rz", "rx"):
                 words[g.qubits[0]] = _rotation_word(g, eps)
-            elif g.name == "toffoli":
-                raise InvalidParams("decompose toffoli before lowering")
             else:
                 fixed.append(g)
         span = max((len(w) for w in words.values()), default=0)
@@ -281,7 +279,6 @@ class Twirl:
         interleaved: an easy cycle has only PLAN_LETTERS and no flips."""
         flips = [(a, *g) for a, _, (f,) in segments for g in f]
         bad = sorted({name for name, angle in keys if angle is not None})
-        bad += ["toffoli"] * any(len(f) > 3 for f in flips)
         if bad:
             raise InvalidParams("randomized compiling needs a Clifford+T "
                                 f"circuit; found {', '.join(bad)}")

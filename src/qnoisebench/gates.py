@@ -36,9 +36,6 @@ CNOT = np.array(
     dtype=np.complex128,
 )
 
-TOFFOLI = np.eye(8, dtype=np.complex128)
-TOFFOLI[[6, 7], :] = TOFFOLI[[7, 6], :]
-
 
 def rz_matrix(theta: float) -> np.ndarray:
     """Z rotation in the phase convention: diag(1, e^{i theta})."""
@@ -53,12 +50,12 @@ def rx_matrix(theta: float) -> np.ndarray:
 FIXED_MATRICES = {
     "i": I2, "x": X, "y": Y, "z": Z, "h": H,
     "s": S, "sdg": SDG, "t": T, "tdg": TDG,
-    "cnot": CNOT, "toffoli": TOFFOLI,
+    "cnot": CNOT,
 }
 
 GATE_ARITY = {
     "i": 1, "x": 1, "y": 1, "z": 1, "h": 1, "s": 1, "sdg": 1,
-    "t": 1, "tdg": 1, "rz": 1, "rx": 1, "cnot": 2, "toffoli": 3,
+    "t": 1, "tdg": 1, "rz": 1, "rx": 1, "cnot": 2,
 }
 
 CLIFFORD_T_NAMES = frozenset(
@@ -120,8 +117,6 @@ class Gate:
     def rx(cls, q, theta): return cls("rx", (q,), float(theta))
     @classmethod
     def cnot(cls, control, target): return cls("cnot", (control, target))
-    @classmethod
-    def toffoli(cls, c1, c2, target): return cls("toffoli", (c1, c2, target))
 
     def matrix(self) -> np.ndarray:
         if self.name == "rz":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,8 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep: step {step} must be > 0")
             if stop < start:
                 raise ConfigError(f"sweep: stop {stop} below start {start}")
-            if (stop - start) / step + 1e-9 >= MAX_SWEEP_POINTS:
+            # In floats: two ints' difference can pass the float range.
+            if (float(stop) - float(start)) / step + 1e-9 >= MAX_SWEEP_POINTS:
                 raise ConfigError(f"sweep: over {MAX_SWEEP_POINTS} points")
             for param in (start, stop):
                 try:
@@ -171,10 +173,12 @@ def _check_int(name: str, value, lo: int) -> None:
 
 
 def _triple(name: str, value, kind) -> tuple:
-    """(start, stop, step) of finite numbers of the given kind, not bools."""
+    """(start, stop, step) of numbers of the given kind, not bools, each
+    within the float range: a NaN, an infinity or a larger int is refused
+    before any check does float arithmetic on it."""
     if (not isinstance(value, (tuple, list)) or len(value) != 3
             or any(isinstance(x, bool) or not isinstance(x, kind)
-                   or not np.isfinite(x) for x in value)):
+                   or not abs(x) <= sys.float_info.max for x in value)):
         raise ConfigError(f"{name}: {value!r} is not (start, stop, step)")
     return tuple(value)
 

@@ -98,6 +98,8 @@ def test_flags_alone_suffice(capsys, tmp_path):
     dict(benchmark="qft", noise="none", levels=[1]),   # no strength to pick
     dict(benchmark="qft", noise="none", sweep=[0, 0.1, 0.05]),  # nor to sweep
     dict(benchmark="qft", noise="none", trials=10 ** 13),  # over MAX_TRIAL_RUNS
+    dict(benchmark="qft", noise="pauli", sweep=[0, 10 ** 400, 1]),  # no float
+    dict(benchmark="idle", noise="pauli", depth_range=[1, 10 ** 400, 1]),
 ])
 def test_bad_configs_exit_2(capsys, tmp_path, fields):
     cfg = write_config(tmp_path, **fields)

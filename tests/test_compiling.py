@@ -16,6 +16,7 @@ from qnoisebench.circuits import (
     compile_plan,
     identity_cycle,
     simulate,
+    toffoli_decomposition,
 )
 from qnoisebench.compiling import (
     DEFAULT_DEPTH_BUDGET,
@@ -149,10 +150,13 @@ def test_to_clifford_t_accepts_near_miss_angles():
     assert d <= 0.10
 
 
-def test_to_clifford_t_rejects_embedded_toffoli():
-    circ = Circuit(3, (Cycle((G.toffoli(0, 1, 2),)),))
-    with pytest.raises(InvalidParams):
-        to_clifford_t(circ)
+def test_toffoli_enters_lowering_only_decomposed():
+    """A raw Toffoli is no gate, so no circuit holds one; its decomposition
+    is already Clifford+T, and lowering leaves it as it is."""
+    with pytest.raises(InvalidParams, match="unknown gate"):
+        G("toffoli", (0, 1, 2))
+    circ = toffoli_decomposition(0, 1, 2)
+    assert to_clifford_t(circ) == circ
 
 
 def counting_approx_rz(monkeypatch):
@@ -358,8 +362,8 @@ def test_rc_rejects_rotations_and_adjacent_hard_cycles():
     with pytest.raises(NotInterleaved):
         randomized_compile(packed)
     # The plan's letters and segments alone reject the same circuits, naming
-    # the gate; the rotation and Toffoli sit between easy cycles.
-    for gate in (G.rz(1, 0.3), G.rx(0, -1.1), G.toffoli(0, 1, 2)):
+    # the gate; the rotation sits between easy cycles.
+    for gate in (G.rz(1, 0.3), G.rx(0, -1.1)):
         circ = Circuit(3, (Cycle((G.x(0),)), Cycle((gate,)), Cycle()))
         with pytest.raises(InvalidParams, match=f"found {gate.name}"):
             compile_plan(circ, rc=True)

@@ -168,7 +168,7 @@ def test_circuit_unitary_matches_product_of_embeddings(n):
               (1, lambda q: Gate.rx(*q, rng.uniform(-np.pi, np.pi))),
               (1, lambda q: Gate.h(*q)), (1, lambda q: Gate.t(*q)),
               (1, lambda q: Gate.y(*q)),
-              (2, lambda q: Gate.cnot(*q)), (3, lambda q: Gate.toffoli(*q))]
+              (2, lambda q: Gate.cnot(*q))]
     for _ in range(3):
         cycles = []
         for _ in range(10):

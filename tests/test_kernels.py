@@ -20,12 +20,12 @@ from qnoisebench.circuits import (CLIFFORD_T, Circuit, CircuitPlan, Cycle,
                                   apply_superoperators, circuit_unitary,
                                   compile_plan, from_pauli, pauli_diagonals,
                                   pauli_fidelities, product_pauli, simulate,
-                                  to_pauli)
+                                  to_pauli, toffoli_decomposition)
 from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
                                    randomized_compile)
 from qnoisebench.errors import (InvalidParams, InvalidState, NotHermitian,
                                 WidthMismatch)
-from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, I2, TOFFOLI,
+from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, I2,
                               H, X, Y, Z, Gate, embed_unitary, gate_matrix)
 from qnoisebench.metrics import average_gate_fidelity
 from qnoisebench.noise import (
@@ -122,13 +122,18 @@ def test_every_gate_at_every_placement(model, n):
 
 
 def test_apply_local_unitary_rejects_other_operators():
-    """Only one-qubit gates, CNOT and Toffoli have a kernel; an operator
-    that is neither, or one wider than the register, is refused."""
+    """Only one-qubit gates and the CNOT have a kernel; an operator that is
+    neither (the Toffoli's matrix among them), or one wider than the
+    register, is refused."""
     rho = random_density(2, np.random.default_rng(0))
     with pytest.raises(InvalidParams):
         apply_local_unitary(rho, np.kron(H, H), (0, 1), 2)
     with pytest.raises(InvalidParams):
         apply_local_unitary(rho, H, (0, 1), 2)
+    toffoli = np.eye(8, dtype=np.complex128)[[0, 1, 2, 3, 4, 5, 7, 6]]
+    with pytest.raises(InvalidParams):
+        apply_local_unitary(random_density(3, np.random.default_rng(0)),
+                            toffoli, (0, 1, 2), 3)
     with pytest.raises(WidthMismatch):
         apply_local_unitary(rho, H, (2,), 2)
 
@@ -137,7 +142,7 @@ def test_apply_local_unitary_rejects_other_operators():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_random_circuits_match_dense_oracle(model, n):
     """Multi-cycle circuits, so single-qubit maps compose across cycles and
-    meet CNOTs and Toffolis on the way; fewer samples at the larger widths."""
+    meet CNOTs on the way; fewer samples at the larger widths."""
     rng = np.random.default_rng(100 + n)
     names = sorted(GATE_ARITY) + ["cnot"] * 3
     samples, depth = (6, 6) if n <= 5 else (1, 4)
@@ -153,7 +158,7 @@ def test_random_circuits_match_dense_oracle(model, n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_ket_pass_matches_circuit_unitary(n):
     """The plan's 2x2 pass over the basis kets gives the dense unitary, with
-    rz/rx letters and the CNOT and Toffoli orders on kets."""
+    rz/rx letters and the CNOT orders on kets."""
     rng = np.random.default_rng(300 + n)
     names = sorted(GATE_ARITY) + ["cnot"] * 3
     for _ in range(4):
@@ -425,21 +430,25 @@ def test_word_compose_of_quantum_volume_circuits():
 
 def test_word_compose_of_many_letters_allocates_no_pair_code_table():
     """A one-qubit segment of 3000 distinct rotations has 3006^2 pair codes
-    but 1500 words: the words are multiplied as they stand, and composing
-    stays within a few MB (a table over the codes would take 72 MB)."""
+    but 1500 words, and one of 6200 cycles over the same angles 3100 words:
+    the words are multiplied as they stand, and composing stays within a few
+    MB (a table over the codes would take 72 MB). The branch counts the
+    words of every trial and qubit, not those times the depth."""
     angles = np.random.default_rng(4).uniform(0, 2 * np.pi, 3000)
-    plan = compile_plan(Circuit(1, [Cycle((Gate.rz(0, a),)) for a in angles]))
-    assert len(plan.unitaries) == 6 + 3000
-    tracemalloc.start()
-    try:
-        maps = plan._compose(PauliNoise(0.02, 0.01, 0.03))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20, peak
-    np.testing.assert_allclose(
-        maps, pauli_transfer(product_chain(plan, PauliNoise(0.02, 0.01, 0.03))),
-        rtol=0, atol=ATOL)
+    model = PauliNoise(0.02, 0.01, 0.03)
+    for depth in (3000, 6200):
+        plan = compile_plan(Circuit(1, [Cycle((Gate.rz(0, a),))
+                                        for a in np.resize(angles, depth)]))
+        assert len(plan.unitaries) == 6 + 3000
+        tracemalloc.start()
+        try:
+            maps = plan._compose(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, (depth, peak)
+        np.testing.assert_allclose(
+            maps, pauli_transfer(product_chain(plan, model)), rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("bench", ["segments", "qft_ct", "adder"])
@@ -454,8 +463,7 @@ def test_ket_word_compose_is_the_circuit_unitary(bench):
     u = np.eye(2 ** n, dtype=np.complex128)
     for (_, _, (flips,)), seg in zip(plan.segments, maps):
         flip = circuit_unitary(Circuit(n, (Cycle(tuple(
-            Gate.cnot(*f) if len(f) == 2 else Gate.toffoli(*f)
-            for f in flips)),)))
+            Gate.cnot(*f) for f in flips)),)))
         u = functools.reduce(np.kron, seg) @ flip @ u
     np.testing.assert_allclose(u, circuit_unitary(circ), rtol=0, atol=ATOL)
 
@@ -550,39 +558,49 @@ def test_run_rejects_other_widths_noisy_kets_and_uneven_batches():
 
 
 def per_trial_toffoli_plan():
-    """A 3-qubit plan of one segment whose flips are a Toffoli in trial 0 and
-    a CNOT in trial 1, then h and x letters, with each trial's circuit."""
-    flips = ((2, 0, 1),), ((1, 0),)
-    letters = np.array([[[0, 0, 0], [1, 0, 2]], [[0, 0, 0], [2, 1, 0]]])
-    plan = CircuitPlan(3, letters, np.stack([I2, H, X]), ((0, 2, flips),))
-    circs = []
-    for t, ((*controls, target),) in enumerate(flips):
-        gate = Gate("toffoli" if controls[1:] else "cnot", (*controls, target))
-        singles = [Gate(("h", "x")[k - 1], (q,))
-                   for q, k in enumerate(letters[t, 1]) if k]
-        circs.append(Circuit(3, (Cycle((gate,)), Cycle(tuple(singles)))))
-    return plan, circs
+    """A 3-qubit plan whose trial 0 is the Toffoli with controls 2 and 0 and
+    target 1, as `toffoli_decomposition` writes it, and trial 1 a CNOT and
+    h and x letters padded with idle cycles, with each trial's circuit. Its
+    segments open on the decomposition's CNOT cycles, where trial 1 flips
+    another CNOT once and nothing after."""
+    names = ("i", "h", "x", "t", "tdg")
+    toffoli = toffoli_decomposition(2, 0, 1, 3)
+    other = Circuit(3, (Cycle((Gate.h(2),)), Cycle((Gate.cnot(1, 0),)),
+                        Cycle((Gate.x(0), Gate.h(1))))
+                    + (Cycle(),) * (toffoli.depth - 3))
+    circs = [toffoli, other]
+    letters = np.zeros((2, toffoli.depth, 3), dtype=np.intp)
+    flips = {}
+    for t, circ in enumerate(circs):
+        for k, cycle in enumerate(circ.cycles):
+            for g in cycle.gates:
+                if g.name == "cnot":
+                    flips.setdefault(k, [(), ()])[t] += (g.qubits,)
+                else:
+                    letters[t, k, g.qubits[0]] = names.index(g.name)
+    starts = sorted({0, *flips})
+    segments = tuple((a, b, tuple(flips.get(a, ((),))))
+                     for a, b in zip(starts, starts[1:] + [toffoli.depth]))
+    unitaries = np.stack([gate_matrix(Gate(name, (0,)), 1) for name in names])
+    return CircuitPlan(3, letters, unitaries, segments), circs
 
 
 def pauli_oracle_plans(rng):
     """(plan, seeds or None, [(circuit, closing frame or None)] per trial):
     a 3-qubit Clifford+T plan as written and twirled, a 2-qubit one on one
-    state (a (1, 16) batch), a plan whose one segment opens with a Toffoli in
-    one trial and a CNOT in the other, and one idle cycle (noise-free, every
-    map is skipped). A twirled trial is the circuit `randomized_compile`
-    writes out from its seed."""
+    state (a (1, 16) batch), and one idle cycle (noise-free, every map is
+    skipped). A twirled trial is the circuit `randomized_compile` writes out
+    from its seed."""
     circ3 = random_clifford_t(3, 10, rng)
     circ2 = interleave_idle(Circuit(
         2, (Cycle((Gate.h(0), Gate.t(1))), Cycle((Gate.cnot(0, 1),))),
         CLIFFORD_T))
     plan3, plan2 = compile_plan(circ3, rc=True), compile_plan(circ2, rc=True)
-    toffoli, circs = per_trial_toffoli_plan()
     idle = Circuit(3, (Cycle(()),))
     return [(plan3, None, [(circ3, None)] * 3),
             (plan3, range(3), [randomized_compile(circ3, s) for s in range(3)]),
             (plan2, None, [(circ2, None)]),
             (plan2, [5], [randomized_compile(circ2, 5)]),
-            (toffoli, None, [(c, None) for c in circs]),
             (compile_plan(idle), None, [(idle, None)] * 2)]
 
 
@@ -603,8 +621,8 @@ def test_pauli_batch_equals_converted_matrix_batch(monkeypatch, model,
     """`run` on float64 Pauli vectors (T, 4^n) returns Pauli vectors, and
     they are `to_pauli` of each trial's dense oracle: noisy, with RC draws
     (the circuit `randomized_compile` writes, then its closing frame), at
-    width 16 (a one-state (1, 16) batch at n = 2) and through a per-trial
-    Toffoli segment, whole and in one-state slices. The input is left as it
+    width 16 (a one-state (1, 16) batch at n = 2), whole and in one-state
+    slices. The input is left as it
     was, and the output is a fresh array even where no map touched it."""
     if slice_bytes is not None:
         monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
@@ -684,10 +702,10 @@ def test_pauli_diagonals_and_fidelities_read_the_matrices(n):
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)
 def test_per_trial_toffoli_segment_matches_dense_oracle(model):
-    """A segment whose flips are a Toffoli in one trial and a CNOT in the
-    other (no signed Pauli gather exists for a Toffoli) permutes each
-    trial's matrix by its own ket order; each trial equals its circuit's
-    dense oracle."""
+    """A Toffoli, written as its CNOT decomposition, in one trial and a CNOT
+    in the other: their segments gather each trial's own CNOTs, or none, and
+    each trial equals its circuit's dense oracle. Noise-free, the Toffoli
+    trial is the Toffoli's permutation of the matrix."""
     plan, circs = per_trial_toffoli_plan()
     rng = np.random.default_rng(17)
     rhos = np.stack([random_density(3, rng) for _ in circs])
@@ -695,14 +713,18 @@ def test_per_trial_toffoli_segment_matches_dense_oracle(model):
     for t, circ in enumerate(circs):
         np.testing.assert_allclose(got[t], dense_oracle(circ, rhos[t], model),
                                    atol=ATOL)
+    if isinstance(model, NoNoise):  # controls 2 and 0 set: |101> <-> |111>
+        order = [0, 1, 2, 3, 4, 7, 6, 5]
+        np.testing.assert_allclose(got[0], rhos[0][order][:, order],
+                                   atol=ATOL)
 
 
 # Per trial of a 4-qubit plan, the flips opening each of its three per-trial
 # segments: sets repeat across trials and segments, some hold two CNOTs, some
-# trials flip nothing, and trial 4 alone opens segment 0 with a Toffoli. The
+# trials flip nothing, and trial 4 alone opens segment 0 with its set. The
 # last segment's one CNOT is shared by every trial.
 FLIP_TABLE_FLIPS = (
-    (((0, 1),), ((0, 1), (2, 3)), (), ((0, 1),), ((2, 1, 3),)),
+    (((0, 1),), ((0, 1), (2, 3)), (), ((0, 1),), ((1, 3), (2, 0))),
     (((2, 3), (1, 0)), (), ((0, 1), (2, 3)), (), ()),
     ((), ((3, 2),), ((0, 1),), ((0, 1), (2, 3)), ((3, 2),)),
 )
@@ -726,8 +748,7 @@ def flip_table_plan():
             for q in {q for f in flips_t for q in f}:
                 letters[t, start, q] = 0
             for k in range(start, stop):
-                gates = [Gate("cnot" if len(f) == 2 else "toffoli", f)
-                         for f in (flips_t if k == start else ())]
+                gates = [Gate.cnot(*f) for f in (flips_t if k == start else ())]
                 gates += [Gate(FLIP_TABLE_NAMES[a], (q,))
                           for q, a in enumerate(letters[t, k]) if a]
                 cycles.append(Cycle(tuple(gates)))
@@ -739,9 +760,8 @@ def flip_table_plan():
 
 def test_flip_table_codes_each_distinct_set_once():
     """() is code 0, the per-trial segments' sets come next (the `gathered`
-    sets `run` tabulates), then the shared one; a repeated set has one code,
-    and only the Toffoli's set is flagged. A compiled plan shares every
-    segment's flips, so it tabulates nothing."""
+    sets `run` tabulates), then the shared one; a repeated set has one code.
+    A compiled plan shares every segment's flips, so it tabulates nothing."""
     plan, _ = flip_table_plan()
     per_trial = {f for flips in FLIP_TABLE_FLIPS for f in flips} - {()}
     assert plan.flip_sets[0] == ()
@@ -749,7 +769,6 @@ def test_flip_table_codes_each_distinct_set_once():
     assert plan.flip_sets[plan.gathered:] == (((1, 2),),)
     for codes, (_, _, flips) in zip(plan.flip_codes, plan.segments):
         assert [plan.flip_sets[c] for c in codes] == list(flips)
-    assert plan.toffoli.tolist() == [f == ((2, 1, 3),) for f in plan.flip_sets]
     circ = random_clifford_t(4, 12, np.random.default_rng(37))
     for compiled in (compile_plan(circ), compile_plan(circ, rc=True)):
         assert compiled.gathered == 0
@@ -762,8 +781,7 @@ def test_flip_table_matches_dense_oracle(monkeypatch, model, slice_bytes):
     """Per-trial flips gathered through the plan's code table, as Pauli
     vectors and as kets, whole and with the code arrays sliced (one Pauli
     vector, two kets a slice): each trial equals its circuit's dense oracle
-    and `circuit_unitary`. The Toffoli trial sends its slice, or the whole
-    Pauli batch, through the matrix route; kets gather it like a CNOT."""
+    and `circuit_unitary`."""
     if slice_bytes is not None:
         monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
     plan, circs = flip_table_plan()
@@ -782,13 +800,22 @@ def test_flip_table_matches_dense_oracle(monkeypatch, model, slice_bytes):
 
 def test_plan_rejects_flips_for_another_number_of_trials():
     """A segment's flips are one set for every trial or one per trial of
-    letters; any other count raises InvalidParams when the plan is built."""
+    letters; any other count raises InvalidParams when the plan is built,
+    and so does a flip that is not a CNOT on two distinct qubits of the
+    register: three qubits, a repeated one, one past the width or not a
+    qubit index, or a bare pair where a set of pairs belongs."""
     letters = np.zeros((3, 2, 2), dtype=np.intp)
     with pytest.raises(InvalidParams, match="2 flips for 3 trials"):
         CircuitPlan(2, letters, I2[None],
                     ((0, 1, (((0, 1),), ())), (1, 2, ((),))))
     with pytest.raises(InvalidParams, match="0 flips for 3 trials"):
         CircuitPlan(2, letters, I2[None], ((0, 2, ()),))
+    wide = np.zeros((3, 2, 3), dtype=np.intp)
+    for flips in [((2, 0, 1),), ((1, 1),), ((0, 3),), ((-1, 0),), ((0.5, 1),),
+                  (0, 1)]:
+        with pytest.raises(InvalidParams, match="not a CNOT"):
+            CircuitPlan(3, wide, I2[None],
+                        ((0, 1, ((), ((0, 1),), flips)), (1, 2, ((),))))
 
 
 @pytest.mark.parametrize("slice_bytes", [None, 64])
@@ -832,7 +859,7 @@ def test_every_state_update_runs_through_plan_run(monkeypatch):
     monkeypatch.setattr(circuits.CircuitPlan, "run", counting)
     rho = random_density(3, np.random.default_rng(11))
     dm = DensityMatrix(rho)
-    for u, targets in [(H, (1,)), (CNOT, (2, 0)), (TOFFOLI, (2, 0, 1))]:
+    for u, targets in [(H, (1,)), (CNOT, (2, 0))]:
         calls.clear()
         full = embed_unitary(u, targets, 3)
         np.testing.assert_allclose(apply_local_unitary(rho, u, targets, 3),
