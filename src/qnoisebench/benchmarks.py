@@ -100,24 +100,57 @@ _RANDOM_UNITARIES = np.stack([FIXED_MATRICES[name] for name in _RANDOM_SINGLES])
 CNOT_CYCLE_PROB = 0.25
 
 
+class _RawDraws:
+    """numpy `Generator` draws from raw PCG64 words fetched `size` at a time,
+    by numpy's samplers: `random()` is a word's top 53 bits over 2^53;
+    `bounded(r)`, over 0..r, is none for r = 0, else Lemire's multiply-shift
+    with rejection (arXiv:1805.10941) on a 32-bit draw: a word's low half,
+    whose high half waits for the next one, across `random()` calls."""
+
+    def __init__(self, bitgen, size: int):
+        self.bitgen, self.size, self.words, self.high = bitgen, size, [], None
+
+    def word(self) -> int:
+        if not self.words:
+            self.words = self.bitgen.random_raw(self.size).tolist()[::-1]
+        return self.words.pop()
+
+    def random(self) -> float:
+        return (self.word() >> 11) * 2.0 ** -53
+
+    def bounded(self, r: int) -> int:
+        while r:
+            if self.high is None:
+                u = self.word()
+                u, self.high = u & 0xFFFFFFFF, u >> 32
+            else:
+                u, self.high = self.high, None
+            if u * (r + 1) & 0xFFFFFFFF >= (0xFFFFFFFF - r) % (r + 1):
+                return u * (r + 1) >> 32
+        return 0
+
+
 def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
     """The draws of one random circuit: per cycle, each qubit's index into
     _RANDOM_SINGLES (0 on the CNOT's qubits) and the CNOT as flips,
-    ((a, b),) or ()."""
+    ((a, b),) or (). Per cycle, `default_rng(seed)`'s `random()`, then
+    `choice(n, 2, replace=False)` if below CNOT_CYCLE_PROB, and `integers(5)`
+    per other qubit: a word and at most n + 1 halves, so the first block of
+    words runs out only after a rejection."""
     if n < 2:
         raise InvalidParams("random circuit needs n >= 2")
-    rng = np.random.default_rng(seed)
+    draws = _RawDraws(np.random.PCG64(seed), depth * (n + 3) // 2 + 4)
+    top = len(_RANDOM_SINGLES) - 1
     singles, flips = [], []
     for _ in range(depth):
-        row = [0] * n
         pair = ()
-        if rng.random() < CNOT_CYCLE_PROB:
-            a, b = rng.choice(n, size=2, replace=False)
-            pair = (int(a), int(b))
-        for q in range(n):
-            if q not in pair:
-                row[q] = int(rng.integers(len(_RANDOM_SINGLES)))
-        singles.append(row)
+        if draws.random() < CNOT_CYCLE_PROB:
+            # Floyd's sampler of two, then a shuffle that swaps on a 0
+            a, b = draws.bounded(n - 2), draws.bounded(n - 1)
+            b = n - 1 if b == a else b
+            pair = (a, b) if draws.bounded(1) else (b, a)
+        singles.append([0 if q in pair else draws.bounded(top)
+                        for q in range(n)])
         flips.append((pair,) if pair else ())
     return singles, flips
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DuplicateIndex, InvalidParams, InvalidState, NotHermitian,
-                     WidthMismatch)
+                     WidthMismatch, is_integer)
 from .gates import CLIFFORD_T_NAMES, CNOT, FIXED_MATRICES, I2, Gate
 # apply_channel_all is not called here, but perfbench/tracer.py times the
 # noise layer under this module's name, so the name stays importable from it.
@@ -190,6 +190,10 @@ class CircuitPlan:
         object.__setattr__(self, "flip_codes", tuple(codes))
         bad = {g for f in index for g in f} - set(
             itertools.permutations(range(self.n_qubits), 2))
+        if not bad:  # (0.0, 1) == (0, 1): check a flip per type of qubit
+            kinds = {type(q): g for _, _, flips in self.segments
+                     for f in flips for g in f for q in g}
+            bad = {g for g in kinds.values() if not all(map(is_integer, g))}
         if bad:
             raise InvalidParams(f"flip {next(iter(bad))} is not a CNOT on "
                                 f"two of {self.n_qubits} qubits")

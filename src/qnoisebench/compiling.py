@@ -15,12 +15,8 @@ import numpy as np
 
 from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
                        Cycle, compile_plan, identity_cycle)
-from .errors import (
-    DuplicateIndex,
-    InvalidParams,
-    NotInterleaved,
-    SearchExhausted,
-)
+from .errors import (DuplicateIndex, InvalidParams, NotInterleaved,
+                     SearchExhausted, is_integer)
 from .gates import Gate, WordTable, rz_matrix, word_table
 
 EASY_NAMES = frozenset(["i", "x", "y", "z", "s", "sdg"])
@@ -51,8 +47,7 @@ def _check_synthesis_args(depth, *reals) -> None:
         if (isinstance(x, bool) or not isinstance(x, numbers.Real)
                 or not np.isfinite(x)):
             raise InvalidParams(f"{x!r} is not a finite number")
-    if (isinstance(depth, bool) or not isinstance(depth, numbers.Integral)
-            or not 0 <= depth <= DEFAULT_DEPTH_BUDGET):
+    if not is_integer(depth) or not 0 <= depth <= DEFAULT_DEPTH_BUDGET:
         raise InvalidParams(
             f"depth {depth!r} must be an integer in 0..{DEFAULT_DEPTH_BUDGET}")
 

@@ -1,4 +1,12 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and `is_integer`."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool nor a float equal to one."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 class SimulationError(Exception):

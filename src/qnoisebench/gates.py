@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateIndex, InvalidParams
+from .errors import DuplicateIndex, InvalidParams, is_integer
 from .linalg import as_complex, phase_canonical_keys
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -79,6 +79,8 @@ class Gate:
                 f"{self.name} takes {GATE_ARITY[self.name]} qubit(s), "
                 f"got {self.qubits}"
             )
+        if not all(map(is_integer, self.qubits)):
+            raise InvalidParams(f"qubit indices {self.qubits} must be integers")
         if any(q < 0 for q in self.qubits):
             raise IndexError(f"negative qubit index in {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):

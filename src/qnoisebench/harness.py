@@ -13,7 +13,7 @@ import csv
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .circuits import (CLIFFORD_T, compile_plan,  # noqa: F401
                        pauli_diagonals, pauli_fidelities, product_pauli,
                        simulate)
 from .compiling import interleave_idle
-from .errors import ConfigError, IoError, SimulationError
+from .errors import ConfigError, IoError, SimulationError, is_integer
 from .metrics import process_fidelity  # noqa: F401
 from .noise import LEVEL_PARAMS, NOISE_KINDS, noise_model_for
 from .states import (check_norms, check_traces,  # noqa: F401
@@ -167,8 +167,7 @@ class ExperimentConfig:
 
 
 def _check_int(name: str, value, lo: int) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < lo):
+    if not is_integer(value) or value < lo:
         raise ConfigError(f"{name}: {value!r} must be an integer >= {lo}")
 
 
@@ -313,18 +312,7 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
 
 
 def _row_record(row: ResultRow) -> dict:
-    return {
-        "benchmark": row.benchmark,
-        "noise": row.noise,
-        "param": row.param,
-        "depth": row.depth,
-        "rc": "on" if row.rc else "off",
-        "metric": row.metric,
-        "mean": row.mean,
-        "stderr": row.stderr,
-        "trials": row.trials,
-        "seed": row.seed,
-    }
+    return {**asdict(row), "rc": "on" if row.rc else "off"}
 
 
 def _record_row(rec: dict) -> ResultRow:

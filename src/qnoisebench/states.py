@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidState, NotADistribution, NotNormalized
+from .errors import (InvalidParams, InvalidState, NotADistribution,
+                     NotNormalized, is_integer)
 from .linalg import as_complex, is_hermitian
 
 NORM_TOL = 1e-9
@@ -112,14 +112,14 @@ def random_product_kets(n: int, seeds) -> np.ndarray:
 
 
 def random_product_factors(n: int, seeds) -> np.ndarray:
-    """The qubit factors (T, n, 2) of `random_product_state` for each seed.
-    Each seed's draws are one `uniform(lows, highs)` call, the same stream as
-    the scalar (phi, cos theta) pairs qubit by qubit."""
+    """The qubit factors (T, n, 2) of `random_product_state` for each seed:
+    `default_rng(seed)`'s uniform (phi, cos theta) draws qubit by qubit, each
+    low + (high - low) * (the top 53 bits of a raw PCG64 word) / 2^53."""
     if n < 1:
         raise InvalidParams("need at least one qubit")
-    lows, highs = np.tile([0.0, -1.0], n), np.tile([2.0 * np.pi, 1.0], n)
-    draws = np.array([np.random.default_rng(s).uniform(lows, highs)
-                      for s in seeds]).reshape(-1, n, 2)
+    raw = np.array([np.random.PCG64(s).random_raw(2 * n) for s in seeds],
+                   dtype=np.uint64).reshape(-1, n, 2)
+    draws = [0.0, -1.0] + [2.0 * np.pi, 2.0] * ((raw >> 11) * 2.0 ** -53)
     phi, theta = draws[..., 0], np.arccos(draws[..., 1])
     return np.stack([np.cos(theta / 2.0),
                      np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
@@ -140,8 +140,7 @@ def check_count(name: str, value, cap: int | None = None,
                 cap_name: str = "") -> None:
     """Raise InvalidParams unless a count is an integer >= 1, not a bool,
     and at most `cap` (the bound `cap_name`) if one is given."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
+    if not is_integer(value) or value < 1:
         raise InvalidParams(f"{name}: {value!r} must be an integer >= 1")
     if cap is not None and value > cap:
         raise InvalidParams(f"{name}: {value} is over {cap_name} = {cap}")

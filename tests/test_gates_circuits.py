@@ -65,6 +65,18 @@ def test_gate_validation():
         Gate("h", (0,), 0.3)
 
 
+def test_gate_qubit_indices_must_be_integers():
+    """A float or bool index raises InvalidParams when the gate is made, even
+    one equal to an int; Python and numpy integers pass."""
+    for name, qubits in [("h", (0.5,)), ("h", (1.0,)), ("h", (True,)),
+                         ("cnot", (0.0, 1)), ("cnot", (0, np.float64(2))),
+                         ("cnot", (False, 1)), ("x", ("0",))]:
+        with pytest.raises(InvalidParams, match="must be integers"):
+            Gate(name, qubits)
+    assert Gate("cnot", (np.int64(0), np.uint8(1))).qubits == (0, 1)
+    assert Gate.h(np.intp(2)).matrix() is H
+
+
 def test_gate_angle_coerced_to_float():
     g = Gate("rz", (0,), np.float64(0.25))
     assert type(g.angle) is float

@@ -818,6 +818,21 @@ def test_plan_rejects_flips_for_another_number_of_trials():
                         ((0, 1, ((), ((0, 1),), flips)), (1, 2, ((),))))
 
 
+def test_plan_rejects_flips_on_non_integer_qubits():
+    """A float or bool qubit equal to an int makes a flip equal to a valid
+    one, (0.0, 1) == (0, 1), so the plan checks each type of qubit its flips
+    hold: any but a Python or numpy integer raises InvalidParams, also when
+    a valid flip of equal value comes first. Numpy integers pass."""
+    letters = np.zeros((2, 1, 3), dtype=np.intp)
+    for flips in [(((0.0, 1),), ((0, 1),)), (((0, 1),), ((0.0, 1),)),
+                  (((True, 2),), ()), ((), ((2, np.float64(0)),))]:
+        with pytest.raises(InvalidParams, match="not a CNOT"):
+            CircuitPlan(3, letters, I2[None], ((0, 1, flips),))
+    plan = CircuitPlan(3, letters, I2[None],
+                       ((0, 1, (((np.int64(0), 1),), ((2, np.uint8(1)),))),))
+    assert plan.flip_sets[1:] == (((0, 1),), ((2, 1),))
+
+
 @pytest.mark.parametrize("slice_bytes", [None, 64])
 def test_run_rejects_non_hermitian_density_matrices(monkeypatch, slice_bytes):
     """A real Pauli vector cannot hold a non-Hermitian matrix, so the matrix
