@@ -33,7 +33,6 @@ from .compiling import (
     approx_rz,
     best_rz_error,
     interleave_idle,
-    is_easy_cycle,
     lower_controlled_rz,
     randomized_compile,
     rz_word_error,

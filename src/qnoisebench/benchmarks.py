@@ -6,12 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, Circuit, CircuitPlan,
-                       Cycle, compile_plan, identity_cycle,
-                       toffoli_decomposition)
-from .compiling import interleave_idle, lower_controlled_rz, to_clifford_t
+from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
+                       CircuitPlan, Cycle, circuit_of, compile_plan, plan_of,
+                       read_letters, toffoli_decomposition)
+# to_clifford_t and interleave_idle are not called here, but
+# perfbench/tracer.py times the lowering under this module's names, so the
+# names stay importable from it.
+from .compiling import (interleave_idle, interleave_letters,  # noqa: F401
+                        lower_controlled_rz, lower_letters, to_clifford_t)
 from .errors import InvalidParams
 from .gates import FIXED_MATRICES, Gate
+from .states import pcg64
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +72,34 @@ def build_benchmark(bench_id: str, depth: int | None = None,
     if bench_id == "adder":
         return build_adder()
     if bench_id == "qft":
-        return build_qft(4, gate_set=PARAM_ROTATIONS)
-    if bench_id == "qft_ct":
-        return build_qft(4, gate_set=CLIFFORD_T)
-    graph = MaxCutGraph.hypercube()
-    gate_set = CLIFFORD_T if bench_id == "qaoa_ct" else PARAM_ROTATIONS
-    return build_qaoa(graph, QAOA_BETA_STAR, QAOA_GAMMA_STAR,
-                      gate_set=gate_set)
+        return build_qft(4)
+    if bench_id == "qaoa":
+        return build_qaoa(MaxCutGraph.hypercube(), QAOA_BETA_STAR,
+                          QAOA_GAMMA_STAR)
+    return circuit_of(spec.n_qubits, *_lowered(bench_id), CLIFFORD_T)
 
 
-def _finish_clifford_t(circ: Circuit) -> Circuit:
+def benchmark_plan(bench_id: str, depth: int | None = None,
+                   rc: bool = False) -> CircuitPlan:
+    """`compile_plan(build_benchmark(bench_id, depth), rc)`, but qft_ct and
+    qaoa_ct go from the letters of their parametric builds to the plan with
+    no lowered circuit built."""
+    if bench_id in ("qft_ct", "qaoa_ct") and depth is None:
+        return plan_of(BENCHMARKS[bench_id].n_qubits, *_lowered(bench_id), rc)
+    return compile_plan(build_benchmark(bench_id, depth), rc)
+
+
+def _lowered(bench_id: str) -> tuple[np.ndarray, list, tuple]:
+    # qft_ct's or qaoa_ct's letters: its parametric build, lowered.
+    return _finish(*lower_letters(*read_letters(build_benchmark(
+        bench_id.removesuffix("_ct")))))
+
+
+def _finish(letters, flips, keys) -> tuple[np.ndarray, list, tuple]:
     # Interleave so no two hard cycles touch, and end on an idle slot so
     # randomized compiling refreshes its twirl right before measurement.
-    out = interleave_idle(circ)
-    return out.with_cycles(tuple(out.cycles) + (identity_cycle(),))
+    letters, flips, keys = interleave_letters(letters, flips, keys)
+    return np.pad(letters, ((0, 1), (0, 0))), flips + [()], keys
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +110,14 @@ def build_idle(n: int, depth: int) -> Circuit:
     """depth cycles with no gates at all."""
     if n < 1 or depth < 1:
         raise InvalidParams("idle circuit needs n >= 1 and depth >= 1")
-    return Circuit(n, tuple(identity_cycle() for _ in range(depth)),
-                   CLIFFORD_T)
+    return Circuit(n, (Cycle(),) * depth, CLIFFORD_T)
 
 
 _RANDOM_SINGLES = ("i", "x", "y", "z", "h")
 _RANDOM_UNITARIES = np.stack([FIXED_MATRICES[name] for name in _RANDOM_SINGLES])
+# A random circuit's letter keys, and the letter of each of _RANDOM_SINGLES.
+_RANDOM_KEYS = tuple((name, None) for name in PLAN_LETTERS + ("h",))
+_RANDOM_LETTERS = np.array([0, 1, 3, 2, 6])
 CNOT_CYCLE_PROB = 0.25
 
 
@@ -139,7 +160,7 @@ def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
     words runs out only after a rejection."""
     if n < 2:
         raise InvalidParams("random circuit needs n >= 2")
-    draws = _RawDraws(np.random.PCG64(seed), depth * (n + 3) // 2 + 4)
+    draws = _RawDraws(pcg64(seed), depth * (n + 3) // 2 + 4)
     top = len(_RANDOM_SINGLES) - 1
     singles, flips = [], []
     for _ in range(depth):
@@ -155,18 +176,21 @@ def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
     return singles, flips
 
 
+def random_letters(n: int, depth: int, seed) -> tuple[np.ndarray, list, tuple]:
+    """The letters triple (see `circuits.read_letters`) of the random
+    circuit `build_random` draws from `seed`."""
+    singles, flips = _draw_random(n, depth, seed)
+    letters = _RANDOM_LETTERS[np.array(singles, dtype=np.intp).reshape(depth, n)]
+    return letters, flips, _RANDOM_KEYS
+
+
 def build_random(n: int, depth: int, seed=None) -> Circuit:
     """Random cycles over {i, x, y, z, h} with occasional CNOT pairs.
 
     Each cycle places one CNOT on a random disjoint pair with probability
     0.25; every remaining qubit draws uniformly from the single-qubit set.
     """
-    cycles = []
-    for row, flips in zip(*_draw_random(n, depth, seed)):
-        gates = [Gate.cnot(*pair) for pair in flips]
-        gates += [Gate(_RANDOM_SINGLES[k], (q,)) for q, k in enumerate(row) if k]
-        cycles.append(Cycle(tuple(gates)))
-    return Circuit(n, tuple(cycles), CLIFFORD_T)
+    return circuit_of(n, *random_letters(n, depth, seed), CLIFFORD_T)
 
 
 def random_plan(n: int, depth: int, seeds) -> CircuitPlan:
@@ -230,7 +254,8 @@ def build_adder(bits: int = 2) -> Circuit:
             cycles.append(Cycle((Gate.cnot(op[1], op[2]),)))
         else:
             cycles.extend(toffoli_decomposition(op[1], op[2], op[3], n).cycles)
-    return _finish_clifford_t(Circuit(n, tuple(cycles), CLIFFORD_T))
+    return circuit_of(n, *_finish(*read_letters(Circuit(n, cycles))),
+                      CLIFFORD_T)
 
 
 def adder_input_index(a: int, b: int, bits: int = 2) -> int:
@@ -263,7 +288,7 @@ def adder_sum_from_index(index: int, bits: int = 2) -> int:
 # Quantum Fourier transform.
 
 
-def build_qft(n: int, gate_set: str = PARAM_ROTATIONS) -> Circuit:
+def build_qft(n: int) -> Circuit:
     """QFT as H plus controlled-Rz ladders, without terminal swaps.
 
     The parameterized unitary equals the DFT matrix with bit-reversed output
@@ -277,12 +302,7 @@ def build_qft(n: int, gate_set: str = PARAM_ROTATIONS) -> Circuit:
         for j in range(k + 1, n):
             angle = np.pi / 2 ** (j - k)
             cycles.extend(lower_controlled_rz(angle, j, k, n).cycles)
-    circ = Circuit(n, tuple(cycles), PARAM_ROTATIONS)
-    if gate_set == PARAM_ROTATIONS:
-        return circ
-    if gate_set == CLIFFORD_T:
-        return _finish_clifford_t(to_clifford_t(circ))
-    raise InvalidParams(f"unknown gate set {gate_set!r}")
+    return Circuit(n, tuple(cycles), PARAM_ROTATIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +347,7 @@ QAOA_GAMMA_STAR = np.pi - np.arctan(1 / np.sqrt(2))
 
 
 def build_qaoa(graph: MaxCutGraph, beta: float, gamma_angle: float,
-               p: int = 1, gate_set: str = PARAM_ROTATIONS) -> Circuit:
+               p: int = 1) -> Circuit:
     """H layer, then p stages of per-edge phase terms plus an Rx mixer layer.
 
     Each edge term is CNOT, Rz(gamma) on the target, CNOT, which applies a
@@ -345,12 +365,7 @@ def build_qaoa(graph: MaxCutGraph, beta: float, gamma_angle: float,
                                       for _, v in group)))
             cycles.append(Cycle(tuple(Gate.cnot(u, v) for u, v in group)))
         cycles.append(Cycle(tuple(Gate.rx(q, beta) for q in range(n))))
-    circ = Circuit(n, tuple(cycles), PARAM_ROTATIONS)
-    if gate_set == PARAM_ROTATIONS:
-        return circ
-    if gate_set == CLIFFORD_T:
-        return _finish_clifford_t(to_clifford_t(circ))
-    raise InvalidParams(f"unknown gate set {gate_set!r}")
+    return Circuit(n, tuple(cycles), PARAM_ROTATIONS)
 
 
 def cut_sizes(graph: MaxCutGraph) -> np.ndarray:

@@ -82,13 +82,6 @@ class Circuit:
     def depth(self) -> int:
         return len(self.cycles)
 
-    def with_cycles(self, cycles) -> "Circuit":
-        return Circuit(self.n_qubits, tuple(cycles), self.gate_set)
-
-
-def identity_cycle() -> Cycle:
-    return Cycle(())
-
 
 def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
                         targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -346,31 +339,60 @@ class CircuitPlan:
 _SLICE_BYTES = 2 ** 21
 
 
+def read_letters(circ: Circuit) -> tuple[np.ndarray, list, tuple]:
+    """The circuit as a letters triple, the one form that plans, lowering and
+    interleaving read: letters (cycle, qubit) indexing keys, the (name, angle)
+    of each distinct one-qubit gate with PLAN_LETTERS first (0: idle, CNOT
+    qubits too), and per cycle a tuple of its CNOTs (control, target)."""
+    index = {(name, None): k for k, name in enumerate(PLAN_LETTERS)}
+    letters = [[0] * circ.n_qubits for _ in circ.cycles]
+    flips = []
+    for k, cycle in enumerate(circ.cycles):
+        pairs = []
+        for g in cycle.gates:
+            if len(g.qubits) > 1:
+                pairs.append(g.qubits)
+            else:
+                key = (g.name, g.angle)
+                letters[k][g.qubits[0]] = index.setdefault(key, len(index))
+        flips.append(tuple(pairs))
+    letters = np.array(letters, dtype=np.intp).reshape(circ.depth, circ.n_qubits)
+    return letters, flips, tuple(index)
+
+
+def plan_of(n: int, letters: np.ndarray, flips, keys,
+            rc: bool = False) -> CircuitPlan:
+    """The one-trial `CircuitPlan` of a letters triple (see `read_letters`),
+    with its randomized-compiling tables if rc (see `compile_plan`)."""
+    from .compiling import Twirl  # compiling imports this module
+
+    starts = [k for k, pairs in enumerate(flips) if pairs or not k]
+    segments = tuple((a, b, (flips[a],))
+                     for a, b in zip(starts, starts[1:] + [len(flips)]))
+    unitaries = [FIXED_MATRICES[name] if angle is None
+                 else Gate(name, (0,), angle).matrix() for name, angle in keys]
+    return CircuitPlan(n, letters[None], np.stack(unitaries), segments,
+                       Twirl.of_plan(letters, flips, keys) if rc else None)
+
+
+def circuit_of(n: int, letters: np.ndarray, flips, keys,
+               gate_set: str | None = None) -> Circuit:
+    """The circuit of a letters triple: per cycle its CNOTs, then the gate
+    of each qubit that is not idle, ascending."""
+    cycles = []
+    for row, pairs in zip(letters.tolist(), flips):
+        gates = [Gate.cnot(*pair) for pair in pairs]
+        gates += [Gate(keys[k][0], (q,), keys[k][1])
+                  for q, k in enumerate(row) if k]
+        cycles.append(Cycle(tuple(gates)))
+    return Circuit(n, tuple(cycles), gate_set)
+
+
 def compile_plan(circ: Circuit, rc: bool = False) -> CircuitPlan:
     """Read the circuit into a one-trial `CircuitPlan`, with its
     randomized-compiling tables read off the plan's letters if rc (then it
     must be Clifford+T and idle-interleaved; see `interleave_idle`)."""
-    from .compiling import Twirl  # compiling imports this module
-
-    n = circ.n_qubits
-    index = {(name, None): k for k, name in enumerate(PLAN_LETTERS)}
-    letters = [[0] * n for _ in circ.cycles]
-    flips: dict[int, list] = {}
-    for k, cycle in enumerate(circ.cycles):
-        for g in cycle.gates:
-            if len(g.qubits) > 1:
-                flips.setdefault(k, []).append(g.qubits)
-            else:
-                key = (g.name, g.angle)
-                letters[k][g.qubits[0]] = index.setdefault(key, len(index))
-    starts = sorted({0, *flips}) if circ.depth else []
-    segments = tuple((a, b, (tuple(flips.get(a, ())),))
-                     for a, b in zip(starts, starts[1:] + [circ.depth]))
-    unitaries = [FIXED_MATRICES[name] if angle is None
-                 else Gate(name, (0,), angle).matrix() for name, angle in index]
-    letters = np.array(letters, dtype=np.intp).reshape(1, circ.depth, n)
-    return CircuitPlan(n, letters, np.stack(unitaries), segments,
-                       Twirl.of_plan(letters[0], segments, index) if rc else None)
+    return plan_of(circ.n_qubits, *read_letters(circ), rc)
 
 
 def simulate(circ: Circuit, state: DensityMatrix,

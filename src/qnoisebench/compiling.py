@@ -1,8 +1,8 @@
 """Lowering to the Clifford+T alphabet and randomized compiling.
 
 Gate classification for randomized compiling: easy gates are the Paulis,
-phase gates, and the identity; everything else (H, T, Tdg, CNOT) is hard.
-A cycle counts as hard if any of its gates is hard.
+phase gates, and the identity (PLAN_LETTERS); everything else (H, T, Tdg,
+CNOT) is hard. A cycle counts as hard if any of its gates is hard.
 """
 
 from __future__ import annotations
@@ -14,19 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
-                       Cycle, compile_plan, identity_cycle)
+                       Cycle, circuit_of, read_letters)
 from .errors import (DuplicateIndex, InvalidParams, NotInterleaved,
                      SearchExhausted, is_integer)
 from .gates import Gate, WordTable, rz_matrix, word_table
 
-EASY_NAMES = frozenset(["i", "x", "y", "z", "s", "sdg"])
-
 DEFAULT_SYNTH_EPS = 0.05
 DEFAULT_DEPTH_BUDGET = 25
-
-
-def is_easy_cycle(cycle: Cycle) -> bool:
-    return all(g.name in EASY_NAMES for g in cycle.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -163,61 +157,74 @@ def _word_with_fallback(theta: float, eps: float) -> tuple[str, ...]:
         return tuple(approx_rz(theta, floor + 1e-9))
 
 
-def _rotation_word(gate: Gate, eps: float) -> list[str]:
-    word = _word_with_fallback(gate.angle, eps)
-    if gate.name == "rz":
-        return list(word)
-    # rx = h rz h
-    return ["h", *word, "h"]
+def lower_letters(letters: np.ndarray, flips, keys,
+                  eps: float = DEFAULT_SYNTH_EPS) -> tuple[np.ndarray, list, tuple]:
+    """A letters triple (see `circuits.read_letters`) with every rz/rx
+    replaced by its synthesized word, cycle-aligned (rx = h rz h).
+
+    A cycle expands into as many sub-cycles as its longest word, by one
+    gather from a table of each key's word: shorter words pad with idles,
+    the other gates and the CNOTs stay on the first sub-cycle, and a
+    rotation whose word is empty idles there. An angle whose best word at
+    the depth budget misses eps by at most 2x is accepted at its achieved
+    error; a larger miss raises SearchExhausted. Words are memoized per
+    (theta, eps) for the process, so each distinct rotation is synthesized
+    once however often it recurs.
+    """
+    index = {key: k for k, key in enumerate(keys[:len(PLAN_LETTERS)])}
+    words = []
+    for name, angle in keys:
+        word = (name,)
+        if name in ("rz", "rx"):
+            word = _word_with_fallback(angle, eps)
+            word = ("h", *word, "h") if name == "rx" else word
+        words.append([index.setdefault((w, None), len(index)) for w in word]
+                     or [0])
+    width = max(map(len, words))
+    table = np.array([word + [0] * (width - len(word)) for word in words],
+                     dtype=np.intp)
+    spans = np.array([len(word) for word in words])[letters].max(axis=1)
+    cycle = np.repeat(np.arange(len(spans)), spans)
+    step = np.arange(len(cycle)) - (np.cumsum(spans) - spans)[cycle]
+    flips = [() if s else flips[k]
+             for k, s in zip(cycle.tolist(), step.tolist())]
+    return table[letters[cycle], step[:, None]], flips, tuple(index)
 
 
 def to_clifford_t(circ: Circuit, eps: float = DEFAULT_SYNTH_EPS) -> Circuit:
-    """Replace every rz/rx with a synthesized word, cycle-aligned.
-
-    Rotations in the same cycle expand in lockstep sub-cycles (shorter words
-    pad with idles); non-rotation gates fire in the first sub-cycle. An angle
-    whose best word at the depth budget misses eps by at most 2x is accepted
-    at its achieved error; a larger miss raises SearchExhausted.
-
-    Words are memoized per (theta, eps) for the life of the process, so each
-    distinct rotation is synthesized once however often it recurs.
-    """
-    out: list[Cycle] = []
-    for cycle in circ.cycles:
-        words: dict[int, list[str]] = {}
-        fixed: list[Gate] = []
-        for g in cycle.gates:
-            if g.name in ("rz", "rx"):
-                words[g.qubits[0]] = _rotation_word(g, eps)
-            else:
-                fixed.append(g)
-        span = max((len(w) for w in words.values()), default=0)
-        if span == 0:
-            out.append(cycle)
-            continue
-        for step in range(span):
-            gates = [Gate(w[step], (q,)) for q, w in words.items() if step < len(w)]
-            if step == 0:
-                gates.extend(fixed)
-            out.append(Cycle(tuple(gates)))
-    return Circuit(circ.n_qubits, tuple(out), CLIFFORD_T)
+    """The circuit with every rz/rx replaced by a synthesized word, as
+    `lower_letters` lowers its letters."""
+    return circuit_of(circ.n_qubits, *lower_letters(*read_letters(circ), eps),
+                      CLIFFORD_T)
 
 
 # ---------------------------------------------------------------------------
 # Idle interleaving and randomized compiling.
 
 
+def hard_cycles(letters: np.ndarray, flips) -> np.ndarray:
+    """Which cycles of a letters triple are hard: a letter past PLAN_LETTERS
+    or a CNOT."""
+    return ((letters >= len(PLAN_LETTERS)).any(axis=1)
+            | np.array([bool(pairs) for pairs in flips], dtype=bool))
+
+
+def interleave_letters(letters: np.ndarray, flips,
+                       keys) -> tuple[np.ndarray, list, tuple]:
+    """A letters triple with an all-idle (easy) cycle inserted between
+    consecutive hard cycles."""
+    hard = hard_cycles(letters, flips)
+    at = np.flatnonzero(hard[1:] & hard[:-1]) + 1
+    flips = list(flips)
+    for k in reversed(at.tolist()):
+        flips.insert(k, ())
+    return np.insert(letters, at, 0, axis=0), flips, keys
+
+
 def interleave_idle(circ: Circuit) -> Circuit:
     """Insert an all-idle (easy) cycle between consecutive hard cycles."""
-    out: list[Cycle] = []
-    prev_hard = False
-    for cycle in circ.cycles:
-        hard = not is_easy_cycle(cycle)
-        if hard and prev_hard:
-            out.append(identity_cycle())
-        out.append(cycle)
-        prev_hard = hard
-    return circ.with_cycles(out)
+    return circuit_of(circ.n_qubits,
+                      *interleave_letters(*read_letters(circ)), circ.gate_set)
 
 
 # Twirl Paulis are codes x-bit + 2 * z-bit (PLAN_LETTERS[:4]); a product up to
@@ -268,21 +275,20 @@ class Twirl:
     cross: np.ndarray    # (easy + 1, n, 3) _CROSS row, qubits of a and b
 
     @classmethod
-    def of_plan(cls, letters: np.ndarray, segments, keys) -> "Twirl":
-        """Tables of a compiled trial's `letters` (cycle, qubit), segments and
-        letter keys (name, angle). Its circuit must be Clifford+T and idle-
-        interleaved: an easy cycle has only PLAN_LETTERS and no flips."""
-        flips = [(a, *g) for a, _, (f,) in segments for g in f]
+    def of_plan(cls, letters: np.ndarray, flips, keys) -> "Twirl":
+        """Tables of a letters triple (see `circuits.read_letters`). Its
+        circuit must be Clifford+T and idle-interleaved: no two cycles that
+        `hard_cycles` marks touch."""
         bad = sorted({name for name, angle in keys if angle is not None})
         if bad:
             raise InvalidParams("randomized compiling needs a Clifford+T "
                                 f"circuit; found {', '.join(bad)}")
         depth, n = letters.shape
-        at, c, t = np.array(flips, dtype=np.intp).reshape(-1, 3).T
+        at, c, t = np.array([(k, *g) for k, pairs in enumerate(flips)
+                             for g in pairs], dtype=np.intp).reshape(-1, 3).T
         # Two idle cycles past the end, for the last easy cycle to cross and
         # land on; index -1 reads the second.
-        hard = np.append((letters >= len(PLAN_LETTERS)).any(axis=1), [False] * 2)
-        hard[at] = True
+        hard = np.append(hard_cycles(letters, flips), [False] * 2)
         if (hard[1:] & hard[:-1]).any():
             raise NotInterleaved("adjacent hard cycles; interleave idles first")
         role = np.zeros((depth + 2, n), dtype=np.intp)
@@ -363,13 +369,12 @@ def randomized_compile(circ: Circuit, seed=None) -> tuple[Circuit, tuple[str, ..
     is preserved: twirls merge into existing easy gates. Built from the same
     `Twirl` draws that `simulate(..., rc=True, seed=seed)` runs.
     """
-    twirl = compile_plan(circ, rc=True).twirl
+    letters, flips, keys = read_letters(circ)
+    twirl = Twirl.of_plan(letters, flips, keys)
     merged, frame = twirl.sample([twirl.draw(seed)])
-    cycles = list(circ.cycles)
-    for k, row in zip(twirl.easy, merged[0].tolist()):
-        cycles[k] = Cycle(tuple(Gate(PLAN_LETTERS[m], (q,))
-                                for q, m in enumerate(row) if m))
-    return circ.with_cycles(cycles), tuple(PLAN_LETTERS[p] for p in frame[0])
+    letters[twirl.easy] = merged[0]
+    return (circuit_of(circ.n_qubits, letters, flips, keys, circ.gate_set),
+            tuple(PLAN_LETTERS[p] for p in frame[0]))
 
 
 def apply_pauli_frame(dm, frame: tuple[str, ...]):

@@ -17,20 +17,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .benchmarks import (
-    BENCHMARKS,
-    MaxCutGraph,
-    build_benchmark,
-    maxcut_expectation,
-    random_plan,
-)
-# simulate, process_fidelity, ket_to_density and random_product_state are not
-# called here, but perfbench/tracer.py times their layers under this module's
-# names, so the names stay importable from it.
-from .circuits import (CLIFFORD_T, compile_plan,  # noqa: F401
-                       pauli_diagonals, pauli_fidelities, product_pauli,
-                       simulate)
-from .compiling import interleave_idle
+# build_benchmark, interleave_idle, simulate, process_fidelity,
+# ket_to_density and random_product_state are not called here, but
+# perfbench/tracer.py times their layers under this module's names, so the
+# names stay importable from it.
+from .benchmarks import (BENCHMARKS, MaxCutGraph, benchmark_plan,  # noqa: F401
+                         build_benchmark, maxcut_expectation, random_letters,
+                         random_plan)
+from .circuits import (CLIFFORD_T, pauli_diagonals,  # noqa: F401
+                       pauli_fidelities, plan_of, product_pauli, simulate)
+from .compiling import interleave_idle, interleave_letters  # noqa: F401
 from .errors import ConfigError, IoError, SimulationError, is_integer
 from .metrics import process_fidelity  # noqa: F401
 from .noise import LEVEL_PARAMS, NOISE_KINDS, noise_model_for
@@ -215,8 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     fixed = {}  # depth -> (plan, U^T or None) of a fixed benchmark
     if cfg.benchmark != "random":
         for depth in _depths(cfg):
-            plan = compile_plan(build_benchmark(cfg.benchmark, depth=depth),
-                                cfg.rc)
+            plan = benchmark_plan(cfg.benchmark, depth, cfg.rc)
             # Row j is U e_j: the basis states through the noiseless circuit.
             ideal = (None if spec.metric == "expectation_value" else
                      plan.run(np.eye(2 ** spec.n_qubits, dtype=np.complex128)))
@@ -293,8 +288,8 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
         else:
             ref = np.empty_like(psi)
             for k, (circ_seed, rc_seed) in enumerate(zip(circ_seeds, rc_seeds)):
-                plan = compile_plan(interleave_idle(build_benchmark(
-                    cfg.benchmark, depth=depth, seed=circ_seed)), rc=True)
+                plan = plan_of(n, *interleave_letters(*random_letters(
+                    n, depth, circ_seed)), rc=True)
                 rho[k] = plan.run(rho[k:k + 1], noise, [rc_seed])[0]
                 ref[k] = plan.run(psi[k:k + 1])[0]
         diagonals = pauli_diagonals(rho, n)

@@ -111,13 +111,23 @@ def random_product_kets(n: int, seeds) -> np.ndarray:
     return product_kets(random_product_factors(n, seeds))
 
 
+def pcg64(seed) -> np.random.PCG64:
+    """`np.random.PCG64(seed)` for a seed of None, an integer >= 0, a
+    sequence of them or a `SeedSequence`; any other seed (a float, a
+    negative integer, a `Generator`) raises InvalidParams."""
+    try:
+        return np.random.PCG64(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"seed {seed!r}: {exc}") from exc
+
+
 def random_product_factors(n: int, seeds) -> np.ndarray:
     """The qubit factors (T, n, 2) of `random_product_state` for each seed:
     `default_rng(seed)`'s uniform (phi, cos theta) draws qubit by qubit, each
     low + (high - low) * (the top 53 bits of a raw PCG64 word) / 2^53."""
     if n < 1:
         raise InvalidParams("need at least one qubit")
-    raw = np.array([np.random.PCG64(s).random_raw(2 * n) for s in seeds],
+    raw = np.array([pcg64(s).random_raw(2 * n) for s in seeds],
                    dtype=np.uint64).reshape(-1, n, 2)
     draws = [0.0, -1.0] + [2.0 * np.pi, 2.0] * ((raw >> 11) * 2.0 ** -53)
     phi, theta = draws[..., 0], np.arccos(draws[..., 1])

@@ -21,9 +21,9 @@ from qnoisebench.benchmarks import (
     optimize_qaoa_angles,
     random_plan,
 )
-from qnoisebench.circuits import (CLIFFORD_T, PARAM_ROTATIONS, circuit_unitary,
-                                  compile_plan, simulate)
-from qnoisebench.compiling import is_easy_cycle
+from qnoisebench.circuits import (CLIFFORD_T, circuit_unitary, compile_plan,
+                                  read_letters, simulate)
+from qnoisebench.compiling import hard_cycles
 from qnoisebench.errors import InvalidParams
 from qnoisebench.linalg import phase_aligned_distance
 from qnoisebench.states import DensityMatrix
@@ -115,8 +115,8 @@ def test_adder_structure():
     circ = build_adder()
     assert circ.depth == 160
     assert circ.gate_set == CLIFFORD_T
-    hard = [not is_easy_cycle(c) for c in circ.cycles]
-    assert not any(x and y for x, y in zip(hard, hard[1:]))
+    hard = hard_cycles(*read_letters(circ)[:2])
+    assert hard.any() and not (hard[1:] & hard[:-1]).any()
     assert circ.cycles[-1].gates == ()  # closing idle slot
 
 
@@ -150,17 +150,15 @@ def test_qft_unitary_is_bit_reversed_dft(n):
 
 def test_qft_clifford_t_stays_close():
     want = circuit_unitary(build_qft(4))
-    got = circuit_unitary(build_qft(4, gate_set=CLIFFORD_T))
+    got = circuit_unitary(build_benchmark("qft_ct"))
     assert phase_aligned_distance(got, want) < 0.15
 
 
 def test_qft_ct_gate_alphabet():
-    circ = build_qft(4, gate_set=CLIFFORD_T)
+    circ = build_benchmark("qft_ct")
     assert circ.gate_set == CLIFFORD_T
     names = {g.name for c in circ.cycles for g in c.gates}
     assert "rz" not in names and "rx" not in names
-    with pytest.raises(InvalidParams):
-        build_qft(4, gate_set="other")
 
 
 # ---------------------------------------------------------------------------

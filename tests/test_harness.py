@@ -293,17 +293,17 @@ def test_reference_is_a_pure_state_not_a_simulation(monkeypatch, bench, rc):
 @pytest.mark.parametrize("rc", [False, True])
 def test_random_trials_compile_at_most_once(monkeypatch, rc):
     """Without RC the random trials are drawn straight into one plan per
-    chunk; with RC each trial's interleaved circuit is compiled once."""
+    chunk; with RC each trial's interleaved letters are planned once."""
     from qnoisebench import harness
 
     calls = []
-    real = harness.compile_plan
+    real = harness.plan_of
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "compile_plan", counting)
+    monkeypatch.setattr(harness, "plan_of", counting)
     cfg = ExperimentConfig(benchmark="random", noise="pauli", levels=(1, 2),
                            rc=rc, trials=5, depth_range=(4, 8, 4))
     rows = run_experiment(cfg)
@@ -353,18 +353,18 @@ def test_non_unitary_reference_raises(monkeypatch, bench, rc):
 
 
 def test_fixed_benchmark_built_once_per_config(monkeypatch):
-    """Every noise level of a fixed benchmark runs the one circuit built
+    """Every noise level of a fixed benchmark runs the one plan built
     before the sweep."""
     from qnoisebench import harness
 
     calls = []
-    real = harness.build_benchmark
+    real = harness.benchmark_plan
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "build_benchmark", counting)
+    monkeypatch.setattr(harness, "benchmark_plan", counting)
     cfg = ExperimentConfig(benchmark="qft_ct", noise="pauli",
                            levels=(0, 1, 2), trials=1)
     rows = run_experiment(cfg)

@@ -420,9 +420,9 @@ def test_word_compose_of_quantum_volume_circuits():
     pairs recur. With its CNOT cycles its segments are single cycles; with
     them dropped it is one 8-cycle segment over 32 rotation letters."""
     circ = random_model_circuit(8, 8, np.random.default_rng(8))
-    one_qubit = circ.with_cycles(
+    one_qubit = Circuit(circ.n_qubits, [
         Cycle(tuple(g for g in c.gates if len(g.qubits) == 1))
-        for c in circ.cycles)
+        for c in circ.cycles])
     for c in (circ, one_qubit):
         assert_compose_matches_chain(compile_plan(c))
     assert len(compile_plan(one_qubit).unitaries) == 6 + 32

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from qnoisebench.benchmarks import (_RANDOM_SINGLES, CNOT_CYCLE_PROB,
-                                    _draw_random, _RawDraws)
+                                    _draw_random, _RawDraws, build_random,
+                                    random_plan)
 from qnoisebench.errors import InvalidParams
 from qnoisebench.states import random_product_factors
 
@@ -172,3 +173,15 @@ def test_words_refill_when_the_first_block_runs_out():
     for _ in range(30):
         assert draws.random() == rng.random()
         assert draws.bounded(4) == rng.integers(5)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, np.random.default_rng(0)],
+                         ids=["float", "negative", "generator"])
+def test_a_seed_of_another_form_raises_invalid_params(seed):
+    """A seed that is not None, an integer >= 0, a sequence of them or a
+    SeedSequence ends typed where the draws make their PCG64."""
+    for call in (lambda: build_random(4, 5, seed=seed),
+                 lambda: random_plan(4, 5, [seed]),
+                 lambda: random_product_factors(2, [seed])):
+        with pytest.raises(InvalidParams, match="seed"):
+            call()
