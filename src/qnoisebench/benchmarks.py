@@ -14,7 +14,7 @@ from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
 # names stay importable from it.
 from .compiling import (interleave_idle, interleave_letters,  # noqa: F401
                         lower_controlled_rz, lower_letters, to_clifford_t)
-from .errors import InvalidParams
+from .errors import InvalidParams, is_integer
 from .gates import FIXED_MATRICES, Gate
 from .states import pcg64
 
@@ -47,52 +47,54 @@ BENCHMARKS = {
 }
 
 
-def build_benchmark(bench_id: str, depth: int | None = None,
-                    seed=None) -> Circuit:
-    """Construct the named benchmark. `depth` applies to the sweepable
-    circuits (idle, random) and is rejected elsewhere; `seed` feeds the
-    random circuit only."""
-    if bench_id not in BENCHMARKS:
+def benchmark_letters(bench_id: str, depth: int | None = None,
+                      seed=None) -> tuple[np.ndarray, list, tuple]:
+    """The letters triple (see `circuits.read_letters`) of the named
+    benchmark. `depth` applies to the sweepable circuits (idle, random) and
+    is rejected elsewhere; `seed` feeds the random circuit only. qft_ct and
+    qaoa_ct are the lowered, closed letters of their parametric builds."""
+    if not isinstance(bench_id, str) or bench_id not in BENCHMARKS:
         raise InvalidParams(f"unknown benchmark {bench_id!r}")
     spec = BENCHMARKS[bench_id]
     if spec.depth_range is None:
         if depth is not None:
             raise InvalidParams(f"{bench_id} has a fixed construction depth")
     else:
-        if depth is None:
-            raise InvalidParams(f"{bench_id} needs a depth")
         lo, hi = spec.depth_range
-        if not lo <= depth <= hi:
+        if not is_integer(depth) or not lo <= depth <= hi:
             raise InvalidParams(
-                f"depth {depth} outside {bench_id} range {lo}..{hi}")
-    if bench_id == "idle":
-        return build_idle(spec.n_qubits, depth)
+                f"{bench_id} needs an integer depth in {lo}..{hi}, "
+                f"not {depth!r}")
+    n = spec.n_qubits
     if bench_id == "random":
-        return build_random(spec.n_qubits, depth, seed=seed)
+        return random_letters(n, depth, seed)
     if bench_id == "adder":
-        return build_adder()
+        return _adder_letters(2)
+    if bench_id in ("qft_ct", "qaoa_ct"):
+        return _finish(*lower_letters(*benchmark_letters(
+            bench_id.removesuffix("_ct"))))
+    if bench_id == "idle":
+        return read_letters(build_idle(n, depth))
     if bench_id == "qft":
-        return build_qft(4)
-    if bench_id == "qaoa":
-        return build_qaoa(MaxCutGraph.hypercube(), QAOA_BETA_STAR,
-                          QAOA_GAMMA_STAR)
-    return circuit_of(spec.n_qubits, *_lowered(bench_id), CLIFFORD_T)
+        return read_letters(build_qft(n))
+    return read_letters(build_qaoa(MaxCutGraph.hypercube(), QAOA_BETA_STAR,
+                                   QAOA_GAMMA_STAR))
+
+
+def build_benchmark(bench_id: str, depth: int | None = None,
+                    seed=None) -> Circuit:
+    """The named benchmark's circuit (see `benchmark_letters`)."""
+    letters, flips, keys = benchmark_letters(bench_id, depth, seed)
+    return circuit_of(letters.shape[1], letters, flips, keys,
+                      BENCHMARKS[bench_id].gate_set)
 
 
 def benchmark_plan(bench_id: str, depth: int | None = None,
                    rc: bool = False) -> CircuitPlan:
-    """`compile_plan(build_benchmark(bench_id, depth), rc)`, but qft_ct and
-    qaoa_ct go from the letters of their parametric builds to the plan with
-    no lowered circuit built."""
-    if bench_id in ("qft_ct", "qaoa_ct") and depth is None:
-        return plan_of(BENCHMARKS[bench_id].n_qubits, *_lowered(bench_id), rc)
-    return compile_plan(build_benchmark(bench_id, depth), rc)
-
-
-def _lowered(bench_id: str) -> tuple[np.ndarray, list, tuple]:
-    # qft_ct's or qaoa_ct's letters: its parametric build, lowered.
-    return _finish(*lower_letters(*read_letters(build_benchmark(
-        bench_id.removesuffix("_ct")))))
+    """`compile_plan(build_benchmark(bench_id, depth), rc)`, with no circuit
+    written from the letters."""
+    letters, flips, keys = benchmark_letters(bench_id, depth)
+    return plan_of(letters.shape[1], letters, flips, keys, rc)
 
 
 def _finish(letters, flips, keys) -> tuple[np.ndarray, list, tuple]:
@@ -108,15 +110,18 @@ def _finish(letters, flips, keys) -> tuple[np.ndarray, list, tuple]:
 
 def build_idle(n: int, depth: int) -> Circuit:
     """depth cycles with no gates at all."""
-    if n < 1 or depth < 1:
-        raise InvalidParams("idle circuit needs n >= 1 and depth >= 1")
+    if not (is_integer(n) and is_integer(depth)) or n < 1 or depth < 1:
+        raise InvalidParams(
+            f"idle circuit needs integers n >= 1 and depth >= 1, not {n!r} "
+            f"and {depth!r}")
     return Circuit(n, (Cycle(),) * depth, CLIFFORD_T)
 
 
 _RANDOM_SINGLES = ("i", "x", "y", "z", "h")
-_RANDOM_UNITARIES = np.stack([FIXED_MATRICES[name] for name in _RANDOM_SINGLES])
-# A random circuit's letter keys, and the letter of each of _RANDOM_SINGLES.
+# A random circuit's letter keys, their unitaries, and the letter of each of
+# _RANDOM_SINGLES.
 _RANDOM_KEYS = tuple((name, None) for name in PLAN_LETTERS + ("h",))
+_RANDOM_UNITARIES = np.stack([FIXED_MATRICES[name] for name, _ in _RANDOM_KEYS])
 _RANDOM_LETTERS = np.array([0, 1, 3, 2, 6])
 CNOT_CYCLE_PROB = 0.25
 
@@ -158,8 +163,10 @@ def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
     `choice(n, 2, replace=False)` if below CNOT_CYCLE_PROB, and `integers(5)`
     per other qubit: a word and at most n + 1 halves, so the first block of
     words runs out only after a rejection."""
-    if n < 2:
-        raise InvalidParams("random circuit needs n >= 2")
+    if not (is_integer(n) and is_integer(depth)) or n < 2 or depth < 1:
+        raise InvalidParams(
+            f"random circuit needs integers n >= 2 and depth >= 1, not "
+            f"{n!r} and {depth!r}")
     draws = _RawDraws(pcg64(seed), depth * (n + 3) // 2 + 4)
     top = len(_RANDOM_SINGLES) - 1
     singles, flips = [], []
@@ -195,14 +202,15 @@ def build_random(n: int, depth: int, seed=None) -> Circuit:
 
 def random_plan(n: int, depth: int, seeds) -> CircuitPlan:
     """The circuits `build_random` draws from `seeds`, one trial each, as one
-    plan: letters (trial, cycle, qubit) indexing _RANDOM_SINGLES, and one
-    segment per cycle, whose CNOT flips are each trial's own."""
-    draws = [_draw_random(n, depth, s) for s in seeds]
-    letters = np.array([singles for singles, _ in draws],
-                       dtype=np.intp).reshape(len(draws), depth, n)
-    segments = tuple((k, k + 1, tuple(flips[k] for _, flips in draws))
+    plan: each trial's `random_letters`, and one segment per cycle, whose
+    CNOT flips are each trial's own."""
+    trials = [random_letters(n, depth, s) for s in seeds]
+    if not trials:
+        raise InvalidParams("random_plan needs at least one seed")
+    segments = tuple((k, k + 1, tuple(flips[k] for _, flips, _ in trials))
                      for k in range(depth))
-    return CircuitPlan(n, letters, _RANDOM_UNITARIES, segments)
+    return CircuitPlan(n, np.stack([letters for letters, _, _ in trials]),
+                       _RANDOM_UNITARIES, segments)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +251,9 @@ def _adder_abstract_gates(bits: int) -> list[tuple]:
     return ops
 
 
-def build_adder(bits: int = 2) -> Circuit:
-    """Ripple adder over Clifford+T; b register receives a+b on basis inputs."""
-    if bits < 1:
-        raise InvalidParams("adder needs bits >= 1")
+def _adder_letters(bits: int) -> tuple[np.ndarray, list, tuple]:
+    if not is_integer(bits) or bits < 1:
+        raise InvalidParams(f"adder needs an integer bits >= 1, not {bits!r}")
     n = 3 * bits + 1
     cycles: list[Cycle] = []
     for op in _adder_abstract_gates(bits):
@@ -254,8 +261,13 @@ def build_adder(bits: int = 2) -> Circuit:
             cycles.append(Cycle((Gate.cnot(op[1], op[2]),)))
         else:
             cycles.extend(toffoli_decomposition(op[1], op[2], op[3], n).cycles)
-    return circuit_of(n, *_finish(*read_letters(Circuit(n, cycles))),
-                      CLIFFORD_T)
+    return _finish(*read_letters(Circuit(n, cycles)))
+
+
+def build_adder(bits: int = 2) -> Circuit:
+    """Ripple adder over Clifford+T; b register receives a+b on basis inputs."""
+    letters, flips, keys = _adder_letters(bits)
+    return circuit_of(letters.shape[1], letters, flips, keys, CLIFFORD_T)
 
 
 def adder_input_index(a: int, b: int, bits: int = 2) -> int:

@@ -86,13 +86,15 @@ class Circuit:
 def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
                         targets: tuple[int, ...], n: int) -> np.ndarray:
     """Conjugate rho by a gate's unitary on `targets`: U rho U^dagger, as a
-    one-cycle plan. A 2x2 u is letter 1 of the table [I, u] on its qubit; a
-    multi-qubit u must be the CNOT matrix, the cycle's flip."""
+    one-cycle plan. A 2x2 u, unitary within 1e-9, is letter 1 of the table
+    [I, u] on its qubit; a multi-qubit u must be the CNOT matrix, the
+    cycle's flip."""
     targets = tuple(targets)
     if any(q >= n for q in targets):
         raise WidthMismatch(f"targets {targets} exceed width {n}")
     letters = np.zeros((1, 1, n), dtype=np.intp)
-    if u.shape == (2, 2) and len(targets) == 1:
+    if (u.shape == (2, 2) and len(targets) == 1
+            and np.allclose(u @ u.conj().T, I2, rtol=0, atol=1e-9)):
         letters[0, 0, targets[0]] = 1
         plan = CircuitPlan(n, letters, np.stack([I2, u]), ((0, 1, ((),)),))
     elif np.array_equal(u, CNOT):
@@ -100,7 +102,7 @@ def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
     else:
         raise InvalidParams(
             f"operator of shape {u.shape} on {targets} is not a one-qubit "
-            "gate or CNOT")
+            "unitary or CNOT")
     return _run_matrix(plan, rho)
 
 

@@ -10,6 +10,7 @@ from qnoisebench.benchmarks import (
     MaxCutGraph,
     adder_input_index,
     adder_sum_from_index,
+    benchmark_plan,
     build_adder,
     build_benchmark,
     build_idle,
@@ -19,10 +20,11 @@ from qnoisebench.benchmarks import (
     cut_sizes,
     maxcut_expectation,
     optimize_qaoa_angles,
+    random_letters,
     random_plan,
 )
 from qnoisebench.circuits import (CLIFFORD_T, circuit_unitary, compile_plan,
-                                  read_letters, simulate)
+                                  plan_of, read_letters, simulate)
 from qnoisebench.compiling import hard_cycles
 from qnoisebench.errors import InvalidParams
 from qnoisebench.linalg import phase_aligned_distance
@@ -46,6 +48,8 @@ def test_idle_rejects_bad_sizes():
         build_idle(0, 5)
     with pytest.raises(InvalidParams):
         build_idle(4, 0)
+    with pytest.raises(InvalidParams):
+        build_idle(4, 2.5)
 
 
 def test_random_circuit_census():
@@ -65,18 +69,25 @@ def test_random_circuit_seeding():
     assert a.cycles != build_random(4, 30, seed=6).cycles
     with pytest.raises(InvalidParams):
         build_random(1, 10)
+    with pytest.raises(InvalidParams):  # no cycles
+        build_random(4, 0)
 
 
 def test_random_plan_is_the_compiled_random_circuits():
     """The drawn plan equals `compile_plan(build_random(...))` per trial: each
     cell's gate matrix and each cycle's CNOT flips, for 552 seeds at every
-    depth from 2 to 70."""
+    depth from 2 to 70. Its letters are each trial's `random_letters`, over
+    the one table of their keys."""
+    keyed = plan_of(4, *random_letters(4, 2, 0)).unitaries
     for depth in range(2, 71):
         seeds = range(8 * depth, 8 * depth + 8)
         plan = random_plan(4, depth, seeds)
         assert plan.letters.shape == (len(seeds), depth, 4)
         assert [start for start, _, _ in plan.segments] == list(range(depth))
+        np.testing.assert_array_equal(plan.unitaries, keyed)
         for t, seed in enumerate(seeds):
+            np.testing.assert_array_equal(
+                plan.letters[t], random_letters(4, depth, seed)[0])
             ref = compile_plan(build_random(4, depth, seed=seed))
             np.testing.assert_array_equal(plan.unitaries[plan.letters[t]],
                                           ref.unitaries[ref.letters[0]])
@@ -85,6 +96,10 @@ def test_random_plan_is_the_compiled_random_circuits():
                 opened.get(k, ()) for k in range(depth)]
     with pytest.raises(InvalidParams):
         random_plan(1, 10, [0])
+    with pytest.raises(InvalidParams):
+        random_plan(4, -1, [1])
+    with pytest.raises(InvalidParams):  # no trials
+        random_plan(4, 10, [])
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +313,11 @@ def test_build_benchmark_rejects_bad_requests():
         build_benchmark("idle", depth=1)
     with pytest.raises(InvalidParams):
         build_benchmark("idle", depth=71)
+    for bad in (lambda: build_benchmark("idle", depth=2.5),
+                lambda: build_benchmark("idle", depth="x"),
+                lambda: benchmark_plan("idle", 2.5),
+                lambda: benchmark_plan(["idle"]),
+                lambda: build_benchmark(["idle"]),
+                lambda: build_adder(1.5)):
+        with pytest.raises(InvalidParams):
+            bad()

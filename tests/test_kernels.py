@@ -122,8 +122,8 @@ def test_every_gate_at_every_placement(model, n):
 
 
 def test_apply_local_unitary_rejects_other_operators():
-    """Only one-qubit gates and the CNOT have a kernel; an operator that is
-    neither (the Toffoli's matrix among them), or one wider than the
+    """Only one-qubit unitaries and the CNOT have a kernel; an operator that
+    is neither (the Toffoli's matrix among them), or one wider than the
     register, is refused."""
     rho = random_density(2, np.random.default_rng(0))
     with pytest.raises(InvalidParams):
@@ -136,6 +136,8 @@ def test_apply_local_unitary_rejects_other_operators():
                             toffoli, (0, 1, 2), 3)
     with pytest.raises(WidthMismatch):
         apply_local_unitary(rho, H, (2,), 2)
+    with pytest.raises(InvalidParams):  # 2x2, but not unitary
+        apply_local_unitary(rho, np.zeros((2, 2)), (0,), 2)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)

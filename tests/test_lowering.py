@@ -83,9 +83,11 @@ def ref_benchmark(bench_id, depth=None):
             else:
                 cycles.extend(toffoli_decomposition(*op[1:], 7).cycles)
         return ref_finish(Circuit(7, tuple(cycles), CLIFFORD_T))
-    param = (build_qft(4) if bench_id == "qft_ct" else
+    param = (build_qft(4) if bench_id.startswith("qft") else
              build_qaoa(MaxCutGraph.hypercube(), QAOA_BETA_STAR,
                         QAOA_GAMMA_STAR))
+    if bench_id in ("qft", "qaoa"):
+        return param
     return ref_finish(ref_to_clifford_t(param))
 
 
@@ -110,10 +112,11 @@ def assert_same_plan(got, want):
         np.testing.assert_array_equal(a, b, err_msg=f.name)
 
 
-@pytest.mark.parametrize("rc", [False, True])
-@pytest.mark.parametrize("bench, depth", [
-    ("qft_ct", None), ("qaoa_ct", None), ("adder", None),
-    ("idle", 2), ("idle", 10), ("idle", 70)])
+@pytest.mark.parametrize("bench, depth, rc", [
+    (bench, depth, rc)
+    for bench, depth in [("qft_ct", None), ("qaoa_ct", None), ("adder", None),
+                         ("idle", 2), ("idle", 10), ("idle", 70)]
+    for rc in (False, True)] + [("qft", None, False), ("qaoa", None, False)])
 def test_benchmark_plan_equals_the_gate_by_gate_build(bench, depth, rc):
     want = ref_benchmark(bench, depth)
     assert_same_plan(benchmark_plan(bench, depth, rc), compile_plan(want, rc))
@@ -177,7 +180,7 @@ def test_a_rotation_with_an_empty_word_lowers_to_an_idle_qubit():
         assert rx.cycles == (Cycle((G.h(0),)),) * 2
 
 
-@pytest.mark.parametrize("bench", ["qft_ct", "qaoa_ct"])
+@pytest.mark.parametrize("bench", ["qft_ct", "qaoa_ct", "adder"])
 def test_benchmark_plan_builds_no_lowered_circuit(monkeypatch, bench):
     """The fixed Clifford+T plans go from letters to the plan: no call
     writes a circuit from letters or lowers or interleaves a `Circuit`."""
@@ -189,4 +192,4 @@ def test_benchmark_plan_builds_no_lowered_circuit(monkeypatch, bench):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     plan = benchmark_plan(bench, rc=True)
-    assert plan.twirl is not None and plan.letters.shape[1] in (140, 242)
+    assert plan.twirl is not None and plan.letters.shape[1] in (140, 160, 242)
