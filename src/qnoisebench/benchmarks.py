@@ -92,7 +92,11 @@ def build_benchmark(bench_id: str, depth: int | None = None,
 def benchmark_plan(bench_id: str, depth: int | None = None,
                    rc: bool = False) -> CircuitPlan:
     """`compile_plan(build_benchmark(bench_id, depth), rc)`, with no circuit
-    written from the letters."""
+    written from the letters. A random circuit needs its seeds, so "random"
+    raises InvalidParams: its plans come from `random_plan`."""
+    if bench_id == "random":
+        raise InvalidParams("benchmark_plan draws no random circuit: plan it "
+                            "with random_plan(n, depth, seeds)")
     letters, flips, keys = benchmark_letters(bench_id, depth)
     return plan_of(letters.shape[1], letters, flips, keys, rc)
 
@@ -202,15 +206,12 @@ def build_random(n: int, depth: int, seed=None) -> Circuit:
 
 def random_plan(n: int, depth: int, seeds) -> CircuitPlan:
     """The circuits `build_random` draws from `seeds`, one trial each, as one
-    plan: each trial's `random_letters`, and one segment per cycle, whose
-    CNOT flips are each trial's own."""
+    plan: each trial's `random_letters` and its own CNOT flips."""
     trials = [random_letters(n, depth, s) for s in seeds]
     if not trials:
         raise InvalidParams("random_plan needs at least one seed")
-    segments = tuple((k, k + 1, tuple(flips[k] for _, flips, _ in trials))
-                     for k in range(depth))
-    return CircuitPlan(n, np.stack([letters for letters, _, _ in trials]),
-                       _RANDOM_UNITARIES, segments)
+    letters, flips, _ = zip(*trials)
+    return CircuitPlan(n, np.stack(letters), _RANDOM_UNITARIES, flips)
 
 
 # ---------------------------------------------------------------------------

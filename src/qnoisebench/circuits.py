@@ -96,9 +96,9 @@ def apply_local_unitary(rho: np.ndarray, u: np.ndarray,
     if (u.shape == (2, 2) and len(targets) == 1
             and np.allclose(u @ u.conj().T, I2, rtol=0, atol=1e-9)):
         letters[0, 0, targets[0]] = 1
-        plan = CircuitPlan(n, letters, np.stack([I2, u]), ((0, 1, ((),)),))
+        plan = CircuitPlan(n, letters, np.stack([I2, u]), [[()]])
     elif np.array_equal(u, CNOT):
-        plan = CircuitPlan(n, letters, I2[None], ((0, 1, ((targets,),)),))
+        plan = CircuitPlan(n, letters, I2[None], [[(targets,)]])
     else:
         raise InvalidParams(
             f"operator of shape {u.shape} on {targets} is not a one-qubit "
@@ -137,63 +137,58 @@ class CircuitPlan:
     """Circuits read once for simulation. `letters[t, k, q]` indexes
     `unitaries`, the 2x2 of each distinct one-qubit gate (0: idle, CNOT
     qubits too), for cycle k of trial t; a compiled circuit is one trial that
-    a whole batch shares. Segment (start, stop, flips) runs the CNOTs
-    (control, target) of cycle `start`, flips[t] for trial t or flips[0] for
-    every trial, then per qubit one map composed over cycles start..stop-1.
-    `twirl` is a `compiling.Twirl` if compiled for randomized compiling.
+    a whole batch shares. `flips[t][k]` is the tuple of CNOTs (control,
+    target) of cycle k in trial t, as `read_letters` writes it: one list per
+    trial of letters, or one list that every trial shares. `twirl` is a
+    `compiling.Twirl` if compiled for randomized compiling.
 
-    Each distinct set of flips is coded once: `flip_sets[0]` is (), the sets
-    of per-trial segments come next (the first `gathered` codes, 0 if there
-    are none) and the shared ones last. `flip_codes[k]` holds segment k's
-    codes, one per trial or one for every trial. A segment whose count of
-    flips is neither 1 nor len(letters), or a flip that is not two distinct
-    qubits below n_qubits, raises InvalidParams."""
+    The plan cuts its cycles into `segments` (start, stop): one opens on
+    cycle 0 and on every cycle where some trial has a CNOT, and runs that
+    cycle's CNOTs, then per qubit one map composed over cycles start..stop-1.
+    Each distinct set of flips is coded once, in order of first use:
+    `flip_sets[0]` is (), and `flip_codes[k, t]` is the code of segment k in
+    flip list t. A count of flip lists neither 1 nor len(letters), a list
+    that is not one set per cycle, or a flip that is not two distinct qubits
+    below n_qubits raises InvalidParams."""
 
     n_qubits: int
     letters: np.ndarray
     unitaries: np.ndarray
-    segments: tuple
+    flips: list
     twirl: object = None
     ptms: np.ndarray = field(init=False)  # R(u (x) conj(u)) per letter
+    segments: tuple = field(init=False)
     flip_sets: tuple = field(init=False)
-    flip_codes: tuple = field(init=False)
-    gathered: int = field(init=False)
+    flip_codes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ptms",
                            pauli_transfer(pair_superoperator(self.unitaries)))
-        trials = len(self.letters)
-        for start, _, flips in self.segments:
-            if len(flips) not in (1, trials):
-                raise InvalidParams(
-                    f"segment at cycle {start} has {len(flips)} flips for "
-                    f"{trials} trials of letters")
-        # Codes go in order of first use, per-trial segments read first, so
-        # their sets hold codes 0..gathered-1, the table `run` stacks.
-        segs = sorted(range(len(self.segments)),
-                      key=lambda k: len(self.segments[k][2]) == 1)
+        trials, depth = self.letters.shape[:2]
+        sizes = [len(f) for f in self.flips]
+        if len(sizes) not in (1, trials) or set(sizes) - {depth}:
+            raise InvalidParams(
+                f"flip lists of {sizes} sets: {trials} trials of {depth} "
+                f"cycles need 1 or {trials} lists of {depth}")
+        starts = [k for k in range(depth)
+                  if not k or any(f[k] for f in self.flips)]
         index = {(): 0}
-        flat = np.array([index.setdefault(f, len(index))
-                         for k in segs for f in self.segments[k][2]],
-                        dtype=np.intp)
-        codes, lo = [None] * len(segs), 0
-        for k in segs:
-            codes[k] = flat[lo:lo + len(self.segments[k][2])]
-            lo += len(codes[k])
-        each = sum(len(c) for c in codes if len(c) > 1)
+        codes = [index.setdefault(f[k], len(index))
+                 for k in starts for f in self.flips]
+        object.__setattr__(self, "segments",
+                           tuple(zip(starts, starts[1:] + [depth])))
         object.__setattr__(self, "flip_sets", tuple(index))
-        object.__setattr__(self, "flip_codes", tuple(codes))
+        object.__setattr__(self, "flip_codes", np.array(
+            codes, dtype=np.intp).reshape(len(starts), len(self.flips)))
         bad = {g for f in index for g in f} - set(
             itertools.permutations(range(self.n_qubits), 2))
         if not bad:  # (0.0, 1) == (0, 1): check a flip per type of qubit
-            kinds = {type(q): g for _, _, flips in self.segments
+            kinds = {type(q): g for flips in self.flips
                      for f in flips for g in f for q in g}
             bad = {g for g in kinds.values() if not all(map(is_integer, g))}
         if bad:
             raise InvalidParams(f"flip {next(iter(bad))} is not a CNOT on "
                                 f"two of {self.n_qubits} qubits")
-        object.__setattr__(self, "gathered", int(flat[:each].max()) + 1
-                           if each else 0)
 
     def _compose(self, noise: NoiseModel = NoNoise(), seeds=None,
                  ket: bool = False) -> np.ndarray:
@@ -220,13 +215,13 @@ class CircuitPlan:
         table = frame_maps
         if not isinstance(noise, NoNoise):
             table = noise.ptm @ frame_maps
-        if frames is None and all(b - a == 1 for a, b, _ in self.segments):
+        if frames is None and all(b - a == 1 for a, b in self.segments):
             return table[letters]  # segment k is cycle k
         # Cycles k and k + 1 of a segment pair up into one word, T[b] T[a]
         # for letters (a, b); an odd segment's last cycle stands alone.
         u, d = len(table), table.shape[-1]
         first, lone, spans = [], [], []
-        for start, stop, _ in self.segments:
+        for start, stop in self.segments:
             odd = (stop - start) % 2
             spans.append((len(first), (stop - start) // 2,
                           len(lone) if odd else None))
@@ -276,10 +271,10 @@ class CircuitPlan:
 
         Per segment, one gather and one kernel pass on a slice of the batch
         (at most _SLICE_BYTES, one state at least, so it stays in cache); a
-        map that is exactly the identity for every trial is skipped. Flips
-        shared by the slice gather by their one cached order; per-trial flips
-        gather the slice in one flat take through a table of the orders (and
-        Pauli signs) of the plan's `gathered` sets, stacked once per call."""
+        map that is exactly the identity for every trial is skipped. A shared
+        flip list gathers the slice by its one cached order; one list per
+        trial gathers it in one flat take through a table of the orders (and
+        Pauli signs) of all `flip_sets`, stacked once per call."""
         n = self.n_qubits
         ket = states.shape[1:] == (2 ** n,)
         pauli = states.shape[1:] == (4 ** n,) and states.dtype == np.float64
@@ -301,10 +296,9 @@ class CircuitPlan:
             raise InvalidParams(
                 f"{len(maps)} trials of maps for a batch of {len(states)} states")
         idle = (maps == np.eye(maps.shape[-1])).all(axis=(0, -2, -1)).tolist()
-        sets = self.flip_sets
-        if self.gathered:
-            orders, signs = zip(*(_flip_order(f, n, pauli)
-                                  for f in sets[:self.gathered]))
+        sets, per_trial = self.flip_sets, len(self.flips) > 1
+        if per_trial:
+            orders, signs = zip(*(_flip_order(f, n, pauli) for f in sets))
             orders = np.stack(orders)
             signs = np.stack(signs) if pauli else None
         step = max(1, _SLICE_BYTES // states[0].nbytes)
@@ -312,11 +306,11 @@ class CircuitPlan:
         for lo in range(0, len(states), step):
             trials = slice(lo, lo + step)
             w = states[trials]
-            if self.gathered:
+            if per_trial:
                 offsets = np.arange(0, w.size, w.shape[1])[:, None]
             for codes, seg, skip in zip(self.flip_codes,
                                         maps.swapaxes(0, 1), idle):
-                codes = codes if len(codes) == 1 else codes[trials]
+                codes = codes[trials] if per_trial else codes
                 if len(codes) == 1:  # one order for every trial
                     if codes[0]:
                         order, sign = _flip_order(sets[codes[0]], n, pauli)
@@ -368,12 +362,9 @@ def plan_of(n: int, letters: np.ndarray, flips, keys,
     with its randomized-compiling tables if rc (see `compile_plan`)."""
     from .compiling import Twirl  # compiling imports this module
 
-    starts = [k for k, pairs in enumerate(flips) if pairs or not k]
-    segments = tuple((a, b, (flips[a],))
-                     for a, b in zip(starts, starts[1:] + [len(flips)]))
     unitaries = [FIXED_MATRICES[name] if angle is None
                  else Gate(name, (0,), angle).matrix() for name, angle in keys]
-    return CircuitPlan(n, letters[None], np.stack(unitaries), segments,
+    return CircuitPlan(n, letters[None], np.stack(unitaries), [flips],
                        Twirl.of_plan(letters, flips, keys) if rc else None)
 
 

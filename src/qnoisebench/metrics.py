@@ -41,7 +41,7 @@ def average_gate_fidelity(u: np.ndarray, noise: NoiseModel) -> float:
     if u.shape != (2, 2):
         raise DimMismatch(f"expected a 2x2 unitary, got {u.shape}")
     plan = CircuitPlan(1, np.ones((1, 1, 1), dtype=np.intp),
-                       np.stack([I2, u]), ((0, 1, ((),)),))
+                       np.stack([I2, u]), [[()]])
     ideal = product_pauli(plan.run(_AXIS_KETS)[:, None])
     noisy = plan.run(product_pauli(_AXIS_KETS[:, None]), noise)
     return 2 * float(np.einsum("tp,tp->", ideal, noisy)) / len(_AXIS_KETS)

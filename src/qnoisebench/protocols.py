@@ -154,7 +154,8 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
     product; the noise channel fires once after every Clifford. The
     sequences of one length run as one batch of |0> Pauli vectors through a
     one-qubit `CircuitPlan`: its letters are the drawn Clifford indices, its
-    table the 24 Clifford unitaries, and its one segment all m + 1 cycles.
+    table the 24 Clifford unitaries, and its one shared flip list m + 1
+    empty cycles, so the plan composes all of them as one segment.
     Lengths that are not a sequence of integers >= 1, or more than
     MAX_RB_CYCLES cycles in all, raise InvalidParams.
     """
@@ -172,8 +173,7 @@ def rb_experiment(lengths: Sequence[int], sequences_per_length: int = 50,
     for m in lengths:
         letters = np.array([rb_sequence_indices(m, rng)
                             for _ in range(sequences_per_length)])
-        plan = CircuitPlan(1, letters[:, :, None], cliffords,
-                           ((0, m + 1, ((),)),))
+        plan = CircuitPlan(1, letters[:, :, None], cliffords, [[()] * (m + 1)])
         means.append(pauli_diagonals(plan.run(start, noise), 1)[:, 0].mean())
     return np.asarray(means)
 

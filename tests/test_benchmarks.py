@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qnoisebench import benchmarks
 from qnoisebench.benchmarks import (
     BENCHMARKS,
     QAOA_BETA_STAR,
@@ -77,29 +78,47 @@ def test_random_plan_is_the_compiled_random_circuits():
     """The drawn plan equals `compile_plan(build_random(...))` per trial: each
     cell's gate matrix and each cycle's CNOT flips, for 552 seeds at every
     depth from 2 to 70. Its letters are each trial's `random_letters`, over
-    the one table of their keys."""
+    the one table of their keys, and a segment opens on cycle 0 and exactly
+    where some trial has a CNOT."""
     keyed = plan_of(4, *random_letters(4, 2, 0)).unitaries
     for depth in range(2, 71):
         seeds = range(8 * depth, 8 * depth + 8)
         plan = random_plan(4, depth, seeds)
         assert plan.letters.shape == (len(seeds), depth, 4)
-        assert [start for start, _, _ in plan.segments] == list(range(depth))
+        refs = [compile_plan(build_random(4, depth, seed=s)) for s in seeds]
+        starts = [k for k in range(depth)
+                  if not k or any(ref.flips[0][k] for ref in refs)]
+        assert [start for start, _ in plan.segments] == starts
         np.testing.assert_array_equal(plan.unitaries, keyed)
-        for t, seed in enumerate(seeds):
+        for t, (seed, ref) in enumerate(zip(seeds, refs)):
             np.testing.assert_array_equal(
                 plan.letters[t], random_letters(4, depth, seed)[0])
-            ref = compile_plan(build_random(4, depth, seed=seed))
             np.testing.assert_array_equal(plan.unitaries[plan.letters[t]],
                                           ref.unitaries[ref.letters[0]])
-            opened = {start: flips[0] for start, _, flips in ref.segments}
-            assert [flips[t] for _, _, flips in plan.segments] == [
-                opened.get(k, ()) for k in range(depth)]
+            opened = {start: plan.flip_sets[codes[t]] for (start, _), codes
+                      in zip(plan.segments, plan.flip_codes)}
+            assert [opened.get(k, ()) for k in range(depth)] == ref.flips[0]
     with pytest.raises(InvalidParams):
         random_plan(1, 10, [0])
     with pytest.raises(InvalidParams):
         random_plan(4, -1, [1])
     with pytest.raises(InvalidParams):  # no trials
         random_plan(4, 10, [])
+
+
+def test_benchmark_plan_refuses_random_before_drawing(monkeypatch):
+    """A random circuit needs its seeds, so `benchmark_plan("random", depth)`
+    raises InvalidParams naming `random_plan` at any depth, before a letter
+    is drawn, instead of planning an entropy-seeded circuit."""
+    def drawn(*args):
+        raise AssertionError("benchmark_plan drew a random circuit")
+
+    monkeypatch.setattr(benchmarks, "benchmark_letters", drawn)
+    monkeypatch.setattr(benchmarks, "random_letters", drawn)
+    for depth in (10, 2, 70, None, 2.5):
+        with pytest.raises(InvalidParams,
+                           match=r"random_plan\(n, depth, seeds\)"):
+            benchmark_plan("random", depth)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,41 @@ def test_drawn_batch_matches_dense_oracle(monkeypatch, model, slice_bytes):
                                    atol=ATOL)
 
 
+@pytest.mark.parametrize("slice_bytes", [None, 512, 4096])
+def test_drawn_batch_opens_no_segment_where_no_trial_flips(monkeypatch,
+                                                           slice_bytes):
+    """A drawn plan opens a segment on cycle 0 and on each cycle where some
+    trial has a CNOT, and nowhere else: three trials of depth 12 leave
+    cycles that no trial flips inside longer segments. Each trial still
+    equals its circuit's dense oracle under every model as a Pauli vector
+    and `circuit_unitary` as a ket, whole and in slices (one or two Pauli
+    vectors, two kets)."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(circuits, "_SLICE_BYTES", slice_bytes)
+    seeds, depth = (3, 4, 5), 12
+    plan = random_plan(4, depth, seeds)
+    circs = [build_random(4, depth, seed=s) for s in seeds]
+    flipped = {k for c in circs for k, cycle in enumerate(c.cycles)
+               if any(len(g.qubits) == 2 for g in cycle.gates)}
+    starts = [a for a, _ in plan.segments]
+    assert starts == sorted({0} | flipped)
+    assert set(range(1, depth)) - flipped, "every cycle has a CNOT"
+    rng = np.random.default_rng(13)
+    rhos = np.stack([random_density(4, rng) for _ in seeds])
+    kets = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    got_kets = plan.run(kets)
+    for model in MODELS:
+        got = from_pauli(plan.run(to_pauli(rhos, 4), model), 4)
+        for t, circ in enumerate(circs):
+            np.testing.assert_allclose(
+                got[t], dense_oracle(circ, rhos[t], model), atol=ATOL,
+                err_msg=repr(model))
+    for t, circ in enumerate(circs):
+        np.testing.assert_allclose(got_kets[t], circuit_unitary(circ) @ kets[t],
+                                   atol=ATOL)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=repr)
 def test_superoperator_is_kraus_sum(model):
     want = sum(np.kron(k, k.conj()) for k in kraus_operators(model))
@@ -320,7 +355,7 @@ def product_chain(plan, model, seeds=None):
         letters[:, plan.twirl.easy] = merged
     cycle_maps = table[letters]
     segs = []
-    for start, stop, _ in plan.segments:
+    for start, stop in plan.segments:
         m = cycle_maps[:, start]
         for k in range(start + 1, stop):
             m = cycle_maps[:, k] @ m
@@ -371,12 +406,12 @@ def test_word_compose_over_segments_of_one_two_and_three_cycles():
     and 3 cycles, for the compiled trial and for five trials of random
     letters over the same table."""
     plan = compile_plan(segment_lengths_circuit())
-    assert [b - a for a, b, _ in plan.segments] == [1, 2, 3]
+    assert [b - a for a, b in plan.segments] == [1, 2, 3]
     assert_compose_matches_chain(plan)
     letters = np.random.default_rng(3).integers(
         0, len(plan.unitaries), (5,) + plan.letters.shape[1:])
     assert_compose_matches_chain(CircuitPlan(3, letters, plan.unitaries,
-                                             plan.segments))
+                                             plan.flips))
 
 
 def test_word_compose_puts_the_frame_on_a_one_cycle_last_segment():
@@ -388,7 +423,7 @@ def test_word_compose_puts_the_frame_on_a_one_cycle_last_segment():
                        Cycle((G.sdg(0), G.z(1))), Cycle((G.cnot(1, 0),))),
                    CLIFFORD_T)
     plan = compile_plan(circ, rc=True)
-    assert [b - a for a, b, _ in plan.segments] == [3, 2, 1]
+    assert [b - a for a, b in plan.segments] == [3, 2, 1]
     assert_compose_matches_chain(plan, range(5))
 
 
@@ -413,7 +448,8 @@ def test_word_compose_of_rb_sequences(m):
     cliffords = clifford_group()[0]
     letters = np.array([rb_sequence_indices(m, rng) for _ in range(50)])
     plan = CircuitPlan(1, letters[:, :, None], np.stack(cliffords),
-                       ((0, m + 1, ((),)),))
+                       [[()] * (m + 1)])
+    assert plan.segments == ((0, m + 1),)
     assert_compose_matches_chain(plan)
 
 
@@ -463,9 +499,9 @@ def test_ket_word_compose_is_the_circuit_unitary(bench):
     plan = compile_plan(circ)
     maps = plan._compose(ket=True)[0]
     u = np.eye(2 ** n, dtype=np.complex128)
-    for (_, _, (flips,)), seg in zip(plan.segments, maps):
+    for (start, _), seg in zip(plan.segments, maps):
         flip = circuit_unitary(Circuit(n, (Cycle(tuple(
-            Gate.cnot(*f) for f in flips)),)))
+            Gate.cnot(*f) for f in plan.flips[0][start])),)))
         u = functools.reduce(np.kron, seg) @ flip @ u
     np.testing.assert_allclose(u, circuit_unitary(circ), rtol=0, atol=ATOL)
 
@@ -572,19 +608,16 @@ def per_trial_toffoli_plan():
                     + (Cycle(),) * (toffoli.depth - 3))
     circs = [toffoli, other]
     letters = np.zeros((2, toffoli.depth, 3), dtype=np.intp)
-    flips = {}
+    flips = [[()] * toffoli.depth for _ in circs]
     for t, circ in enumerate(circs):
         for k, cycle in enumerate(circ.cycles):
             for g in cycle.gates:
                 if g.name == "cnot":
-                    flips.setdefault(k, [(), ()])[t] += (g.qubits,)
+                    flips[t][k] += (g.qubits,)
                 else:
                     letters[t, k, g.qubits[0]] = names.index(g.name)
-    starts = sorted({0, *flips})
-    segments = tuple((a, b, tuple(flips.get(a, ((),))))
-                     for a, b in zip(starts, starts[1:] + [toffoli.depth]))
     unitaries = np.stack([gate_matrix(Gate(name, (0,)), 1) for name in names])
-    return CircuitPlan(3, letters, unitaries, segments), circs
+    return CircuitPlan(3, letters, unitaries, flips), circs
 
 
 def pauli_oracle_plans(rng):
@@ -721,60 +754,67 @@ def test_per_trial_toffoli_segment_matches_dense_oracle(model):
                                    atol=ATOL)
 
 
-# Per trial of a 4-qubit plan, the flips opening each of its three per-trial
-# segments: sets repeat across trials and segments, some hold two CNOTs, some
-# trials flip nothing, and trial 4 alone opens segment 0 with its set. The
-# last segment's one CNOT is shared by every trial.
+# Per trial of a 4-qubit plan, the flips of the cycles that open its first
+# three segments: sets repeat across trials and segments, some hold two
+# CNOTs, and some trials flip nothing. The last segment's one CNOT is in
+# every trial.
 FLIP_TABLE_FLIPS = (
     (((0, 1),), ((0, 1), (2, 3)), (), ((0, 1),), ((1, 3), (2, 0))),
     (((2, 3), (1, 0)), (), ((0, 1), (2, 3)), (), ()),
     ((), ((3, 2),), ((0, 1),), ((0, 1), (2, 3)), ((3, 2),)),
+    (((1, 2),),) * 5,
 )
 FLIP_TABLE_STARTS = (0, 2, 3, 6, 7)  # segments of 2, 1, 3 and 1 cycles
 FLIP_TABLE_NAMES = ("i", "h", "s", "t", "x")
 
 
 def flip_table_plan():
-    """The plan of FLIP_TABLE_FLIPS with random letters (idle on a flip's
-    qubits in its segment's first cycle), and each trial's circuit."""
+    """The plan of FLIP_TABLE_FLIPS, one flip list per trial with no CNOT
+    outside the segment starts, with random letters (idle on a flip's qubits
+    in its cycle), and each trial's circuit."""
     rng = np.random.default_rng(29)
     trials, depth, n = 5, FLIP_TABLE_STARTS[-1], 4
     letters = rng.integers(len(FLIP_TABLE_NAMES), size=(trials, depth, n))
-    segments = tuple(zip(FLIP_TABLE_STARTS, FLIP_TABLE_STARTS[1:],
-                         (*FLIP_TABLE_FLIPS, (((1, 2),),))))
+    flips = [[()] * depth for _ in range(trials)]
+    for start, sets in zip(FLIP_TABLE_STARTS, FLIP_TABLE_FLIPS):
+        for t, f in enumerate(sets):
+            flips[t][start] = f
     circs = []
     for t in range(trials):
         cycles = []
-        for start, stop, flips in segments:
-            (flips_t,) = flips if len(flips) == 1 else (flips[t],)
-            for q in {q for f in flips_t for q in f}:
-                letters[t, start, q] = 0
-            for k in range(start, stop):
-                gates = [Gate.cnot(*f) for f in (flips_t if k == start else ())]
-                gates += [Gate(FLIP_TABLE_NAMES[a], (q,))
-                          for q, a in enumerate(letters[t, k]) if a]
-                cycles.append(Cycle(tuple(gates)))
+        for k in range(depth):
+            for q in {q for f in flips[t][k] for q in f}:
+                letters[t, k, q] = 0
+            gates = [Gate.cnot(*f) for f in flips[t][k]]
+            gates += [Gate(FLIP_TABLE_NAMES[a], (q,))
+                      for q, a in enumerate(letters[t, k]) if a]
+            cycles.append(Cycle(tuple(gates)))
         circs.append(Circuit(n, tuple(cycles)))
     unitaries = np.stack([gate_matrix(Gate(name, (0,)), 1)
                           for name in FLIP_TABLE_NAMES])
-    return CircuitPlan(n, letters, unitaries, segments), circs
+    return CircuitPlan(n, letters, unitaries, flips), circs
 
 
 def test_flip_table_codes_each_distinct_set_once():
-    """() is code 0, the per-trial segments' sets come next (the `gathered`
-    sets `run` tabulates), then the shared one; a repeated set has one code.
-    A compiled plan shares every segment's flips, so it tabulates nothing."""
+    """The plan finds its segments where some trial flips, and codes each
+    distinct set once in order of first use, () as code 0: segment k of
+    trial t reads its flips back as `flip_sets[flip_codes[k, t]]`. A
+    compiled plan's one shared flip list has one code per segment."""
     plan, _ = flip_table_plan()
-    per_trial = {f for flips in FLIP_TABLE_FLIPS for f in flips} - {()}
-    assert plan.flip_sets[0] == ()
-    assert set(plan.flip_sets[1:plan.gathered]) == per_trial
-    assert plan.flip_sets[plan.gathered:] == (((1, 2),),)
-    for codes, (_, _, flips) in zip(plan.flip_codes, plan.segments):
-        assert [plan.flip_sets[c] for c in codes] == list(flips)
+    assert plan.segments == tuple(zip(FLIP_TABLE_STARTS, FLIP_TABLE_STARTS[1:]))
+    assert plan.flip_sets == tuple(dict.fromkeys(
+        ((),) + tuple(f for sets in FLIP_TABLE_FLIPS for f in sets)))
+    assert plan.flip_codes.shape == (len(FLIP_TABLE_FLIPS), 5)
+    for codes, sets in zip(plan.flip_codes, FLIP_TABLE_FLIPS):
+        assert [plan.flip_sets[c] for c in codes] == list(sets)
     circ = random_clifford_t(4, 12, np.random.default_rng(37))
     for compiled in (compile_plan(circ), compile_plan(circ, rc=True)):
-        assert compiled.gathered == 0
-        assert all(len(codes) == 1 for codes in compiled.flip_codes)
+        (flips,) = compiled.flips
+        starts = [k for k, f in enumerate(flips) if f or not k]
+        assert [a for a, _ in compiled.segments] == starts
+        assert compiled.flip_codes.shape == (len(starts), 1)
+        assert [compiled.flip_sets[c] for (c,) in compiled.flip_codes] == [
+            flips[k] for k in starts]
 
 
 @pytest.mark.parametrize("slice_bytes", [None, 512])
@@ -801,23 +841,26 @@ def test_flip_table_matches_dense_oracle(monkeypatch, model, slice_bytes):
 
 
 def test_plan_rejects_flips_for_another_number_of_trials():
-    """A segment's flips are one set for every trial or one per trial of
-    letters; any other count raises InvalidParams when the plan is built,
-    and so does a flip that is not a CNOT on two distinct qubits of the
-    register: three qubits, a repeated one, one past the width or not a
-    qubit index, or a bare pair where a set of pairs belongs."""
+    """A plan's flips are one list for every trial or one per trial of
+    letters, and each list holds one set per cycle; any other count raises
+    InvalidParams when the plan is built, and so does a flip that is not a
+    CNOT on two distinct qubits of the register: three qubits, a repeated
+    one, one past the width or not a qubit index, or a bare pair where a set
+    of pairs belongs."""
     letters = np.zeros((3, 2, 2), dtype=np.intp)
-    with pytest.raises(InvalidParams, match="2 flips for 3 trials"):
-        CircuitPlan(2, letters, I2[None],
-                    ((0, 1, (((0, 1),), ())), (1, 2, ((),))))
-    with pytest.raises(InvalidParams, match="0 flips for 3 trials"):
-        CircuitPlan(2, letters, I2[None], ((0, 2, ()),))
+    for lists, sizes in [([[((0, 1),), ()], [(), ()]], r"\[2, 2\]"),
+                         ([], r"\[\]"), ([[()]], r"\[1\]"),
+                         ([[(), ()], [()], [(), ()]], r"\[2, 1, 2\]"),
+                         ([[(), (), ()]], r"\[3\]")]:
+        with pytest.raises(InvalidParams, match=f"flip lists of {sizes} sets: "
+                           "3 trials of 2 cycles need 1 or 3 lists of 2"):
+            CircuitPlan(2, letters, I2[None], lists)
     wide = np.zeros((3, 2, 3), dtype=np.intp)
     for flips in [((2, 0, 1),), ((1, 1),), ((0, 3),), ((-1, 0),), ((0.5, 1),),
                   (0, 1)]:
         with pytest.raises(InvalidParams, match="not a CNOT"):
             CircuitPlan(3, wide, I2[None],
-                        ((0, 1, ((), ((0, 1),), flips)), (1, 2, ((),))))
+                        [[(), ()], [((0, 1),), ()], [flips, ()]])
 
 
 def test_plan_rejects_flips_on_non_integer_qubits():
@@ -829,9 +872,9 @@ def test_plan_rejects_flips_on_non_integer_qubits():
     for flips in [(((0.0, 1),), ((0, 1),)), (((0, 1),), ((0.0, 1),)),
                   (((True, 2),), ()), ((), ((2, np.float64(0)),))]:
         with pytest.raises(InvalidParams, match="not a CNOT"):
-            CircuitPlan(3, letters, I2[None], ((0, 1, flips),))
+            CircuitPlan(3, letters, I2[None], [[f] for f in flips])
     plan = CircuitPlan(3, letters, I2[None],
-                       ((0, 1, (((np.int64(0), 1),), ((2, np.uint8(1)),))),))
+                       [[((np.int64(0), 1),)], [((2, np.uint8(1)),)]])
     assert plan.flip_sets[1:] == (((0, 1),), ((2, 1),))
 
 
