@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,17 +161,22 @@ class _RawDraws:
         return 0
 
 
+def _check_random_size(n, depth) -> None:
+    if not (is_integer(n) and is_integer(depth)) or n < 2 or depth < 1:
+        raise InvalidParams(
+            f"random circuit needs integers n >= 2 and depth >= 1, not "
+            f"{n!r} and {depth!r}")
+
+
 def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
     """The draws of one random circuit: per cycle, each qubit's index into
     _RANDOM_SINGLES (0 on the CNOT's qubits) and the CNOT as flips,
     ((a, b),) or (). Per cycle, `default_rng(seed)`'s `random()`, then
     `choice(n, 2, replace=False)` if below CNOT_CYCLE_PROB, and `integers(5)`
     per other qubit: a word and at most n + 1 halves, so the first block of
-    words runs out only after a rejection."""
-    if not (is_integer(n) and is_integer(depth)) or n < 2 or depth < 1:
-        raise InvalidParams(
-            f"random circuit needs integers n >= 2 and depth >= 1, not "
-            f"{n!r} and {depth!r}")
+    words runs out only after a rejection. `_draw_chunk` draws the same for
+    a whole chunk and calls this walk only for a trial with a rejection."""
+    _check_random_size(n, depth)
     draws = _RawDraws(pcg64(seed), depth * (n + 3) // 2 + 4)
     top = len(_RANDOM_SINGLES) - 1
     singles, flips = [], []
@@ -187,12 +193,79 @@ def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
     return singles, flips
 
 
+# `random()` is below CNOT_CYCLE_PROB exactly for the words below this one.
+_CNOT_WORD = np.uint64(math.ceil(CNOT_CYCLE_PROB * 2 ** 53) << 11)
+_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _draw_chunk(n: int, depth: int, seeds) -> tuple[np.ndarray, list]:
+    """`_draw_random` for every seed at once: the letters (T, depth, n) and
+    each trial's flips. One block of raw words per seed, walked for all
+    trials together: cycle k's `random()` reads word k + (S + 1) // 2 after
+    S halves, and half j of cycle k is the low (j even) or high (j odd) half
+    of word j // 2 + k + 1, or of word j // 2 + k if its low half went to
+    cycle k - 1. A trial with a rejected bounded draw, about 2^-32 per draw,
+    is walked again by `_draw_random` (a seed of None: from new entropy)."""
+    _check_random_size(n, depth)
+    seeds = list(seeds)
+    if not seeds:
+        raise InvalidParams("a random chunk needs at least one seed")
+    size = depth * (n + 3) // 2 + 4
+    raw = np.array([pcg64(s).random_raw(size) for s in seeds], dtype=np.uint64)
+    # A CNOT cycle makes `wide` 32-bit draws (Floyd's first draws nothing at
+    # n = 2), any other cycle n. `bounds` holds each draw's bound in either
+    # kind of cycle; `flip_table[1 + a * n + b]` is ((a, b),).
+    wide = n + (n > 2)
+    top = len(_RANDOM_SINGLES) - 1
+    floyd = [n - 2, n - 1, 1] if n > 2 else [1, 1]
+    bounds = np.array([[top] * wide, floyd + [top] * (wide - len(floyd))],
+                      dtype=np.uint64)
+    flip_table = ((),) + tuple(((a, b),) for a in range(n) for b in range(n))
+    rows = np.arange(len(seeds))
+    starts = np.empty((depth, len(seeds)), dtype=np.intp)
+    cnot = np.empty((depth, len(seeds)), dtype=bool)
+    used = np.zeros(len(seeds), dtype=np.intp)
+    word_cnot, first = (raw < _CNOT_WORD).ravel(), rows * size
+    for k in range(depth):
+        starts[k] = used
+        cnot[k] = word_cnot[first + k + (used + 1) // 2]
+        used += n + (wide - n) * cnot[k]
+    starts, cnot = starts.T[..., None], cnot.T[..., None]
+    # Every half a cycle could draw, then Lemire's test on the ones it does.
+    half = starts + np.arange(wide)
+    word = (half // 2 + np.arange(1, depth + 1)[:, None]
+            - (half // 2 * 2 < starts))
+    u = (raw[rows[:, None, None], word]
+         >> (half & 1).astype(np.uint64) * 32) & _HALF
+    r = bounds[cnot[..., 0].astype(np.intp)]
+    m = u * (r + 1)
+    rejected = ((m & _HALF) < (_HALF - r) % (r + 1)) & (
+        np.arange(wide) < n + (wide - n) * cnot)
+    v = (m >> 32).astype(np.intp)
+    # Floyd's pair and swap, then the singles on the other qubits in order.
+    off = wide - n
+    a = v[..., :1] if off else np.zeros_like(v[..., :1])
+    b, swap = v[..., off:off + 1], v[..., off + 1:off + 2]
+    b = np.where(b == a, n - 1, b)
+    a, b = np.where(swap == 1, a, b), np.where(swap == 1, b, a)
+    q = np.arange(n)
+    pair = cnot & ((q == a) | (q == b))
+    slot = np.where(cnot, off + 2 + q - (a < q) - (b < q), q)
+    singles = np.take_along_axis(v, np.where(pair, 0, slot), axis=-1)
+    letters = _RANDOM_LETTERS[np.where(pair, 0, singles)]
+    codes = np.where(cnot[..., 0], 1 + a[..., 0] * n + b[..., 0], 0).tolist()
+    flips = [[flip_table[c] for c in row] for row in codes]
+    for t in np.flatnonzero(rejected.any(axis=(1, 2))):
+        drawn, flips[t] = _draw_random(n, depth, seeds[t])
+        letters[t] = _RANDOM_LETTERS[np.array(drawn, dtype=np.intp)]
+    return letters, flips
+
+
 def random_letters(n: int, depth: int, seed) -> tuple[np.ndarray, list, tuple]:
     """The letters triple (see `circuits.read_letters`) of the random
     circuit `build_random` draws from `seed`."""
-    singles, flips = _draw_random(n, depth, seed)
-    letters = _RANDOM_LETTERS[np.array(singles, dtype=np.intp).reshape(depth, n)]
-    return letters, flips, _RANDOM_KEYS
+    letters, flips = _draw_chunk(n, depth, [seed])
+    return letters[0], flips[0], _RANDOM_KEYS
 
 
 def build_random(n: int, depth: int, seed=None) -> Circuit:
@@ -207,11 +280,8 @@ def build_random(n: int, depth: int, seed=None) -> Circuit:
 def random_plan(n: int, depth: int, seeds) -> CircuitPlan:
     """The circuits `build_random` draws from `seeds`, one trial each, as one
     plan: each trial's `random_letters` and its own CNOT flips."""
-    trials = [random_letters(n, depth, s) for s in seeds]
-    if not trials:
-        raise InvalidParams("random_plan needs at least one seed")
-    letters, flips, _ = zip(*trials)
-    return CircuitPlan(n, np.stack(letters), _RANDOM_UNITARIES, flips)
+    letters, flips = _draw_chunk(n, depth, seeds)
+    return CircuitPlan(n, letters, _RANDOM_UNITARIES, flips)
 
 
 # ---------------------------------------------------------------------------

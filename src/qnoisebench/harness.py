@@ -21,9 +21,9 @@ import numpy as np
 # ket_to_density and random_product_state are not called here, but
 # perfbench/tracer.py times their layers under this module's names, so the
 # names stay importable from it.
-from .benchmarks import (BENCHMARKS, MaxCutGraph, benchmark_plan,  # noqa: F401
-                         build_benchmark, maxcut_expectation, random_letters,
-                         random_plan)
+from .benchmarks import (_RANDOM_KEYS, BENCHMARKS, MaxCutGraph,  # noqa: F401
+                         _draw_chunk, benchmark_plan, build_benchmark,
+                         maxcut_expectation, random_plan)
 from .circuits import (CLIFFORD_T, pauli_diagonals,  # noqa: F401
                        pauli_fidelities, plan_of, product_pauli, simulate)
 from .compiling import interleave_idle, interleave_letters  # noqa: F401
@@ -264,12 +264,17 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
     equal = graph is not None and not cfg.rc
     step = cfg.trials if equal else TRIAL_CHUNK
+    # A trial's children are its input, circuit and RC seeds, in that order:
+    # spawn(k) is the first k of spawn(3), so spawn up to the last one read.
+    read = 3 if cfg.rc else 2 if fixed is None else 1 if graph is None else 0
     values = np.empty(cfg.trials)
     for lo in range(0, cfg.trials, step):
         hi = min(lo + step, cfg.trials)
-        input_seeds, circ_seeds, rc_seeds = zip(*(
-            np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(3)
-            for t in range(lo, hi)))
+        children = [
+            np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(read)
+            for t in range(lo, hi)]
+        input_seeds, circ_seeds, rc_seeds = (
+            [c[i] for c in children] if i < read else None for i in range(3))
         if graph is None:
             factors = random_product_factors(n, input_seeds)
             psi = product_kets(factors)
@@ -287,9 +292,10 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
             ref = plan.run(psi)
         else:
             ref = np.empty_like(psi)
-            for k, (circ_seed, rc_seed) in enumerate(zip(circ_seeds, rc_seeds)):
-                plan = plan_of(n, *interleave_letters(*random_letters(
-                    n, depth, circ_seed)), rc=True)
+            letters, flips = _draw_chunk(n, depth, circ_seeds)
+            for k, rc_seed in enumerate(rc_seeds):
+                plan = plan_of(n, *interleave_letters(
+                    letters[k], flips[k], _RANDOM_KEYS), rc=True)
                 rho[k] = plan.run(rho[k:k + 1], noise, [rc_seed])[0]
                 ref[k] = plan.run(psi[k:k + 1])[0]
         diagonals = pauli_diagonals(rho, n)

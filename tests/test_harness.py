@@ -1,5 +1,6 @@
 """Experiment harness: config validation, determinism, file round trips."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -308,6 +309,58 @@ def test_random_trials_compile_at_most_once(monkeypatch, rc):
                            rc=rc, trials=5, depth_range=(4, 8, 4))
     rows = run_experiment(cfg)
     assert len(calls) == (len(rows) * cfg.trials if rc else 0)
+
+
+@pytest.mark.parametrize("bench,rc,depth,read", [
+    ("random", False, (4, 4, 1), (0, 1)),
+    ("random", True, (4, 4, 1), (0, 1, 2)),
+    ("idle", False, (4, 4, 1), (0,)),
+    ("idle", True, (4, 4, 1), (0, 2)),
+    ("qaoa", False, None, ()),
+])
+def test_one_seed_sequence_per_trial(monkeypatch, bench, rc, depth, read):
+    """Every branch constructs one `SeedSequence((seed, sweep, trial))` per
+    trial, counted as `perfbench/tracer.py` counts trials, and hands on
+    only the children it reads: the input (0), circuit (1) and RC (2)
+    children of `spawn(3)`, compared by `generate_state(4)`."""
+    from qnoisebench import circuits, harness
+
+    made, handed = [], {0: [], 1: [], 2: []}
+    real_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real_sequence(*args, **kwargs)
+
+    def recording(module, name, child):
+        real = getattr(module, name)
+        signature = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            seeds = signature.bind(*args, **kwargs).arguments.get("seeds")
+            if seeds is not None:
+                handed[child].extend(seeds)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    recording(harness, "random_product_factors", 0)
+    recording(harness, "random_plan", 1)
+    recording(harness, "_draw_chunk", 1)
+    recording(circuits.CircuitPlan, "run", 2)
+    trials = 3
+    run_experiment(ExperimentConfig(
+        benchmark=bench, noise="pauli", levels=(1, 2), rc=rc, trials=trials,
+        depth_range=depth, seed=7))
+    monkeypatch.setattr(np.random, "SeedSequence", real_sequence)
+    keys = [(7, sweep, t) for sweep in range(2) for t in range(trials)]
+    assert made == [(key,) for key in keys]
+    for child, seeds in handed.items():
+        want = ([real_sequence(key).spawn(3)[child].generate_state(4)
+                 for key in keys] if child in read else [])
+        assert [s.generate_state(4).tolist() for s in seeds] == [
+            w.tolist() for w in want]
 
 
 @pytest.mark.parametrize("bench,rc", [

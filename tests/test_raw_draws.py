@@ -8,7 +8,9 @@ NEP 19 allows it) fails here before it moves any golden row."""
 import numpy as np
 import pytest
 
-from qnoisebench.benchmarks import (_RANDOM_SINGLES, CNOT_CYCLE_PROB,
+from qnoisebench import benchmarks
+from qnoisebench.benchmarks import (_RANDOM_LETTERS, _RANDOM_SINGLES,
+                                    CNOT_CYCLE_PROB, _draw_chunk,
                                     _draw_random, _RawDraws, build_random,
                                     random_plan)
 from qnoisebench.errors import InvalidParams
@@ -53,17 +55,28 @@ SEED_FORMS = [
 @pytest.mark.parametrize("form", SEED_FORMS, ids=[f for f, _ in SEED_FORMS])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_draw_random_equals_the_scalar_calls(n, form):
-    """Equal draws at every n from 2 to 8, depth 1 and 30, for every seed
-    form callers pass. Every ordered pair of qubits turns up as a CNOT, so
-    both outcomes of `choice`'s closing swap are covered, and at n = 2 its
-    first Floyd draw, over 0..0, draws nothing."""
+    """Equal draws at every n from 2 to 8, depths 1, 30 and 70, for every
+    seed form callers pass: from the scalar walk `_draw_random`, and from
+    the chunk walk `_draw_chunk` in chunks of 25 seeds and of 1. Every
+    ordered pair of qubits turns up as a CNOT, so both outcomes of
+    `choice`'s closing swap are covered, and at n = 2 its first Floyd draw,
+    over 0..0, draws nothing."""
     _, seed = form
+    seeds = [seed(k) for k in range(60)]
     pairs = set()
-    for k in range(60):
-        for depth in (1, 30):
-            got = _draw_random(n, depth, seed(k))
-            assert got == scalar_draw_random(n, depth, seed(k))
-            pairs |= {p for flips in got[1] for p in flips}
+    for depth in (1, 30, 70):
+        chunked = [draw for lo in range(0, len(seeds), 25)
+                   for draw in zip(*_draw_chunk(n, depth, seeds[lo:lo + 25]))]
+        for s, (letters, flips) in zip(seeds, chunked):
+            want = scalar_draw_random(n, depth, s)
+            assert _draw_random(n, depth, s) == want
+            want_letters = _RANDOM_LETTERS[np.array(want[0])]
+            one_letters, (one_flips,) = _draw_chunk(n, depth, [s])
+            for got_letters, got_flips in ((letters, flips),
+                                           (one_letters[0], one_flips)):
+                np.testing.assert_array_equal(got_letters, want_letters)
+                assert got_flips == want[1]
+            pairs |= {p for cycle in flips for p in cycle}
     assert pairs == {(a, b) for a in range(n) for b in range(n) if a != b}
 
 
@@ -173,6 +186,42 @@ def test_words_refill_when_the_first_block_runs_out():
     for _ in range(30):
         assert draws.random() == rng.random()
         assert draws.bounded(4) == rng.integers(5)
+
+
+def test_a_rejected_draw_redraws_its_trial_by_the_scalar_walk(monkeypatch):
+    """Over 0..4 the threshold is 1, so a zero 32-bit draw in a singles slot
+    is rejected. One trial of a chunk of three gets such words: a word of
+    2^63 (no CNOT), then a word whose low half is 0 and whose high half is
+    2^32 - 1. Its qubit 0 takes the high half, an h, and the trial equals
+    the scalar walk on the same words, which the chunk walk hands it to
+    alone; the other two trials are as drawn without it."""
+    n, depth = 4, 30
+    words = [1 << 63, halves(0, 0xFFFFFFFF)] + np.random.PCG64(5).random_raw(
+        2 * depth * n).tolist()
+    real = benchmarks.pcg64
+    monkeypatch.setattr(benchmarks, "pcg64", lambda s: ChosenWords(words)
+                        if s == "chosen" else real(s))
+    walked = []
+    real_walk = benchmarks._draw_random
+
+    def walk(n, depth, seed):
+        walked.append(seed)
+        return real_walk(n, depth, seed)
+
+    seeds = [3, "chosen", 4]
+    want = [_draw_chunk(n, depth, [s]) for s in (3, 4)]
+    monkeypatch.setattr(benchmarks, "_draw_random", walk)
+    letters, flips = _draw_chunk(n, depth, seeds)
+    assert walked == ["chosen"]
+    singles, scalar_flips = real_walk(n, depth, "chosen")
+    assert singles[0][0] == _RANDOM_SINGLES.index("h")
+    np.testing.assert_array_equal(letters[1],
+                                  _RANDOM_LETTERS[np.array(singles)])
+    assert flips[1] == scalar_flips
+    for t, (one_letters, (one_flips,)) in zip((0, 2), want):
+        np.testing.assert_array_equal(letters[t], one_letters[0])
+        assert flips[t] == one_flips
+        assert one_flips == scalar_draw_random(n, depth, seeds[t])[1]
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, np.random.default_rng(0)],
