@@ -15,7 +15,7 @@ from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
 # names stay importable from it.
 from .compiling import (interleave_idle, interleave_letters,  # noqa: F401
                         lower_controlled_rz, lower_letters, to_clifford_t)
-from .errors import InvalidParams, is_integer
+from .errors import InvalidParams, is_integer, is_real
 from .gates import FIXED_MATRICES, Gate
 from .states import pcg64
 
@@ -131,36 +131,6 @@ _RANDOM_LETTERS = np.array([0, 1, 3, 2, 6])
 CNOT_CYCLE_PROB = 0.25
 
 
-class _RawDraws:
-    """numpy `Generator` draws from raw PCG64 words fetched `size` at a time,
-    by numpy's samplers: `random()` is a word's top 53 bits over 2^53;
-    `bounded(r)`, over 0..r, is none for r = 0, else Lemire's multiply-shift
-    with rejection (arXiv:1805.10941) on a 32-bit draw: a word's low half,
-    whose high half waits for the next one, across `random()` calls."""
-
-    def __init__(self, bitgen, size: int):
-        self.bitgen, self.size, self.words, self.high = bitgen, size, [], None
-
-    def word(self) -> int:
-        if not self.words:
-            self.words = self.bitgen.random_raw(self.size).tolist()[::-1]
-        return self.words.pop()
-
-    def random(self) -> float:
-        return (self.word() >> 11) * 2.0 ** -53
-
-    def bounded(self, r: int) -> int:
-        while r:
-            if self.high is None:
-                u = self.word()
-                u, self.high = u & 0xFFFFFFFF, u >> 32
-            else:
-                u, self.high = self.high, None
-            if u * (r + 1) & 0xFFFFFFFF >= (0xFFFFFFFF - r) % (r + 1):
-                return u * (r + 1) >> 32
-        return 0
-
-
 def _check_random_size(n, depth) -> None:
     if not (is_integer(n) and is_integer(depth)) or n < 2 or depth < 1:
         raise InvalidParams(
@@ -171,23 +141,19 @@ def _check_random_size(n, depth) -> None:
 def _draw_random(n: int, depth: int, seed) -> tuple[list, list]:
     """The draws of one random circuit: per cycle, each qubit's index into
     _RANDOM_SINGLES (0 on the CNOT's qubits) and the CNOT as flips,
-    ((a, b),) or (). Per cycle, `default_rng(seed)`'s `random()`, then
-    `choice(n, 2, replace=False)` if below CNOT_CYCLE_PROB, and `integers(5)`
-    per other qubit: a word and at most n + 1 halves, so the first block of
-    words runs out only after a rejection. `_draw_chunk` draws the same for
-    a whole chunk and calls this walk only for a trial with a rejection."""
+    ((a, b),) or (). Per cycle, a `Generator` over `pcg64(seed)` draws
+    `random()`, then `choice(n, 2, replace=False)` if below CNOT_CYCLE_PROB,
+    and `integers(5)` per other qubit. `_draw_chunk` draws the same for a
+    whole chunk and calls this only for a trial with a rejected draw."""
     _check_random_size(n, depth)
-    draws = _RawDraws(pcg64(seed), depth * (n + 3) // 2 + 4)
-    top = len(_RANDOM_SINGLES) - 1
+    rng = np.random.Generator(pcg64(seed))
+    kinds = len(_RANDOM_SINGLES)
     singles, flips = [], []
     for _ in range(depth):
         pair = ()
-        if draws.random() < CNOT_CYCLE_PROB:
-            # Floyd's sampler of two, then a shuffle that swaps on a 0
-            a, b = draws.bounded(n - 2), draws.bounded(n - 1)
-            b = n - 1 if b == a else b
-            pair = (a, b) if draws.bounded(1) else (b, a)
-        singles.append([0 if q in pair else draws.bounded(top)
+        if rng.random() < CNOT_CYCLE_PROB:
+            pair = tuple(rng.choice(n, 2, replace=False).tolist())
+        singles.append([0 if q in pair else int(rng.integers(kinds))
                         for q in range(n)])
         flips.append((pair,) if pair else ())
     return singles, flips
@@ -205,7 +171,8 @@ def _draw_chunk(n: int, depth: int, seeds) -> tuple[np.ndarray, list]:
     S halves, and half j of cycle k is the low (j even) or high (j odd) half
     of word j // 2 + k + 1, or of word j // 2 + k if its low half went to
     cycle k - 1. A trial with a rejected bounded draw, about 2^-32 per draw,
-    is walked again by `_draw_random` (a seed of None: from new entropy)."""
+    is drawn again by numpy's own calls in `_draw_random` (a seed of None:
+    from new entropy)."""
     _check_random_size(n, depth)
     seeds = list(seeds)
     if not seeds:
@@ -377,8 +344,8 @@ def build_qft(n: int) -> Circuit:
     The parameterized unitary equals the DFT matrix with bit-reversed output
     order, up to global phase.
     """
-    if n < 1:
-        raise InvalidParams("qft needs n >= 1")
+    if not is_integer(n) or n < 1:
+        raise InvalidParams(f"qft needs an integer n >= 1, not {n!r}")
     cycles: list[Cycle] = []
     for k in range(n):
         cycles.append(Cycle((Gate.h(k),)))
@@ -437,8 +404,8 @@ def build_qaoa(graph: MaxCutGraph, beta: float, gamma_angle: float,
     phase of gamma exactly when the edge endpoints differ; edges in the same
     matching run in parallel cycles.
     """
-    if p < 1:
-        raise InvalidParams("qaoa needs p >= 1")
+    if not is_integer(p) or p < 1:
+        raise InvalidParams(f"qaoa needs an integer p >= 1, not {p!r}")
     n = graph.n_vertices
     cycles: list[Cycle] = [Cycle(tuple(Gate.h(q) for q in range(n)))]
     for _ in range(p):
@@ -477,8 +444,12 @@ def optimize_qaoa_angles(resolution: float = 0.01) -> tuple[float, float, float]
 
     Works on kets: the cost layer is a diagonal phase by cut size, and each
     beta's mixer, one rx(beta) cycle, runs as a ket pass of its plan over
-    all gammas at once. Returns (beta, gamma, expectation).
+    all gammas at once. Returns (beta, gamma, expectation). A resolution
+    that is not a finite real number > 0 raises InvalidParams.
     """
+    if not is_real(resolution) or not 0 < resolution < math.inf:
+        raise InvalidParams(
+            f"resolution must be a finite real number > 0, not {resolution!r}")
     graph = MaxCutGraph.hypercube()
     n = graph.n_vertices
     dim = 2 ** n

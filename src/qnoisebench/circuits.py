@@ -65,8 +65,9 @@ class Circuit:
             c if isinstance(c, Cycle) else Cycle(tuple(c)) for c in self.cycles
         )
         object.__setattr__(self, "cycles", cycles)
-        if self.n_qubits < 1:
-            raise InvalidParams("circuit needs at least one qubit")
+        if not is_integer(self.n_qubits) or self.n_qubits < 1:
+            raise InvalidParams(f"circuit needs an integer n_qubits >= 1, "
+                                f"not {self.n_qubits!r}")
         for c in cycles:
             for g in c.gates:
                 if any(q >= self.n_qubits for q in g.qubits):
@@ -266,8 +267,9 @@ class CircuitPlan:
         cycle, returned in the same form as a fresh array: real Pauli vectors
         (T, 4^n) float64 (`to_pauli`) under the maps of `_compose`, or kets
         (T, 2^n) noise-free. Any other shape or dtype raises WidthMismatch, a
-        non-finite Pauli vector InvalidState, and an empty batch or noisy
-        kets InvalidParams. One trial for every state or one per state.
+        non-finite Pauli vector InvalidState, and an empty batch, a noise
+        that is not a NoiseModel or noisy kets InvalidParams. One trial for
+        every state or one per state.
 
         Per segment, one gather and one kernel pass on a slice of the batch
         (at most _SLICE_BYTES, one state at least, so it stays in cache); a
@@ -284,6 +286,8 @@ class CircuitPlan:
                 f"(T, {2 ** n}) nor float64 Pauli vectors (T, {4 ** n})")
         if not len(states):
             raise InvalidParams("empty batch: run needs at least one state")
+        if not isinstance(noise, NoiseModel):
+            raise InvalidParams(f"noise {noise!r} is not a NoiseModel")
         noise = noise.validate()
         if ket and not isinstance(noise, NoNoise):
             raise InvalidParams(f"kets run noise-free, not under {noise!r}")

@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and `is_integer`."""
+"""Exception types raised across the package, `is_integer` and `is_real`."""
 
 import numbers
 
@@ -7,6 +7,11 @@ def is_integer(value) -> bool:
     """A Python or numpy integer, not a bool nor a float equal to one."""
     return type(value) is int or (isinstance(value, numbers.Integral)
                                   and not isinstance(value, bool))
+
+
+def is_real(value) -> bool:
+    """A Python or numpy real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class SimulationError(Exception):

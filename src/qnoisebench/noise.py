@@ -22,10 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, UnknownLevel
+from .errors import InvalidParams, UnknownLevel, is_integer, is_real
 from .states import DensityMatrix
 
 _PROB_TOL = 1e-12
+
+
+def _check_real(*params) -> None:
+    """Refuse a channel parameter that is a bool or not a real number: the
+    range checks would coerce it or raise TypeError."""
+    for p in params:
+        if not is_real(p):
+            raise InvalidParams(f"noise parameter {p!r} is not a real number")
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,7 @@ class PauliNoise(NoiseModel):
 
     def validate(self):
         probs = (self.ex, self.ey, self.ez)
+        _check_real(*probs)
         # Asked as "inside" so that a NaN, which fails every comparison, fails.
         if not (all(p >= -_PROB_TOL for p in probs)
                 and sum(probs) <= 1.0 + _PROB_TOL):
@@ -76,6 +85,7 @@ class CoherentNoise(NoiseModel):
     def validate(self):
         if self.axis not in ("x", "z"):
             raise InvalidParams(f"coherent axis must be x or z, got {self.axis!r}")
+        _check_real(self.theta)
         if not np.isfinite(self.theta):
             raise InvalidParams("coherent angle must be finite")
         return self
@@ -89,6 +99,7 @@ class PauliPlusCoherent(NoiseModel):
     theta: float
 
     def validate(self):
+        _check_real(self.ex, self.theta)
         if not 0.0 - _PROB_TOL <= self.ex <= 1.0 + _PROB_TOL:
             raise InvalidParams(f"flip probability {self.ex} outside [0, 1]")
         if not np.isfinite(self.theta):
@@ -101,6 +112,7 @@ class AmplitudeDamping(NoiseModel):
     gamma: float
 
     def validate(self):
+        _check_real(self.gamma)
         if not 0.0 - _PROB_TOL <= self.gamma <= 1.0 + _PROB_TOL:
             raise InvalidParams(f"gamma {self.gamma} outside [0, 1]")
         return self
@@ -111,6 +123,7 @@ class PhaseDamping(NoiseModel):
     lam: float
 
     def validate(self):
+        _check_real(self.lam)
         if not 0.0 - _PROB_TOL <= self.lam <= 1.0 + _PROB_TOL:
             raise InvalidParams(f"lambda {self.lam} outside [0, 1]")
         return self
@@ -210,13 +223,18 @@ def noise_level_table(kind: str, level: int) -> NoiseModel:
     """Model for one of the four standard kinds at strength level 0..3."""
     if kind not in NOISE_KINDS:
         raise UnknownLevel(f"unknown noise kind {kind!r}")
-    if not 0 <= level <= 3:
-        raise UnknownLevel(f"level {level} outside 0..3")
+    if not is_integer(level) or not 0 <= level <= 3:
+        raise UnknownLevel(f"level {level!r} is not an integer in 0..3")
     return noise_model_for(kind, LEVEL_PARAMS[kind][level])
 
 
 def noise_model_for(kind: str, param: float) -> NoiseModel:
     """Model of the given kind at an arbitrary strength (fine-grained sweeps)."""
+    if kind == "none":
+        return NoNoise()
+    if kind not in NOISE_KINDS:
+        raise UnknownLevel(f"unknown noise kind {kind!r}")
+    _check_real(param)
     if kind == "pauli":
         return PauliNoise.symmetric(param)
     if kind == "coherent":
@@ -224,8 +242,4 @@ def noise_model_for(kind: str, param: float) -> NoiseModel:
     if kind == "pauli_coherent":
         # Strength pairs follow the table's ratio: eps = p, theta = p * (pi/10)/0.03.
         return PauliPlusCoherent(param, param * (np.pi / 10) / 0.03).validate()
-    if kind == "amplitude_damping":
-        return AmplitudeDamping(param).validate()
-    if kind == "none":
-        return NoNoise()
-    raise UnknownLevel(f"unknown noise kind {kind!r}")
+    return AmplitudeDamping(param).validate()

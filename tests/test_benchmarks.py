@@ -182,6 +182,12 @@ def test_qft_unitary_is_bit_reversed_dft(n):
     assert phase_aligned_distance(u, bit_reversed_dft(n)) < 1e-9
 
 
+def test_qft_needs_an_integer_size():
+    for n in (0, 2.5, "a"):
+        with pytest.raises(InvalidParams):
+            build_qft(n)
+
+
 def test_qft_clifford_t_stays_close():
     want = circuit_unitary(build_qft(4))
     got = circuit_unitary(build_benchmark("qft_ct"))
@@ -274,8 +280,9 @@ def test_qaoa_structure():
     assert circ.depth == 11  # H + 3 matchings x 3 + mixer
     assert all(g.name == "h" for g in circ.cycles[0].gates)
     assert build_qaoa(graph, 0.3, 0.5, p=2).depth == 21
-    with pytest.raises(InvalidParams):
-        build_qaoa(graph, 0.3, 0.5, p=0)
+    for p in (0, 1.5):
+        with pytest.raises(InvalidParams):
+            build_qaoa(graph, 0.3, 0.5, p=p)
 
 
 def test_starred_angles_hit_the_stationary_value():
@@ -286,6 +293,15 @@ def test_starred_angles_hit_the_stationary_value():
     circ = build_qaoa(graph, QAOA_BETA_STAR, QAOA_GAMMA_STAR)
     assert expectation_of(circ, graph) == pytest.approx(want, abs=1e-9)
     assert want > 8.3
+
+
+@pytest.mark.parametrize("resolution", [-1, 0, float("nan"), float("inf"),
+                                        "a", True])
+def test_optimizer_needs_a_finite_positive_resolution(resolution):
+    """-1 once searched an empty grid and returned (0, 0, -1); 0 divided by
+    zero."""
+    with pytest.raises(InvalidParams, match="resolution"):
+        optimize_qaoa_angles(resolution)
 
 
 def test_optimizer_agrees_with_closed_form():

@@ -107,6 +107,13 @@ def test_cycle_rejects_overlap():
         Cycle((Gate.h(0), Gate.x(0)))
 
 
+def test_circuit_width_must_be_a_positive_integer():
+    for n in (0, 2.5, "a", True):
+        with pytest.raises(InvalidParams):
+            Circuit(n)
+    assert Circuit(np.int64(2)).n_qubits == 2
+
+
 def test_circuit_gate_set_enforced():
     with pytest.raises(InvalidParams):
         Circuit(1, (Cycle((Gate.rz(0, 0.5),)),), CLIFFORD_T)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qnoisebench.circuits import Circuit, Cycle, simulate
+from qnoisebench.circuits import (Circuit, Cycle, compile_plan, simulate,
+                                  to_pauli)
 from qnoisebench.errors import InvalidParams, UnknownLevel
 from qnoisebench.gates import I2, H, Gate, embed_unitary
 from qnoisebench.metrics import average_gate_fidelity
@@ -20,7 +21,7 @@ from qnoisebench.noise import (
     noise_level_table,
     noise_model_for,
 )
-from qnoisebench.protocols import rb_experiment
+from qnoisebench.protocols import quantum_volume, rb_experiment
 from qnoisebench.states import DensityMatrix
 
 rng = np.random.default_rng(2024)
@@ -219,6 +220,50 @@ def test_non_finite_parameters_rejected():
             call()
 
 
+def _run_plan_under(noise):
+    circ = Circuit(1, (Cycle((Gate.h(0),)),))
+    v = to_pauli(DensityMatrix.basis(1, 0).matrix[None], 1)
+    return compile_plan(circ).run(v, noise)
+
+
+NOT_A_MODEL_CALLS = {
+    "simulate": lambda: simulate(Circuit(1, (Cycle((Gate.h(0),)),)),
+                                 DensityMatrix.basis(1, 0), None),
+    "quantum_volume": lambda: quantum_volume(None),
+    "average_gate_fidelity": lambda: average_gate_fidelity(H, None),
+    "rb_experiment": lambda: rb_experiment([1, 2, 3], 2, "x"),
+    "plan.run": lambda: _run_plan_under("pauli"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_MODEL_CALLS.values(),
+                         ids=NOT_A_MODEL_CALLS)
+def test_a_noise_that_is_not_a_model_is_rejected(call):
+    """A noise that is not a NoiseModel ends typed where `CircuitPlan.run`
+    takes it, not as an AttributeError from its missing `validate`."""
+    with pytest.raises(InvalidParams, match="not a NoiseModel"):
+        call()
+
+
+NOT_REAL_CALLS = {
+    "pauli": lambda: PauliNoise("a", 0, 0).validate(),
+    "pauli bool": lambda: PauliNoise(True, 0, 0).validate(),
+    "pauli_coherent": lambda: PauliPlusCoherent(0.1, "a").validate(),
+    "coherent": lambda: CoherentNoise("x", "a").validate(),
+    "amplitude_damping": lambda: AmplitudeDamping("a").validate(),
+    "phase_damping": lambda: PhaseDamping(None).validate(),
+    "noise_model_for": lambda: noise_model_for("pauli", "x"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_REAL_CALLS.values(), ids=NOT_REAL_CALLS)
+def test_a_parameter_that_is_not_a_real_number_is_rejected(call):
+    """A string, None or bool channel parameter ends as InvalidParams, not
+    as a TypeError from a range check or a bool taken as 0 or 1."""
+    with pytest.raises(InvalidParams, match="not a real number"):
+        call()
+
+
 def test_coherent_axis_restricted():
     with pytest.raises(InvalidParams):
         CoherentNoise("y", 0.1).validate()
@@ -238,3 +283,10 @@ def test_unknown_kind_and_level_rejected():
         noise_level_table("pauli", 4)
     with pytest.raises(UnknownLevel):
         noise_model_for("thermal", 0.1)
+
+
+@pytest.mark.parametrize("level", [1.5, True, "1"])
+def test_a_level_that_is_not_an_integer_is_rejected(level):
+    """A float, bool or string level is no level: True is not level 1."""
+    with pytest.raises(UnknownLevel):
+        noise_level_table("pauli", level)

@@ -1,9 +1,11 @@
 """The raw-word draws of random circuits and product inputs against numpy's
 own scalar `Generator` calls, which they must reproduce exactly.
 
-The oracles below are the scalar-call forms of `_draw_random` and
-`random_product_factors`. A numpy release that changes a sampler (NumPy
-NEP 19 allows it) fails here before it moves any golden row."""
+numpy is the only oracle: the scalar-call forms of `_draw_random` and
+`random_product_factors` below, and, for a rejected bounded draw, a real
+PCG64 set to a state chosen to output the words that make it. A numpy
+release that changes a sampler (NumPy NEP 19 allows it) fails here before
+it moves any golden row."""
 
 import numpy as np
 import pytest
@@ -11,8 +13,7 @@ import pytest
 from qnoisebench import benchmarks
 from qnoisebench.benchmarks import (_RANDOM_LETTERS, _RANDOM_SINGLES,
                                     CNOT_CYCLE_PROB, _draw_chunk,
-                                    _draw_random, _RawDraws, build_random,
-                                    random_plan)
+                                    _draw_random, build_random, random_plan)
 from qnoisebench.errors import InvalidParams
 from qnoisebench.states import random_product_factors
 
@@ -56,9 +57,10 @@ SEED_FORMS = [
 @pytest.mark.parametrize("n", range(2, 9))
 def test_draw_random_equals_the_scalar_calls(n, form):
     """Equal draws at every n from 2 to 8, depths 1, 30 and 70, for every
-    seed form callers pass: from the scalar walk `_draw_random`, and from
-    the chunk walk `_draw_chunk` in chunks of 25 seeds and of 1. Every
-    ordered pair of qubits turns up as a CNOT, so both outcomes of
+    seed form callers pass: from the rejection fallback `_draw_random`, and
+    from the chunk walk `_draw_chunk` in chunks of 25 seeds and of 1, whose
+    32-bit draws leave a word's high half waiting across `random()` calls.
+    Every ordered pair of qubits turns up as a CNOT, so both outcomes of
     `choice`'s closing swap are covered, and at n = 2 its first Floyd draw,
     over 0..0, draws nothing."""
     _, seed = form
@@ -114,114 +116,89 @@ def test_product_factors_without_a_seed():
     assert np.all(factors[..., 0].imag == 0) and np.all(factors[..., 0] >= 0)
 
 
-class ChosenWords:
-    """A bit generator that hands out chosen 64-bit words, logging each
-    `random_raw` block size asked for."""
-
-    def __init__(self, words):
-        self.words, self.blocks = list(words), []
-
-    def random_raw(self, size):
-        self.blocks.append(size)
-        block, self.words = self.words[:size], self.words[size:]
-        return np.array(block, dtype=np.uint64)
+# numpy's PCG64 steps its 128-bit state s <- s * PCG_MULT + inc, then outputs
+# rotr64(hi ^ lo, hi >> 58) of the new state's halves.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64, MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
 
 
-def halves(low, high):
-    return high << 32 | low
+def chosen_pcg64(second, first_ok):
+    """A maker of fresh PCG64s whose raw words 0 and 1 are some word that
+    passes `first_ok` and `second`. The state after two steps outputs
+    `second` when lo = hi ^ rotl64(second, hi >> 58); two steps back by
+    PCG_MULT's inverse, with the generator's own inc, give the state to
+    set. Word 0 follows from hi, so hi is tried until it passes."""
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    back = pow(PCG_MULT, -1, 2 ** 128)
+    for k in range(1, 1000):
+        hi = k * 0x9E3779B97F4A7C15 & MASK64
+        r = hi >> 58
+        s = hi << 64 | hi ^ ((second << r | second >> (64 - r)) & MASK64)
+        s = ((s - inc) * back - inc) * back & MASK128
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                 "state": {"state": s, "inc": inc}}
+
+        def make(state=state):
+            bitgen = np.random.PCG64(0)
+            bitgen.state = state
+            return bitgen
+
+        first, word = make().random_raw(2).tolist()
+        assert word == second
+        if first_ok(first):
+            return make
+    raise AssertionError("no state found")
 
 
-def test_bounded_rejects_a_low_product_below_the_threshold():
-    """Over 0..2^31 the threshold is (2^32 - 1 - 2^31) mod (2^31 + 1) =
-    2^31 - 1. The 32-bit draw 2 makes a product whose low 32 bits are 2, so
-    it is rejected; the next draw, 3 * 2^30, is kept and gives 3 * 2^29."""
-    r = 2 ** 31
-    assert (0xFFFFFFFF - r) % (r + 1) == 2 ** 31 - 1
-    assert 2 * (r + 1) & 0xFFFFFFFF == 2
-    draws = _RawDraws(ChosenWords([halves(2, 3 << 30)]), 4)
-    assert draws.bounded(r) == 3 << 29
-    # Over 0..4 the threshold is 1: only the draw 0 is rejected.
-    draws = _RawDraws(ChosenWords([halves(0, 0xFFFFFFFF)]), 4)
-    assert draws.bounded(4) == 4
-    # A range of 0 draws nothing: the next 32-bit draw is the same word's.
-    draws = _RawDraws(ChosenWords([halves(1 << 31, 3 << 30)]), 4)
-    assert draws.bounded(0) == 0
-    assert draws.bounded(1) == 1 and draws.bounded(1) == 1
-    assert draws.high is None
-
-
-def test_bounded_rejection_matches_numpy():
-    """Over 0..2^31 about half the draws are rejected; numpy's
-    `integers(2^31 + 1)` and `bounded(2^31)` agree draw for draw."""
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        draws = _RawDraws(np.random.PCG64(seed), 8)
-        for _ in range(50):
-            assert draws.bounded(2 ** 31) == rng.integers(2 ** 31 + 1)
-            assert draws.random() == rng.random()
-
-
-def test_a_waiting_high_half_outlives_random_calls():
-    """A 32-bit draw takes a word's low half; `random()` takes the next
-    whole word; the 32-bit draw after it takes the first word's high half."""
-    words = [halves(1 << 31, 3 << 30), 0xFFFFFFFFFFFFF800, halves(1 << 30, 0)]
-    draws = _RawDraws(ChosenWords(words), 4)
-    assert draws.bounded(1) == 1            # low half of word 0
-    assert draws.random() == 1.0 - 2.0 ** -53   # word 1, top 53 bits
-    assert draws.bounded(3) == 3            # high half of word 0
-    assert draws.bounded(3) == 1            # low half of word 2
-
-
-def test_words_refill_when_the_first_block_runs_out():
-    """A block of 2 words serves 2 random() calls; the third call fetches
-    another block from the same bit generator, so the draws go on as one
-    stream, equal to numpy's own."""
-    source = ChosenWords([0, 1 << 11, 2 << 11, 3 << 11, 4 << 11])
-    draws = _RawDraws(source, 2)
-    assert [draws.random() for _ in range(5)] == [k * 2.0 ** -53
-                                                  for k in range(5)]
-    assert source.blocks == [2, 2, 2]
-    rng = np.random.default_rng(9)
-    draws = _RawDraws(np.random.PCG64(9), 1)
-    for _ in range(30):
-        assert draws.random() == rng.random()
-        assert draws.bounded(4) == rng.integers(5)
-
-
-def test_a_rejected_draw_redraws_its_trial_by_the_scalar_walk(monkeypatch):
-    """Over 0..4 the threshold is 1, so a zero 32-bit draw in a singles slot
-    is rejected. One trial of a chunk of three gets such words: a word of
-    2^63 (no CNOT), then a word whose low half is 0 and whose high half is
-    2^32 - 1. Its qubit 0 takes the high half, an h, and the trial equals
-    the scalar walk on the same words, which the chunk walk hands it to
-    alone; the other two trials are as drawn without it."""
-    n, depth = 4, 30
-    words = [1 << 63, halves(0, 0xFFFFFFFF)] + np.random.PCG64(5).random_raw(
-        2 * depth * n).tolist()
+def check_rejected_trial(monkeypatch, n, make):
+    """In a chunk of three seeds, the middle one made by `make`, only that
+    trial goes to `_draw_random`, and it equals the scalar calls on a
+    `Generator` over the same state; the other two equal their one-seed
+    chunks. Returns the scalar singles and flips."""
+    depth, seeds = 30, [3, "chosen", 4]
+    want = [_draw_chunk(n, depth, [s]) for s in (3, 4)]
     real = benchmarks.pcg64
-    monkeypatch.setattr(benchmarks, "pcg64", lambda s: ChosenWords(words)
-                        if s == "chosen" else real(s))
-    walked = []
-    real_walk = benchmarks._draw_random
+    monkeypatch.setattr(benchmarks, "pcg64",
+                        lambda s: make() if s == "chosen" else real(s))
+    walked, real_walk = [], benchmarks._draw_random
 
     def walk(n, depth, seed):
         walked.append(seed)
         return real_walk(n, depth, seed)
 
-    seeds = [3, "chosen", 4]
-    want = [_draw_chunk(n, depth, [s]) for s in (3, 4)]
     monkeypatch.setattr(benchmarks, "_draw_random", walk)
     letters, flips = _draw_chunk(n, depth, seeds)
     assert walked == ["chosen"]
-    singles, scalar_flips = real_walk(n, depth, "chosen")
-    assert singles[0][0] == _RANDOM_SINGLES.index("h")
+    singles, scalar_flips = scalar_draw_random(n, depth, make())
     np.testing.assert_array_equal(letters[1],
                                   _RANDOM_LETTERS[np.array(singles)])
     assert flips[1] == scalar_flips
     for t, (one_letters, (one_flips,)) in zip((0, 2), want):
         np.testing.assert_array_equal(letters[t], one_letters[0])
         assert flips[t] == one_flips
-        assert one_flips == scalar_draw_random(n, depth, seeds[t])[1]
+    return singles, scalar_flips
+
+
+def test_a_rejected_singles_draw_redraws_its_trial_by_numpy(monkeypatch):
+    """Over 0..4 the threshold is (2^32 - 5) mod 5 = 1, so a zero 32-bit
+    draw is rejected. Word 0 is at least 2^62 (no CNOT); word 1's low half
+    is 0 and its high half 2^32 - 1, so qubit 0 takes the high half, an h."""
+    assert (0xFFFFFFFF - 4) % 5 == 1
+    make = chosen_pcg64(0xFFFFFFFF_00000000, lambda w: w >= 1 << 62)
+    singles, flips = check_rejected_trial(monkeypatch, 4, make)
+    assert flips[0] == ()
+    assert singles[0][0] == _RANDOM_SINGLES.index("h")
+
+
+def test_a_rejected_floyd_draw_redraws_its_trial_by_numpy(monkeypatch):
+    """At n = 7, Floyd's first draw is over 0..5, where the threshold is
+    2^32 mod 6 = 4. Word 0 is below 2^61 (a CNOT cycle); word 1's low half
+    2^31 times 6 is 0 mod 2^32, below it: a nonzero draw is rejected. Its
+    high half, 2^32 - 1, is kept, so no zero draw flags the trial."""
+    assert (0xFFFFFFFF - 5) % 6 == 4 and 6 * 2 ** 31 % 2 ** 32 == 0
+    make = chosen_pcg64(0xFFFFFFFF_80000000, lambda w: w < 1 << 61)
+    _, flips = check_rejected_trial(monkeypatch, 7, make)
+    assert flips[0] != ()
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, np.random.default_rng(0)],
