@@ -11,7 +11,10 @@ edge, by `simulate` (and `apply_local_unitary`, which builds a one-cycle plan).
 
 The Pauli-vector layout (digit x + 2z per qubit, qubit 0 most significant)
 is known only here: `product_pauli` builds product inputs in it, and
-`pauli_diagonals` and `pauli_fidelities` read the metrics off it.
+`pauli_diagonals` and `pauli_fidelities` read the metrics off it. A random
+chunk's noise-free reference rides in its noisy batch: `run` under the
+models (noise, NoNoise()) takes the inputs twice in one pass, and
+`pauli_fidelities` scores the noisy half against the clean half's vectors.
 """
 
 from __future__ import annotations
@@ -191,12 +194,15 @@ class CircuitPlan:
             raise InvalidParams(f"flip {next(iter(bad))} is not a CNOT on "
                                 f"two of {self.n_qubits} qubits")
 
-    def _compose(self, noise: NoiseModel = NoNoise(), seeds=None,
+    def _compose(self, noise=NoNoise(), seeds=None,
                  ket: bool = False) -> np.ndarray:
         """Each segment's map per qubit, (trial, segment, qubit, d, d): real
         4x4 Pauli transfer matrices R(N) R(u (x) conj(u)), or with `ket` the
         2x2 unitaries (noise-free). One trial per row of `letters`, or a
-        twirled trial per seed with its closing frame composed in.
+        twirled trial per seed with its closing frame composed in. `noise`
+        is one model, or a tuple of k models: then the trials repeat in k
+        blocks, block i under model i. The table stacks the models' maps of
+        the U letters, and block i's letters index it at i U.
 
         A segment of several cycles multiplies its maps as two-cycle words:
         cycles start + 2i and start + 2i + 1, with letters (a, b), are the
@@ -213,9 +219,15 @@ class CircuitPlan:
             letters = np.repeat(letters, len(merged), axis=0)
             letters[:, self.twirl.easy] = merged
         frame_maps = self.unitaries if ket else self.ptms
-        table = frame_maps
-        if not isinstance(noise, NoNoise):
-            table = noise.ptm @ frame_maps
+        tables = [frame_maps if isinstance(m, NoNoise) else m.ptm @ frame_maps
+                  for m in (noise if isinstance(noise, tuple) else (noise,))]
+        table = tables[0]
+        if len(tables) > 1:
+            table = np.concatenate(tables)
+            letters = np.concatenate(
+                [letters + i * len(frame_maps) for i in range(len(tables))])
+            if frames is not None:
+                frames = np.tile(frames, (len(tables), 1))
         if frames is None and all(b - a == 1 for a, b in self.segments):
             return table[letters]  # segment k is cycle k
         # Cycles k and k + 1 of a segment pair up into one word, T[b] T[a]
@@ -261,15 +273,19 @@ class CircuitPlan:
         segs = np.array(segs).reshape(len(segs), len(letters), self.n_qubits, d, d)
         return segs.swapaxes(0, 1)
 
-    def run(self, states: np.ndarray, noise: NoiseModel = NoNoise(),
+    def run(self, states: np.ndarray, noise=NoNoise(),
             seeds=None) -> np.ndarray:
         """A batch of states through the plan, under `noise` after every
         cycle, returned in the same form as a fresh array: real Pauli vectors
         (T, 4^n) float64 (`to_pauli`) under the maps of `_compose`, or kets
-        (T, 2^n) noise-free. Any other shape or dtype raises WidthMismatch, a
-        non-finite Pauli vector InvalidState, and an empty batch, a noise
-        that is not a NoiseModel or noisy kets InvalidParams. One trial for
-        every state or one per state.
+        (T, 2^n) noise-free. One trial for every state or one per state.
+        `noise` may be a tuple of k models: the batch is then k blocks of
+        the plan's trials (one per letters row, or per seed), block i under
+        model i, as if run alone under it, in one pass. Any other shape or
+        dtype raises WidthMismatch, a non-finite Pauli vector InvalidState,
+        and an empty batch, a noise that is not a NoiseModel (or an empty
+        tuple of them), noisy kets, or a batch that does not match the
+        plan's trials (k times them for a tuple) InvalidParams.
 
         Per segment, one gather and one kernel pass on a slice of the batch
         (at most _SLICE_BYTES, one state at least, so it stays in cache); a
@@ -286,21 +302,29 @@ class CircuitPlan:
                 f"(T, {2 ** n}) nor float64 Pauli vectors (T, {4 ** n})")
         if not len(states):
             raise InvalidParams("empty batch: run needs at least one state")
-        if not isinstance(noise, NoiseModel):
-            raise InvalidParams(f"noise {noise!r} is not a NoiseModel")
-        noise = noise.validate()
-        if ket and not isinstance(noise, NoNoise):
-            raise InvalidParams(f"kets run noise-free, not under {noise!r}")
+        models = noise if isinstance(noise, tuple) else (noise,)
+        if not models:
+            raise InvalidParams("noise: an empty tuple of models")
+        for m in models:
+            if not isinstance(m, NoiseModel):
+                raise InvalidParams(f"noise {m!r} is not a NoiseModel")
+            m.validate()
+            if ket and not isinstance(m, NoNoise):
+                raise InvalidParams(f"kets run noise-free, not under {m!r}")
         if seeds is not None and self.twirl is None:
             raise InvalidParams("seeds draw twirls; compile the plan with rc")
         if pauli and not np.isfinite(states).all():
             raise InvalidState("a Pauli vector of the batch is not finite")
         maps = self._compose(noise, seeds, ket=ket)
+        # A tuple makes at least 2 trials of maps, so this asks one per state.
         if len(maps) not in (1, len(states)):
             raise InvalidParams(
                 f"{len(maps)} trials of maps for a batch of {len(states)} states")
         idle = (maps == np.eye(maps.shape[-1])).all(axis=(0, -2, -1)).tolist()
         sets, per_trial = self.flip_sets, len(self.flips) > 1
+        flip_codes = self.flip_codes
+        if per_trial and len(models) > 1:  # the same flips in every block
+            flip_codes = np.tile(flip_codes, (1, len(models)))
         if per_trial:
             orders, signs = zip(*(_flip_order(f, n, pauli) for f in sets))
             orders = np.stack(orders)
@@ -312,7 +336,7 @@ class CircuitPlan:
             w = states[trials]
             if per_trial:
                 offsets = np.arange(0, w.size, w.shape[1])[:, None]
-            for codes, seg, skip in zip(self.flip_codes,
+            for codes, seg, skip in zip(flip_codes,
                                         maps.swapaxes(0, 1), idle):
                 codes = codes[trials] if per_trial else codes
                 if len(codes) == 1:  # one order for every trial
@@ -524,12 +548,14 @@ def pauli_diagonals(v: np.ndarray, n: int) -> np.ndarray:
     return apply_superoperators(z_type.reshape(-1, 2 ** n), [_WALSH] * n)
 
 
-def pauli_fidelities(v: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Re <psi| rho |psi> per trial, for Pauli vectors v (T, 4^n) and kets
-    (T, 2^n): 2^n sum_P r_P s_P, with s the kets' Pauli vectors."""
-    n = kets.shape[-1].bit_length() - 1
-    s = to_pauli(kets[:, :, None] * kets.conj()[:, None, :], n)
-    return 2 ** n * np.einsum("tp,tp->t", v, s)
+def pauli_fidelities(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Tr(rho sigma) per trial, for Pauli vectors v (T, 4^n) and references
+    that are float64 Pauli vectors s (T, 4^n) or kets (T, 2^n), whose
+    Pauli vectors s are taken (Re <psi| rho |psi>): 2^n sum_P r_P s_P."""
+    n = v.shape[-1].bit_length() // 2
+    if ref.shape[-1] != v.shape[-1]:
+        ref = to_pauli(ref[:, :, None] * ref.conj()[:, None, :], n)
+    return 2 ** n * np.einsum("tp,tp->t", v, ref)
 
 
 @functools.lru_cache(maxsize=8)

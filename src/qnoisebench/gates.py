@@ -161,13 +161,6 @@ def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray
     return full
 
 
-def gate_matrix(gate: Gate, n: int) -> np.ndarray:
-    """Full 2^n x 2^n unitary for one gate."""
-    if any(q >= n for q in gate.qubits):
-        raise IndexError(f"gate {gate.name} on {gate.qubits} exceeds width {n}")
-    return embed_unitary(gate.matrix(), gate.qubits, n)
-
-
 class WordTable:
     """Breadth-first table of distinct words over a one-qubit alphabet.
 

@@ -29,8 +29,8 @@ from .circuits import (CLIFFORD_T, pauli_diagonals,  # noqa: F401
 from .compiling import interleave_idle, interleave_letters  # noqa: F401
 from .errors import ConfigError, IoError, SimulationError, is_integer
 from .metrics import process_fidelity  # noqa: F401
-from .noise import LEVEL_PARAMS, NOISE_KINDS, noise_model_for
-from .states import (check_norms, check_traces,  # noqa: F401
+from .noise import LEVEL_PARAMS, NOISE_KINDS, NoNoise, noise_model_for
+from .states import (check_norms, check_purities, check_traces,  # noqa: F401
                      ket_to_density, product_kets, random_product_factors,
                      random_product_state)
 
@@ -202,7 +202,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Per trial: fresh random product input (the QAOA circuits keep their
     fixed all-zeros input), fresh randomized-compiling seed, and for the
     random benchmark a fresh circuit. The noiseless reference is the pure
-    state the same circuit makes of the same input.
+    state the same circuit makes of the same input: for a random chunk
+    without randomized compiling, the noise-free half of the one batch it
+    runs; otherwise the ket U psi.
 
     A fixed (non-random) benchmark is compiled once per depth, before the
     noise sweep, with its noiseless unitary."""
@@ -255,10 +257,14 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
     """Every trial's metric at one sweep point. The trials run TRIAL_CHUNK
     at a time as one batch of real Pauli vectors through the plan: product
     inputs built qubit by qubit, scored off the noisy vectors, a fidelity
-    against the pure reference U psi and MaxCut on the diagonal. A random
-    trial with randomized compiling runs its own compiled plan. A MaxCut
-    point without randomized compiling has one fixed input and one set of
-    maps, so its trials are equal: it runs one state for all of them."""
+    against the pure reference and MaxCut on the diagonal. A random chunk
+    without randomized compiling runs its inputs twice in one batch, under
+    the noise and noise-free, and its reference is the noise-free half's
+    Pauli vectors, checked for trace and purity 1. Elsewhere the reference
+    is the ket U psi, checked for norm 1. A random trial with randomized
+    compiling runs its own compiled plan. A MaxCut point without randomized
+    compiling has one fixed input and one set of maps, so its trials are
+    equal: it runs one state for all of them."""
     spec = BENCHMARKS[cfg.benchmark]
     n = spec.n_qubits
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
@@ -277,7 +283,6 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
             [c[i] for c in children] if i < read else None for i in range(3))
         if graph is None:
             factors = random_product_factors(n, input_seeds)
-            psi = product_kets(factors)
         else:
             factors = np.zeros((1 if equal else hi - lo, n, 2))
             factors[:, :, 0] = 1.0  # |0...0>
@@ -285,12 +290,18 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
         if fixed is not None:
             plan, ideal = fixed
             rho = plan.run(rho, noise, rc_seeds if cfg.rc else None)
-            ref = None if ideal is None else psi @ ideal
+            if ideal is not None:
+                ref = product_kets(factors) @ ideal
+                check_norms(ref)
         elif not cfg.rc:
+            # One pass: the noisy trials, then the same inputs noise-free.
             plan = random_plan(n, depth, circ_seeds)
-            rho = plan.run(rho, noise)
-            ref = plan.run(psi)
+            rho, ref = np.split(
+                plan.run(np.concatenate([rho, rho]), (noise, NoNoise())), 2)
+            check_traces(pauli_diagonals(ref, n).sum(axis=-1))
+            check_purities(pauli_fidelities(ref, ref))
         else:
+            psi = product_kets(factors)
             ref = np.empty_like(psi)
             letters, flips = _draw_chunk(n, depth, circ_seeds)
             for k, rc_seed in enumerate(rc_seeds):
@@ -298,12 +309,12 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
                     letters[k], flips[k], _RANDOM_KEYS), rc=True)
                 rho[k] = plan.run(rho[k:k + 1], noise, [rc_seed])[0]
                 ref[k] = plan.run(psi[k:k + 1])[0]
+            check_norms(ref)
         diagonals = pauli_diagonals(rho, n)
         check_traces(diagonals.sum(axis=-1))
         if graph is not None:
             values[lo:hi] = [maxcut_expectation(d, graph) for d in diagonals]
         else:
-            check_norms(ref)
             values[lo:hi] = pauli_fidelities(rho, ref)
     return values
 

@@ -52,10 +52,6 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     return max_abs(u - phase * v)
 
 
-def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-8) -> bool:
-    return phase_aligned_distance(u, v) <= tol
-
-
 def phase_canonical_keys(mats: np.ndarray) -> np.ndarray:
     """Packed keys, one per matrix, equal for matrices differing only by a
     global phase.

@@ -18,6 +18,7 @@ cycle as R(N) R(u (x) conj(u)), so one cycle is one real 4x4 map per qubit.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,14 @@ _PROB_TOL = 1e-12
 
 
 def _check_real(*params) -> None:
-    """Refuse a channel parameter that is a bool or not a real number: the
-    range checks would coerce it or raise TypeError."""
+    """Refuse a channel parameter that is a bool, not a real number, or an
+    integer past the float range: the range checks would coerce it, or
+    raise TypeError or OverflowError."""
     for p in params:
         if not is_real(p):
             raise InvalidParams(f"noise parameter {p!r} is not a real number")
+        if abs(p) > sys.float_info.max:
+            raise InvalidParams("noise parameter past the float range")
 
 
 @dataclass(frozen=True)

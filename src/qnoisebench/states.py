@@ -191,6 +191,14 @@ def check_traces(traces: np.ndarray) -> None:
         raise InvalidState(f"trace off 1 by {np.max(dev):.3e}")
 
 
+def check_purities(purities: np.ndarray) -> None:
+    """Raise InvalidState unless every purity Tr(rho^2) of a batch of
+    states that should be pure is 1 within NORM_TOL (a NaN fails)."""
+    dev = np.abs(purities - 1.0)
+    if not np.all(dev <= NORM_TOL):
+        raise InvalidState(f"reference purity off 1 by {np.max(dev):.3e}")
+
+
 def measurement_distribution(dm: DensityMatrix) -> np.ndarray:
     """Computational-basis outcome probabilities from the diagonal."""
     return diagonal_distribution(np.real(np.diag(dm.matrix)))

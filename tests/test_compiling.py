@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+from dense_helpers import equal_up_to_phase
 from qnoisebench.benchmarks import (QAOA_BETA_STAR, QAOA_GAMMA_STAR,
                                     build_benchmark, build_random)
 from qnoisebench.circuits import (
@@ -39,7 +40,7 @@ from qnoisebench.errors import (
     SearchExhausted,
 )
 from qnoisebench.gates import CLIFFORD_T_NAMES, FIXED_MATRICES, Gate
-from qnoisebench.linalg import equal_up_to_phase, phase_aligned_distance
+from qnoisebench.linalg import phase_aligned_distance
 from qnoisebench.noise import PauliNoise
 from qnoisebench.states import ket_to_density, random_product_state
 

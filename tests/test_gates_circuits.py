@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dense_helpers import gate_matrix
 from qnoisebench.circuits import (
     CLIFFORD_T,
     PARAM_ROTATIONS,
@@ -25,7 +26,6 @@ from qnoisebench.gates import (
     S,
     T,
     Gate,
-    gate_matrix,
     rx_matrix,
     rz_matrix,
     word_table,

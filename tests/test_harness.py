@@ -386,23 +386,84 @@ def test_non_trace_preserving_map_raises(monkeypatch, bench, rc):
     ("random", False), ("random", True), ("qft_ct", False),
 ])
 def test_non_unitary_reference_raises(monkeypatch, bench, rc):
-    """A reference pass whose 2x2 maps are not unitary leaves kets of norm
-    off 1, and the harness stops with InvalidState."""
+    """A reference pass whose maps are not unitary leaves kets of norm off
+    1, or, for a random chunk without RC, whose reference is the noise-free
+    block of its one batch, Pauli vectors of trace off 1. Either way the
+    harness stops with InvalidState."""
     from qnoisebench.circuits import CircuitPlan
     from qnoisebench.errors import InvalidState
 
-    real = CircuitPlan._compose
-
-    def scaled(self, *args, ket=False, **kwargs):
-        maps = real(self, *args, ket=ket, **kwargs)
-        return 1.01 * maps if ket else maps
-
-    monkeypatch.setattr(CircuitPlan, "_compose", scaled)
+    monkeypatch.setattr(CircuitPlan, "_compose",
+                        scaled_noise_free_maps(CircuitPlan._compose, 1.01))
     depth = (6, 6, 1) if bench == "random" else None
     cfg = ExperimentConfig(benchmark=bench, noise="pauli", levels=(1,), rc=rc,
                            trials=2, depth_range=depth)
-    with pytest.raises(InvalidState, match="norm"):
+    one_pass = bench == "random" and not rc
+    with pytest.raises(InvalidState, match="trace" if one_pass else "norm"):
         run_experiment(cfg)
+
+
+def scaled_noise_free_maps(real, factor):
+    """`CircuitPlan._compose` with its ket maps, and the maps of the
+    noise-free blocks of a tuple of models, times `factor` (a number, or an
+    array that broadcasts over a 4x4 map)."""
+    from qnoisebench.noise import NoNoise
+
+    def scaled(self, noise=NoNoise(), *args, ket=False, **kwargs):
+        maps = real(self, noise, *args, ket=ket, **kwargs)
+        if ket:
+            return factor * maps
+        if not isinstance(noise, tuple):
+            return maps
+        return np.concatenate([
+            factor * block if isinstance(model, NoNoise) else block
+            for model, block in zip(noise, np.split(maps, len(noise)))])
+
+    return scaled
+
+
+def test_a_mixed_noise_free_block_raises(monkeypatch):
+    """A noise-free block whose maps keep the trace but shrink every Bloch
+    component by 1% (depolarizing, so not unitary) leaves a random chunk's
+    reference with purity off 1, and the harness stops with InvalidState."""
+    from qnoisebench.circuits import CircuitPlan
+    from qnoisebench.errors import InvalidState
+
+    shrink = np.array([1.0, 0.99, 0.99, 0.99])[:, None]  # rows of the map
+    monkeypatch.setattr(CircuitPlan, "_compose",
+                        scaled_noise_free_maps(CircuitPlan._compose, shrink))
+    cfg = ExperimentConfig(benchmark="random", noise="pauli", levels=(1,),
+                           trials=2, depth_range=(6, 6, 1))
+    with pytest.raises(InvalidState, match="purity"):
+        run_experiment(cfg)
+
+
+def test_a_random_chunk_without_rc_runs_its_plan_once(monkeypatch):
+    """A random chunk without RC makes one `CircuitPlan.run` call, its
+    inputs twice under (noise, NoNoise()), and builds no reference kets."""
+    from qnoisebench import harness
+    from qnoisebench.circuits import CircuitPlan
+    from qnoisebench.noise import NoNoise, PauliNoise
+
+    calls = []
+    real = CircuitPlan.run
+
+    def recording(self, states, noise=NoNoise(), seeds=None):
+        calls.append((len(self.letters), len(states), noise, seeds))
+        return real(self, states, noise, seeds)
+
+    def no_kets(factors):
+        raise AssertionError("a random chunk without RC built reference kets")
+
+    monkeypatch.setattr(CircuitPlan, "run", recording)
+    monkeypatch.setattr(harness, "product_kets", no_kets)
+    cfg = ExperimentConfig(benchmark="random", noise="pauli", levels=(1,),
+                           trials=5, depth_range=(4, 4, 1))
+    run_experiment(cfg)
+    assert len(calls) == 1
+    (trials, batch, (noisy, clean), seeds), = calls
+    assert (trials, batch, seeds) == (5, 10, None)
+    assert isinstance(noisy, PauliNoise) and clean == NoNoise()
 
 
 def test_fixed_benchmark_built_once_per_config(monkeypatch):
@@ -495,13 +556,15 @@ def test_qaoa_point_runs_pauli_vectors_without_conversions(monkeypatch, rc):
 def test_fidelity_points_convert_only_the_reference(monkeypatch, bench, rc):
     """A fidelity point converts only its reference kets, one `to_pauli` for
     the chunk: the noisy states stay Pauli vectors, with no `from_pauli` and
-    no Hermiticity check."""
+    no Hermiticity check. A random chunk without RC converts nothing: its
+    reference is the noise-free half of its batch, Pauli vectors already."""
     depth = None if bench == "qft_ct" else (3, 3, 1)
     cfg = ExperimentConfig(benchmark=bench, noise="pauli", levels=(1,), rc=rc,
                            trials=3, depth_range=depth)
     calls = count_conversions(monkeypatch)
     run_experiment(cfg)
-    assert calls == {"to_pauli": 1, "from_pauli": 0, "is_hermitian": 0}
+    kets = 0 if bench == "random" and not rc else 1
+    assert calls == {"to_pauli": kets, "from_pauli": 0, "is_hermitian": 0}
 
 
 def test_equal_trials_have_zero_stderr():

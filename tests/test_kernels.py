@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_helpers import gate_matrix
 from qnoisebench import circuits, linalg, states
 from qnoisebench.benchmarks import (build_benchmark, build_random,
                                     optimize_qaoa_angles, random_plan)
@@ -26,7 +27,7 @@ from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
 from qnoisebench.errors import (InvalidParams, InvalidState, NotHermitian,
                                 WidthMismatch)
 from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, I2,
-                              H, X, Y, Z, Gate, embed_unitary, gate_matrix)
+                              H, X, Y, Z, Gate, embed_unitary)
 from qnoisebench.metrics import average_gate_fidelity
 from qnoisebench.noise import (
     NOISE_KINDS,
@@ -694,6 +695,83 @@ def test_run_rejects_non_finite_and_non_float64_pauli_vectors():
             plan.run(v.astype(dtype))
 
 
+@functools.cache
+def noise_block_plans():
+    """(plan, seeds or None) for `run` under a tuple of models: a per-trial
+    random plan with one-cycle segments (25 trials), one with longer ones
+    (3 trials), a one-trial Clifford+T plan as written, and the same plan
+    twirled by 12 seeds (its pair words are coded once)."""
+    rng = np.random.default_rng(31)
+    fixed = compile_plan(random_clifford_t(3, 12, rng), rc=True)
+    return {"random25": (random_plan(4, 12, range(25)), None),
+            "random3": (random_plan(4, 12, range(3)), None),
+            "fixed": (fixed, None), "twirled": (fixed, range(12))}
+
+
+@pytest.mark.parametrize("models", [
+    (PauliNoise(0.02, 0.01, 0.03), NoNoise()),
+    (AmplitudeDamping(0.3), CoherentNoise("x", 0.15), NoNoise()),
+], ids=["two_models", "three_models"])
+@pytest.mark.parametrize("case", ["random25", "random3", "fixed", "twirled"])
+def test_noise_blocks_equal_separate_runs(models, case):
+    """Under a tuple of k models, `run` takes k blocks of the plan's trials
+    (one per letters row, or per seed), and block i equals `run` of its
+    states alone under model i, within 1e-12; kets take a tuple of NoNoise
+    models the same way."""
+    plan, seeds = noise_block_plans()[case]
+    n, k = plan.n_qubits, len(models)
+    trials = len(plan.letters) if seeds is None else len(seeds)
+    rng = np.random.default_rng(trials)
+    v = to_pauli(np.stack([random_density(n, rng)
+                           for _ in range(k * trials)]), n)
+    blocks = np.split(plan.run(v, models, seeds), k)
+    for model, block, alone in zip(models, blocks, np.split(v, k)):
+        np.testing.assert_allclose(block, plan.run(alone, model, seeds),
+                                   rtol=0, atol=1e-12, err_msg=repr(model))
+    kets = np.exp(1j * rng.standard_normal((2 * trials, 2 ** n)))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    got = plan.run(kets, (NoNoise(), NoNoise()), seeds)
+    np.testing.assert_allclose(got, np.concatenate(
+        [plan.run(half, NoNoise(), seeds) for half in np.split(kets, 2)]),
+        rtol=0, atol=1e-12)
+
+
+NOISE_TUPLE_ERRORS = {
+    "a batch of the plan's trials": ((PauliNoise(0.01, 0, 0), NoNoise()),
+                                     3, "batch of 3"),
+    "three blocks of a two-block batch": ((NoNoise(),) * 3, 6, "batch of 6"),
+    "an empty tuple": ((), 6, "empty tuple"),
+    "a member that is not a model": ((NoNoise(), "pauli"), 6,
+                                     "not a NoiseModel"),
+    "a bad member": ((NoNoise(), PauliNoise(0.5, 0.5, 0.5)), 6, "outside"),
+}
+
+
+@pytest.mark.parametrize("noise,batch,match", NOISE_TUPLE_ERRORS.values(),
+                         ids=NOISE_TUPLE_ERRORS)
+def test_run_rejects_a_bad_tuple_of_models(noise, batch, match):
+    """A tuple of models needs a batch of exactly k times the plan's
+    trials, at least one model, and a valid NoiseModel in every place;
+    anything else raises InvalidParams."""
+    plan = random_plan(3, 4, range(3))
+    v = np.zeros((batch, 64))
+    v[:, 0] = 1 / 8
+    with pytest.raises(InvalidParams, match=match):
+        plan.run(v, noise)
+
+
+def test_run_rejects_kets_under_any_noisy_member():
+    """Kets run noise-free, so a tuple with a noisy model in any place
+    raises InvalidParams for a ket batch."""
+    plan = random_plan(3, 4, range(2))
+    kets = np.zeros((4, 8), dtype=np.complex128)
+    kets[:, 0] = 1.0
+    for noise in [(PauliNoise(0.01, 0, 0), NoNoise()),
+                  (NoNoise(), PhaseDamping(0.1))]:
+        with pytest.raises(InvalidParams, match="noise-free"):
+            plan.run(kets, noise)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_product_pauli_is_the_projector_pauli_vector(n):
     """`product_pauli` of qubit factors equals `to_pauli` of the kron'd
@@ -733,6 +811,24 @@ def test_pauli_diagonals_and_fidelities_read_the_matrices(n):
     want = np.einsum("ti,tij,tj->t", kets.conj(), rhos, kets).real
     np.testing.assert_allclose(pauli_fidelities(v, kets), want,
                                rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_fidelities_take_a_reference_of_pauli_vectors(n):
+    """`pauli_fidelities(v, s)` for float64 Pauli vectors s (T, 4^n) is
+    Tr(rho sigma) per trial, and equals the fidelity against the kets
+    whose Pauli vectors they are."""
+    rng = np.random.default_rng(80 + n)
+    rhos = np.stack([random_density(n, rng) for _ in range(6)])
+    v, s = np.split(to_pauli(rhos, n), 2)
+    want = np.einsum("tij,tji->t", rhos[:3], rhos[3:]).real
+    np.testing.assert_allclose(pauli_fidelities(v, s), want,
+                               rtol=0, atol=ATOL)
+    kets = np.exp(1j * rng.standard_normal((3, 2 ** n)))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    s = to_pauli(kets[:, :, None] * kets.conj()[:, None, :], n)
+    np.testing.assert_allclose(pauli_fidelities(v, s),
+                               pauli_fidelities(v, kets), rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)

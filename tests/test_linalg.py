@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from dense_helpers import equal_up_to_phase
 from qnoisebench.linalg import (
-    equal_up_to_phase,
     hermitian_eigenvalues,
     is_hermitian,
     max_abs,

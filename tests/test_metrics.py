@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from dense_helpers import gate_matrix
 from qnoisebench.errors import DimMismatch, NotADistribution, OutOfRange
-from qnoisebench.gates import I2, gate_matrix, Gate
+from qnoisebench.gates import I2, Gate
 from qnoisebench.metrics import (
     average_gate_fidelity,
     fidelity_trace_bounds,

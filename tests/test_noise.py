@@ -264,6 +264,23 @@ def test_a_parameter_that_is_not_a_real_number_is_rejected(call):
         call()
 
 
+HUGE_CALLS = {
+    "coherent": lambda: CoherentNoise("x", 10 ** 400).validate(),
+    "pauli_coherent": lambda: PauliPlusCoherent(0.01, 10 ** 400).validate(),
+    "noise_model_for pauli": lambda: noise_model_for("pauli", 10 ** 400),
+    "noise_model_for pauli_coherent":
+        lambda: noise_model_for("pauli_coherent", 10 ** 400),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_CALLS.values(), ids=HUGE_CALLS)
+def test_a_parameter_past_the_float_range_is_rejected(call):
+    """A Python int past the float64 range ends as InvalidParams, not as a
+    TypeError from `np.isfinite` or an OverflowError from a division."""
+    with pytest.raises(InvalidParams, match="past the float range"):
+        call()
+
+
 def test_coherent_axis_restricted():
     with pytest.raises(InvalidParams):
         CoherentNoise("y", 0.1).validate()

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from dense_helpers import equal_up_to_phase
 from qnoisebench.errors import (
     FitDiverged,
     InvalidParams,
@@ -12,7 +13,7 @@ from qnoisebench.errors import (
     ZeroIdealProbability,
 )
 from qnoisebench.gates import FIXED_MATRICES, I2
-from qnoisebench.linalg import equal_up_to_phase, phase_canonical_keys
+from qnoisebench.linalg import phase_canonical_keys
 from qnoisebench.metrics import trace_distance
 from qnoisebench.noise import (
     AmplitudeDamping,
