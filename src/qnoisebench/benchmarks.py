@@ -17,7 +17,7 @@ from .compiling import (interleave_idle, interleave_letters,  # noqa: F401
                         lower_controlled_rz, lower_letters, to_clifford_t)
 from .errors import InvalidParams, is_integer, is_real
 from .gates import FIXED_MATRICES, Gate
-from .states import pcg64
+from .states import pcg64, raw_words
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def _draw_chunk(n: int, depth: int, seeds) -> tuple[np.ndarray, list]:
     if not seeds:
         raise InvalidParams("a random chunk needs at least one seed")
     size = depth * (n + 3) // 2 + 4
-    raw = np.array([pcg64(s).random_raw(size) for s in seeds], dtype=np.uint64)
+    raw = raw_words(seeds, size)
     # A CNOT cycle makes `wide` 32-bit draws (Floyd's first draws nothing at
     # n = 2), any other cycle n. `bounds` holds each draw's bound in either
     # kind of cycle; `flip_table[1 + a * n + b]` is ((a, b),).

@@ -215,7 +215,7 @@ class CircuitPlan:
         batched product per word."""
         letters, frames = self.letters, None
         if seeds is not None:
-            merged, frames = self.twirl.sample([self.twirl.draw(s) for s in seeds])
+            merged, frames = self.twirl.sample(self.twirl.draw(seeds))
             letters = np.repeat(letters, len(merged), axis=0)
             letters[:, self.twirl.easy] = merged
         frame_maps = self.unitaries if ket else self.ptms

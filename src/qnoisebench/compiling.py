@@ -18,6 +18,7 @@ from .circuits import (CLIFFORD_T, PARAM_ROTATIONS, PLAN_LETTERS, Circuit,
 from .errors import (DuplicateIndex, InvalidParams, NotInterleaved,
                      SearchExhausted, is_integer)
 from .gates import Gate, WordTable, rz_matrix, word_table
+from .states import raw_words
 
 DEFAULT_SYNTH_EPS = 0.05
 DEFAULT_DEPTH_BUDGET = 25
@@ -332,9 +333,18 @@ class Twirl:
                    _OPTS[code[slot], np.arange(len(slot)) - first[slot]],
                    cross[before])
 
-    def draw(self, seed) -> np.ndarray:
-        """One trial's picks: one `integers` call, one scalar draw per slot."""
-        return np.random.default_rng(seed).integers(self.counts)
+    def draw(self, seeds) -> np.ndarray:
+        """Every trial's picks (T, slot), one trial per seed, bit for bit
+        `default_rng(seed).integers(self.counts)`. Every count is a power of
+        two, so Lemire's draw never rejects: a slot of count c > 1 takes the
+        top log2(c) bits of the seed's next 32-bit half word, (half * c) >>
+        32, low half first, and a slot of count 1 draws nothing."""
+        drawn = np.flatnonzero(self.counts > 1)
+        raw = raw_words(seeds, (len(drawn) + 1) // 2)
+        halves = raw.astype("<u8").view("<u4")
+        picks = np.zeros((len(halves), len(self.counts)), dtype=np.int64)
+        picks[:, drawn] = (halves[:, :len(drawn)] * self.counts[drawn]) >> 32
+        return picks
 
     def sample(self, picks) -> tuple[np.ndarray, np.ndarray]:
         """For T trials' picks: the merged easy-cycle letters (T, easy, n),
@@ -371,7 +381,7 @@ def randomized_compile(circ: Circuit, seed=None) -> tuple[Circuit, tuple[str, ..
     """
     letters, flips, keys = read_letters(circ)
     twirl = Twirl.of_plan(letters, flips, keys)
-    merged, frame = twirl.sample([twirl.draw(seed)])
+    merged, frame = twirl.sample(twirl.draw([seed]))
     letters[twirl.easy] = merged[0]
     return (circuit_of(circ.n_qubits, letters, flips, keys, circ.gate_set),
             tuple(PLAN_LETTERS[p] for p in frame[0]))

@@ -1,9 +1,8 @@
-"""Gate alphabet, matrices, operator embedding, and the table of words over
-one-qubit letters.
+"""Gate alphabet, matrices, and the table of words over one-qubit letters.
 
 Qubit 0 is the most-significant bit of the computational basis index, so for
 an n-qubit register the basis state |q0 q1 ... q_{n-1}> has index
-sum(q_k * 2^(n-1-k)). All embeddings below follow that convention.
+sum(q_k * 2^(n-1-k)). The two-qubit matrices below follow that convention.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateIndex, InvalidParams, is_integer
-from .linalg import as_complex, phase_canonical_keys
+from .linalg import phase_canonical_keys
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -126,39 +125,6 @@ class Gate:
         if self.name == "rx":
             return rx_matrix(self.angle)
         return FIXED_MATRICES[self.name]
-
-
-def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Embed a k-qubit operator acting on `targets` into the full 2^n space."""
-    u = as_complex(u)
-    k = len(targets)
-    if u.shape != (2 ** k, 2 ** k):
-        raise InvalidParams(f"operator shape {u.shape} does not match {k} targets")
-    if len(set(targets)) != k:
-        raise DuplicateIndex(f"repeated qubit in {targets}")
-    if any(q < 0 or q >= n for q in targets):
-        raise IndexError(f"targets {targets} out of range for {n} qubits")
-    dim = 2 ** n
-    shifts = [n - 1 - q for q in targets]  # bit position of each target
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    target_mask = 0
-    for sh in shifts:
-        target_mask |= 1 << sh
-
-    idx = np.arange(dim)
-    sub = np.zeros(dim, dtype=np.int64)
-    for pos, sh in enumerate(shifts):
-        sub |= ((idx >> sh) & 1) << (k - 1 - pos)
-    base = idx & ~target_mask
-
-    # Group rows by their non-target bits; the operator acts within each group.
-    for col_sub in range(2 ** k):
-        col_bits = 0
-        for pos, sh in enumerate(shifts):
-            col_bits |= ((col_sub >> (k - 1 - pos)) & 1) << sh
-        cols = base | col_bits
-        full[idx, cols] = u[sub, col_sub]
-    return full
 
 
 class WordTable:

@@ -32,7 +32,7 @@ from .metrics import process_fidelity  # noqa: F401
 from .noise import LEVEL_PARAMS, NOISE_KINDS, NoNoise, noise_model_for
 from .states import (check_norms, check_purities, check_traces,  # noqa: F401
                      ket_to_density, product_kets, random_product_factors,
-                     random_product_state)
+                     random_product_state, spawn_children)
 
 CSV_HEADER = "benchmark,noise,param,depth,rc,metric,mean,stderr,trials,seed"
 _FIELDS = tuple(CSV_HEADER.split(","))
@@ -270,17 +270,16 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
     graph = MaxCutGraph.hypercube() if spec.metric == "expectation_value" else None
     equal = graph is not None and not cfg.rc
     step = cfg.trials if equal else TRIAL_CHUNK
-    # A trial's children are its input, circuit and RC seeds, in that order:
-    # spawn(k) is the first k of spawn(3), so spawn up to the last one read.
-    read = 3 if cfg.rc else 2 if fixed is None else 1 if graph is None else 0
+    # A trial's input, circuit and RC seeds are children 0, 1 and 2 of
+    # SeedSequence((seed, sweep, trial)); derive only those the point reads.
+    read = [i for i, used in enumerate((graph is None, fixed is None, cfg.rc))
+            if used]
     values = np.empty(cfg.trials)
     for lo in range(0, cfg.trials, step):
         hi = min(lo + step, cfg.trials)
-        children = [
-            np.random.SeedSequence((cfg.seed, sweep_idx, t)).spawn(read)
-            for t in range(lo, hi)]
-        input_seeds, circ_seeds, rc_seeds = (
-            [c[i] for c in children] if i < read else None for i in range(3))
+        seeds = dict(zip(read, spawn_children((cfg.seed, sweep_idx),
+                                              range(lo, hi), read)))
+        input_seeds, circ_seeds, rc_seeds = map(seeds.get, range(3))
         if graph is None:
             factors = random_product_factors(n, input_seeds)
         else:
@@ -289,7 +288,7 @@ def _trial_values(cfg: ExperimentConfig, sweep_idx: int, noise, depth,
         rho = product_pauli(factors)
         if fixed is not None:
             plan, ideal = fixed
-            rho = plan.run(rho, noise, rc_seeds if cfg.rc else None)
+            rho = plan.run(rho, noise, rc_seeds)
             if ideal is not None:
                 ref = product_kets(factors) @ ideal
                 check_norms(ref)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,12 +114,139 @@ def random_product_kets(n: int, seeds) -> np.ndarray:
 
 def pcg64(seed) -> np.random.PCG64:
     """`np.random.PCG64(seed)` for a seed of None, an integer >= 0, a
-    sequence of them or a `SeedSequence`; any other seed (a float, a
-    negative integer, a `Generator`) raises InvalidParams."""
+    sequence of them, a `SeedSequence` or a `ChildSeed`; any other seed (a
+    float, a negative integer, a `Generator`) raises InvalidParams."""
     try:
         return np.random.PCG64(seed)
     except (TypeError, ValueError) as exc:
         raise InvalidParams(f"seed {seed!r}: {exc}") from exc
+
+
+def raw_words(seeds, size: int) -> np.ndarray:
+    """The first `size` raw 64-bit words of each seed's `pcg64`, stacked
+    (T, size) as uint64."""
+    rows = [pcg64(s).random_raw(size) for s in seeds]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), size)
+
+
+# numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): a pool of
+# _POOL uint32 words, each hashmix taking the next power of its multiplier.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^j mod 2^32 for j = 0 .. count - 1, as uint32."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _words(value: int) -> list[int]:
+    """An integer >= 0 as little-endian uint32 words; 0 is one word."""
+    return [value >> 32 * k & _MASK32
+            for k in range(max(1, -(-value.bit_length() // 32)))]
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ v >> _XSHIFT
+
+
+@functools.cache
+def _hash_constants(length: int) -> tuple:
+    """numpy's hashmix constants for `length` entropy words, which do not
+    depend on the data: the (xor, multiply) pairs (2, _POOL) that hash the
+    first _POOL words, then one per mixing step k. Step k < _POOL mixes pool
+    word k into the others (its own column is unused), and step k >= _POOL
+    entropy word k into all of them."""
+    h = _powers(_INIT_A, _MULT_A, _POOL * length + 1)
+    pairs, j = [np.stack([h[:_POOL], h[1:_POOL + 1]])], _POOL
+    for k in range(length):
+        cols = [d for d in range(_POOL) if d != k]
+        pair = np.zeros((2, _POOL), dtype=np.uint32)
+        pair[:, cols] = h[j:j + len(cols)], h[j + 1:j + len(cols) + 1]
+        pairs.append(pair)
+        j += len(cols)
+    return tuple(pairs)
+
+
+_GENERATE = _powers(_INIT_B, _MULT_B, 2 * _POOL + 1)
+
+
+def _child_states(entropy: np.ndarray) -> np.ndarray:
+    """numpy's `SeedSequence` pool of each row of uint32 entropy words
+    (R, L), L > _POOL, and its `generate_state(4, np.uint64)`, as uint64
+    rows (R, 4)."""
+    def hashmix(v, pair):
+        return _xorshift((v ^ pair[0]) * pair[1])
+
+    first, *steps = _hash_constants(entropy.shape[1])
+    pool = hashmix(entropy[:, :_POOL], first)
+    for k, pair in enumerate(steps):
+        word = pool[:, k, None] if k < _POOL else entropy[:, k, None]
+        mixed = _xorshift(pool * _MIX_MULT_L
+                          - hashmix(word, pair) * _MIX_MULT_R)
+        if k < _POOL:  # a pool word does not mix into itself
+            mixed[:, k] = pool[:, k]
+        pool = mixed
+    state = hashmix(np.tile(pool, 2), (_GENERATE[:-1], _GENERATE[1:]))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class ChildSeed:
+    """A `SeedSequence` child reduced to what a PCG64 asks of it: its
+    `generate_state(4, np.uint64)`, hashed ahead by `spawn_children`. Any
+    other request raises InvalidParams. It is registered as a numpy
+    `ISeedSequence` on the first `spawn_children` call, not at import:
+    `import numpy` leaves numpy.random unloaded, and loading it with the
+    package would add about 40 ms and 5 MB to every start-up."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype not in (np.uint64, np.dtype(np.uint64)):
+            raise InvalidParams(f"a ChildSeed makes 4 uint64 words, not "
+                                f"{n_words!r} of {dtype!r}")
+        return self._state.copy()
+
+
+@functools.cache
+def _register_child_seed() -> None:
+    np.random.bit_generator.ISeedSequence.register(ChildSeed)
+
+
+def spawn_children(entropy, trials, children) -> list[list[ChildSeed]]:
+    """For each child i of `children`, the list over trials t of
+    `SeedSequence((*entropy, t)).spawn(i + 1)[i]`, as `ChildSeed`s whose
+    states are numpy's, hashed in one array pass over the (child, trial)
+    rows. `entropy` holds integers >= 0 of any size, and each trial and
+    child is an integer in 0 .. 2^32 - 1 (one word); anything else raises
+    InvalidParams."""
+    trials, children = list(trials), list(children)
+    if not all(is_integer(x) and x >= 0
+               for x in (*entropy, *trials, *children)):
+        raise InvalidParams(f"entropy {entropy!r}, trials and children "
+                            "must be integers >= 0")
+    if max(trials + children, default=0) > _MASK32:
+        raise InvalidParams("a trial or child index is over one uint32 word")
+    _register_child_seed()
+    head = [w for x in entropy for w in _words(int(x))]
+    # The run entropy is zero-padded to the pool size before the spawn key.
+    width = max(len(head) + 1, _POOL) + 1
+    rows = np.zeros((len(children), len(trials), width), dtype=np.uint32)
+    rows[..., :len(head)] = head
+    rows[..., len(head)] = trials
+    rows[..., -1] = np.array(children)[:, None]
+    states = iter(_child_states(rows.reshape(-1, width)))
+    return [[ChildSeed(next(states)) for _ in trials] for _ in children]
 
 
 def random_product_factors(n: int, seeds) -> np.ndarray:
@@ -127,8 +255,7 @@ def random_product_factors(n: int, seeds) -> np.ndarray:
     low + (high - low) * (the top 53 bits of a raw PCG64 word) / 2^53."""
     if n < 1:
         raise InvalidParams("need at least one qubit")
-    raw = np.array([pcg64(s).random_raw(2 * n) for s in seeds],
-                   dtype=np.uint64).reshape(-1, n, 2)
+    raw = raw_words(seeds, 2 * n).reshape(-1, n, 2)
     draws = [0.0, -1.0] + [2.0 * np.pi, 2.0] * ((raw >> 11) * 2.0 ** -53)
     phi, theta = draws[..., 0], np.arccos(draws[..., 1])
     return np.stack([np.cos(theta / 2.0),

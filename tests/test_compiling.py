@@ -7,7 +7,8 @@ import pytest
 
 from dense_helpers import equal_up_to_phase
 from qnoisebench.benchmarks import (QAOA_BETA_STAR, QAOA_GAMMA_STAR,
-                                    build_benchmark, build_random)
+                                    benchmark_plan, build_benchmark,
+                                    build_random)
 from qnoisebench.circuits import (
     CLIFFORD_T,
     PARAM_ROTATIONS,
@@ -20,6 +21,7 @@ from qnoisebench.circuits import (
     toffoli_decomposition,
 )
 from qnoisebench.compiling import (
+    _COUNTS,
     DEFAULT_DEPTH_BUDGET,
     _table,
     apply_pauli_frame,
@@ -42,7 +44,8 @@ from qnoisebench.errors import (
 from qnoisebench.gates import CLIFFORD_T_NAMES, FIXED_MATRICES, Gate
 from qnoisebench.linalg import phase_aligned_distance
 from qnoisebench.noise import PauliNoise
-from qnoisebench.states import ket_to_density, random_product_state
+from qnoisebench.states import (ket_to_density, random_product_state,
+                                spawn_children)
 
 G = Gate
 
@@ -352,6 +355,24 @@ def test_one_option_slots_draw_nothing():
     assert rng.integers(1) == 0
     assert rng.integers(np.ones(40, dtype=np.int64)).tolist() == [0] * 40
     assert rng.integers(1 << 62) == fresh
+
+
+def test_every_slot_count_is_a_power_of_two():
+    """Lemire's draw over a power-of-two count never rejects, so
+    `Twirl.draw` reads exactly one half word per slot of count > 1."""
+    assert all(c >= 1 and c & (c - 1) == 0 for c in _COUNTS.tolist())
+
+
+@pytest.mark.parametrize("bench", ["qft_ct", "qaoa_ct", "adder"])
+def test_chunk_draw_is_each_seeds_integers_call(bench):
+    """One chunk draw over 50 seeds, as integers and as the RC children the
+    harness hands on, equals one `default_rng(seed).integers(counts)` per
+    seed."""
+    twirl = benchmark_plan(bench, None, True).twirl
+    children = spawn_children((3, 1), range(50), (2,))[0]
+    for seeds in (range(50), children):
+        want = [np.random.default_rng(s).integers(twirl.counts) for s in seeds]
+        np.testing.assert_array_equal(twirl.draw(seeds), want)
 
 
 def test_rc_rejects_rotations_and_adjacent_hard_cycles():

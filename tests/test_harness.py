@@ -200,16 +200,16 @@ def test_random_benchmark_with_rc():
 
 def test_rc_rewrites_each_trial_once(monkeypatch):
     """Only the noisy run is randomly compiled, once per trial: the plan's
-    per-trial draw runs cfg.trials times per sweep point, and the noiseless
+    chunk draw takes cfg.trials seeds per sweep point, and the noiseless
     reference, which runs the plain circuit, draws nothing."""
     from qnoisebench import compiling
 
     calls = []
     real = compiling.Twirl.draw
 
-    def counting(self, seed):
-        calls.append(seed)
-        return real(self, seed)
+    def counting(self, seeds):
+        calls.extend(seeds)
+        return real(self, seeds)
 
     monkeypatch.setattr(compiling.Twirl, "draw", counting)
     cfg = ExperimentConfig(benchmark="qft_ct", noise="pauli", levels=(1, 2),
@@ -319,10 +319,11 @@ def test_random_trials_compile_at_most_once(monkeypatch, rc):
     ("qaoa", False, None, ()),
 ])
 def test_one_seed_sequence_per_trial(monkeypatch, bench, rc, depth, read):
-    """Every branch constructs one `SeedSequence((seed, sweep, trial))` per
-    trial, counted as `perfbench/tracer.py` counts trials, and hands on
-    only the children it reads: the input (0), circuit (1) and RC (2)
-    children of `spawn(3)`, compared by `generate_state(4)`."""
+    """No branch constructs an `np.random.SeedSequence`, and every branch
+    hands on only the children it reads, each equal to numpy's: the input
+    (0), circuit (1) and RC (2) children of
+    `SeedSequence((seed, sweep, trial)).spawn(3)`, compared by
+    `generate_state(4, np.uint64)`."""
     from qnoisebench import circuits, harness
 
     made, handed = [], {0: [], 1: [], 2: []}
@@ -354,13 +355,13 @@ def test_one_seed_sequence_per_trial(monkeypatch, bench, rc, depth, read):
         benchmark=bench, noise="pauli", levels=(1, 2), rc=rc, trials=trials,
         depth_range=depth, seed=7))
     monkeypatch.setattr(np.random, "SeedSequence", real_sequence)
+    assert made == []
     keys = [(7, sweep, t) for sweep in range(2) for t in range(trials)]
-    assert made == [(key,) for key in keys]
     for child, seeds in handed.items():
-        want = ([real_sequence(key).spawn(3)[child].generate_state(4)
-                 for key in keys] if child in read else [])
-        assert [s.generate_state(4).tolist() for s in seeds] == [
-            w.tolist() for w in want]
+        want = ([real_sequence(key).spawn(3)[child] for key in keys]
+                if child in read else [])
+        assert [s.generate_state(4, np.uint64).tolist() for s in seeds] == [
+            w.generate_state(4, np.uint64).tolist() for w in want]
 
 
 @pytest.mark.parametrize("bench,rc", [

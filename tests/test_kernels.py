@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_helpers import gate_matrix
+from dense_helpers import embed_unitary, gate_matrix
 from qnoisebench import circuits, linalg, states
 from qnoisebench.benchmarks import (build_benchmark, build_random,
                                     optimize_qaoa_angles, random_plan)
@@ -27,7 +27,7 @@ from qnoisebench.compiling import (apply_pauli_frame, interleave_idle,
 from qnoisebench.errors import (InvalidParams, InvalidState, NotHermitian,
                                 WidthMismatch)
 from qnoisebench.gates import (CLIFFORD_T_NAMES, CNOT, GATE_ARITY, I2,
-                              H, X, Y, Z, Gate, embed_unitary)
+                              H, X, Y, Z, Gate)
 from qnoisebench.metrics import average_gate_fidelity
 from qnoisebench.noise import (
     NOISE_KINDS,
@@ -351,7 +351,7 @@ def product_chain(plan, model, seeds=None):
         table = superoperator(model) @ table
     letters, frames = plan.letters, None
     if seeds is not None:
-        merged, frames = plan.twirl.sample([plan.twirl.draw(s) for s in seeds])
+        merged, frames = plan.twirl.sample(plan.twirl.draw(seeds))
         letters = np.repeat(letters, len(merged), axis=0)
         letters[:, plan.twirl.easy] = merged
     cycle_maps = table[letters]

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from dense_helpers import embed_unitary
 from qnoisebench.circuits import (Circuit, Cycle, compile_plan, simulate,
                                   to_pauli)
 from qnoisebench.errors import InvalidParams, UnknownLevel
-from qnoisebench.gates import I2, H, Gate, embed_unitary
+from qnoisebench.gates import I2, H, Gate
 from qnoisebench.metrics import average_gate_fidelity
 from qnoisebench.noise import (
     NOISE_KINDS,

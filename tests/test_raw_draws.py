@@ -10,7 +10,7 @@ it moves any golden row."""
 import numpy as np
 import pytest
 
-from qnoisebench import benchmarks
+from qnoisebench import benchmarks, states
 from qnoisebench.benchmarks import (_RANDOM_LETTERS, _RANDOM_SINGLES,
                                     CNOT_CYCLE_PROB, _draw_chunk,
                                     _draw_random, build_random, random_plan)
@@ -157,9 +157,10 @@ def check_rejected_trial(monkeypatch, n, make):
     chunks. Returns the scalar singles and flips."""
     depth, seeds = 30, [3, "chosen", 4]
     want = [_draw_chunk(n, depth, [s]) for s in (3, 4)]
-    real = benchmarks.pcg64
-    monkeypatch.setattr(benchmarks, "pcg64",
-                        lambda s: make() if s == "chosen" else real(s))
+    real = states.pcg64
+    for module in (states, benchmarks):  # the raw words and the fallback
+        monkeypatch.setattr(module, "pcg64",
+                            lambda s: make() if s == "chosen" else real(s))
     walked, real_walk = [], benchmarks._draw_random
 
     def walk(n, depth, seed):

@@ -1,8 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qnoisebench
+
 from qnoisebench.errors import InvalidParams, InvalidState, NotNormalized
 from qnoisebench.states import (
+    ChildSeed,
     DensityMatrix,
     Ket,
     check_norms,
@@ -14,6 +21,7 @@ from qnoisebench.states import (
     random_product_kets,
     random_product_state,
     sample_measurements,
+    spawn_children,
 )
 
 
@@ -165,3 +173,70 @@ def test_random_product_kets_are_the_products_of_their_factors():
                                   random_product_kets(3, seeds))
     with pytest.raises(NotNormalized):
         product_kets(2 * factors)
+
+
+CHILD_SETS = [(0,), (2,), (0, 1), (0, 2), (0, 1, 2)]
+TRIALS = [*range(41), 10 ** 7 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1,
+                                  2 ** 200])
+def test_spawned_children_are_numpys(seed):
+    """Each child of every child set is numpy's
+    `SeedSequence((seed, sweep, t)).spawn(3)[i]` by its PCG64 state, for
+    seeds of one to seven words, sweeps 0, 1 and 999 and trials to 10^7."""
+    for sweep in (0, 1, 999):
+        want = [[c.generate_state(4, np.uint64).tolist() for c in
+                 np.random.SeedSequence((seed, sweep, t)).spawn(3)]
+                for t in TRIALS]
+        for children in CHILD_SETS:
+            got = spawn_children((seed, sweep), TRIALS, children)
+            assert len(got) == len(children)
+            for i, row in zip(children, got):
+                assert [c.generate_state(4, np.uint64).tolist()
+                        for c in row] == [w[i] for w in want]
+
+
+def test_a_child_seed_makes_numpys_generators():
+    """A PCG64, a `default_rng` and a `Generator` built from a ChildSeed
+    draw what they draw from numpy's child; the ChildSeed answers no other
+    state request."""
+    (got,) = spawn_children((5, 2), [7], (1,))[0]
+    want = np.random.SeedSequence((5, 2, 7)).spawn(2)[1]
+    np.testing.assert_array_equal(np.random.PCG64(got).random_raw(9),
+                                  np.random.PCG64(want).random_raw(9))
+    np.testing.assert_array_equal(np.random.default_rng(got).random(5),
+                                  np.random.default_rng(want).random(5))
+    np.testing.assert_array_equal(
+        np.random.Generator(np.random.PCG64(got)).integers(7, size=5),
+        np.random.Generator(np.random.PCG64(want)).integers(7, size=5))
+    assert isinstance(got, ChildSeed)
+    assert isinstance(got, np.random.bit_generator.ISeedSequence)
+    for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64),
+                           (4, "garbage")]:
+        with pytest.raises(InvalidParams):
+            got.generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize("entropy,trials,children", [
+    ((-1, 0), [0], (0,)),
+    ((1.5, 0), [0], (0,)),
+    ((True, 0), [0], (0,)),
+    ((1, 0), [-1], (0,)),
+    ((1, 0), [1.0], (0,)),
+    ((1, 0), [2 ** 32], (0,)),
+    ((1, 0), [0], (-1,)),
+])
+def test_spawn_children_rejects_what_numpy_would(entropy, trials, children):
+    with pytest.raises(InvalidParams):
+        spawn_children(entropy, trials, children)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """numpy loads numpy.random on first use, and the package keeps it so
+    (it costs a start-up about 40 ms and 5 MB): `ChildSeed` registers as an
+    `ISeedSequence` on the first `spawn_children` call."""
+    src = str(Path(qnoisebench.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import qnoisebench; "
+            "sys.exit('numpy.random' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
